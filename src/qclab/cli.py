@@ -16,16 +16,13 @@ experiment; 4 inequality violation (a failed audit).
 
 Output (CSV with a ``#``-prefixed footer of sorted parameters, or JSON with
 ``params``/``rows``/``summary``) contains no timestamps or machine state, so
-reruns with equal arguments are byte-identical.  ``QCLAB_THREADS`` sets the
-sampling thread count only; it never changes any value.
+reruns with equal arguments are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -61,15 +58,6 @@ from .stability import (
 )
 
 __all__ = ["main"]
-
-
-def _threads() -> int:
-    raw = os.environ.get("QCLAB_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError:
-        raise InputError("QCLAB_THREADS must be an integer") from None
-    return max(1, t)
 
 
 def _parse_grid(token: str) -> tuple[int, int]:
@@ -168,15 +156,14 @@ def cmd_distortion(args) -> int:
     gauge = ConvexGauge.parse(args.gauge)
     density = Density.parse(args.density)
     n_a, n_b = _parse_grid(args.grid)
-    threads = _threads()
     if side == "annulus":
         grid = _annulus_grid_for(family, args.q, n_a, n_b)
         half = _annulus_grid_for(family, args.q, max(2, n_a // 2), max(1, n_b // 2))
     else:
         grid = _square_grid_for(family, n_a, n_b)
         half = _square_grid_for(family, max(2, n_a // 2), max(1, n_b // 2))
-    result = mean_distortion(family, gauge, grid, density, threads)
-    result_half = mean_distortion(family, gauge, half, density, threads)
+    result = mean_distortion(family, gauge, grid, density)
+    result_half = mean_distortion(family, gauge, half, density)
     error_estimate = abs(result.value - result_half.value) / 3.0
     rows = [
         {
@@ -265,8 +252,6 @@ def cmd_fit(args) -> int:
 
 def cmd_audit(args) -> int:
     gauge = ConvexGauge.parse(args.gauge)
-    threads = _threads()
-    del threads  # audits are cheap; sampling threads are not worth it here
     if args.lemma == "taylor":
         if args.c is not None and args.c > gauge.curvature_floor + 1e-15:
             raise InputError(
@@ -379,7 +364,7 @@ def cmd_reconstruct(args) -> int:
     n_radial, n_angular = _parse_grid(args.grid)
     grid = build_polar_grid(domain, n_radial, n_angular, breaks=family.break_radii())
     trace = annulus_trace(family, domain, args.nodes)
-    fld = dbar_field(family, grid, _threads())
+    fld = dbar_field(family, grid)
     targets = offset_targets(grid, args.points, args.seed, margin=args.margin)
     results = reconstruct_many(trace, fld, targets)
     rows = [

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,25 +97,11 @@ def pointwise_analysis(family: MapFamily, z: complex) -> DistortionSample:
     )
 
 
-def _wirtinger_chunked(
-    family: MapFamily, pts: np.ndarray, threads: int
-) -> tuple[np.ndarray, np.ndarray]:
-    threads = max(1, int(threads))
-    if threads == 1 or pts.shape[0] < 4 * threads:
-        return family.wirtinger_many(pts)
-    chunks = np.array_split(pts, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(family.wirtinger_many, chunks))
-    fz = np.concatenate([p[0] for p in parts])
-    fzb = np.concatenate([p[1] for p in parts])
-    return fz, fzb
-
-
 def distortion_many(
-    family: MapFamily, pts: np.ndarray, threads: int = 1
+    family: MapFamily, pts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized distortion: returns ``(K, degenerate_mask)`` arrays."""
-    fz, fzb = _wirtinger_chunked(family, np.asarray(pts, dtype=np.complex128), threads)
+    fz, fzb = family.wirtinger_many(np.asarray(pts, dtype=np.complex128))
     afz = np.abs(fz)
     afzb = np.abs(fzb)
     den = afz - afzb
@@ -155,13 +140,12 @@ def mean_distortion(
     gauge: ConvexGauge,
     grid: QuadratureGrid,
     density: Density = Density.UNIFORM,
-    threads: int = 1,
 ) -> MeanDistortionResult:
     """Integrate ``phi(K(., family))`` over the grid against a density."""
     if density is Density.INVERSE_SQUARE and grid.coordinate_kind != "polar":
         raise InputError("inverse-square density requires a polar grid")
     _check_breaks_honored(family, grid)
-    K, degenerate = distortion_many(family, grid.centers, threads)
+    K, degenerate = distortion_many(family, grid.centers)
     values = np.asarray(gauge.evaluate(K), dtype=np.float64)
     if density is Density.INVERSE_SQUARE:
         values = values / np.abs(grid.centers) ** 2
@@ -198,7 +182,6 @@ def deficit(
     reference: SpiralStretch,
     gauge: ConvexGauge,
     grid: QuadratureGrid,
-    threads: int = 1,
 ) -> DeficitResult:
     """``(I[candidate] - I[reference]) / I[reference]`` on one shared grid.
 
@@ -211,12 +194,8 @@ def deficit(
     """
     if not isinstance(reference, SpiralStretch) or reference.winding != 0:
         raise InputError("reference must be a SpiralStretch with winding 0")
-    num_cand = mean_distortion(
-        candidate, gauge, grid, Density.INVERSE_SQUARE, threads
-    ).value
-    num_ref = mean_distortion(
-        reference, gauge, grid, Density.INVERSE_SQUARE, threads
-    ).value
+    num_cand = mean_distortion(candidate, gauge, grid, Density.INVERSE_SQUARE).value
+    num_ref = mean_distortion(reference, gauge, grid, Density.INVERSE_SQUARE).value
     if num_ref == 0.0:
         raise InputError("reference mean distortion is zero; deficit undefined")
     value = (num_cand - num_ref) / num_ref
@@ -228,9 +207,7 @@ def deficit(
     )
 
 
-def l1_distance(
-    a: MapFamily, b: MapFamily, grid: QuadratureGrid, threads: int = 1
-) -> float:
+def l1_distance(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> float:
     """``integral |a - b|`` over the grid (uniform density)."""
     va = a.eval_many(grid.centers)
     vb = b.eval_many(grid.centers)
@@ -252,7 +229,6 @@ def conformal_transfer_check(
     gauge: ConvexGauge,
     annulus_grid: QuadratureGrid,
     rectangle_grid: QuadratureGrid,
-    threads: int = 1,
 ) -> TransferCheckResult:
     """Check ``integral phi(K(., g)) / |w|^2 == 4*pi^2 * integral phi(K(., f))``.
 
@@ -303,13 +279,11 @@ def conformal_transfer_check(
             "unsupported transfer pair; use (spiral, linear) or "
             "(piecewise radial, piecewise linear)"
         )
-    lhs = mean_distortion(
-        g, gauge, annulus_grid, Density.INVERSE_SQUARE, threads
-    ).value
+    lhs = mean_distortion(g, gauge, annulus_grid, Density.INVERSE_SQUARE).value
     rhs = (
         4.0
         * math.pi**2
-        * mean_distortion(f, gauge, rectangle_grid, Density.UNIFORM, threads).value
+        * mean_distortion(f, gauge, rectangle_grid, Density.UNIFORM).value
     )
     rel_gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), np.finfo(float).tiny)
     return TransferCheckResult(

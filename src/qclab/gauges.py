@@ -11,13 +11,12 @@ that underlies it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, require_real
 
 __all__ = ["ConvexGauge", "ThetaReport", "theta_check", "theta_check_many"]
 
@@ -43,12 +42,11 @@ class ConvexGauge:
         if self.name not in ("linear", "square", "power", "flat"):
             raise InputError(f"unknown gauge name {self.name!r}")
         if self.name == "power":
-            if not (
-                isinstance(self.p, (int, float))
-                and math.isfinite(self.p)
-                and self.p > 1.0
-            ):
-                raise InputError("power gauge exponent p must be a finite number > 1")
+            require_real(
+                self.p,
+                "power gauge exponent p must be a finite number > 1",
+                lambda v: v > 1.0,
+            )
         elif self.p is not None:
             raise InputError(f"gauge {self.name!r} takes no exponent")
 

@@ -17,15 +17,14 @@ every integral is reproducible to the bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import ordered_dot, ordered_sum
-from .errors import InputError, NonFiniteSampleError
+from .errors import InputError, NonFiniteSampleError, require_real
 
 __all__ = [
     "AnnulusDomain",
@@ -37,7 +36,6 @@ __all__ = [
     "build_polar_grid",
     "integrate",
     "integrate_complex",
-    "sample_cells",
 ]
 
 _SNAP_REL = 1e-12
@@ -50,9 +48,9 @@ class AnnulusDomain:
     inner_radius: float
 
     def __post_init__(self) -> None:
-        q = self.inner_radius
-        if not (isinstance(q, (int, float)) and math.isfinite(q) and 0.0 < q < 1.0):
-            raise InputError("inner_radius must be in (0, 1)")
+        require_real(
+            self.inner_radius, "inner_radius must be in (0, 1)", lambda v: 0.0 < v < 1.0
+        )
 
     @property
     def outer_radius(self) -> float:
@@ -72,9 +70,11 @@ class RectangleDomain:
 
     def __post_init__(self) -> None:
         for name in ("width", "height"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise InputError(f"{name} must be a positive finite number")
+            require_real(
+                getattr(self, name),
+                f"{name} must be a positive finite number",
+                lambda v: v > 0.0,
+            )
 
     @property
     def area(self) -> float:
@@ -304,22 +304,3 @@ def integrate_complex(grid: QuadratureGrid, values: np.ndarray) -> complex:
     re = ordered_dot(grid.weights, np.ascontiguousarray(v.real))
     im = ordered_dot(grid.weights, np.ascontiguousarray(v.imag))
     return complex(re, im)
-
-
-def sample_cells(
-    grid: QuadratureGrid,
-    func: Callable[[np.ndarray], np.ndarray],
-    threads: int = 1,
-) -> np.ndarray:
-    """Evaluate a vectorized function on all cell centers.
-
-    ``threads`` only parallelizes the sampling across contiguous chunks; the
-    result is identical for every thread count.
-    """
-    threads = max(1, int(threads))
-    if threads == 1 or grid.n_cells < 4 * threads:
-        return np.asarray(func(grid.centers))
-    chunks = np.array_split(grid.centers, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda chunk: np.asarray(func(chunk)), chunks))
-    return np.concatenate(parts)

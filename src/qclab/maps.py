@@ -23,7 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BreakSetError, DomainError, InputError, UnsupportedVariantError
+from .errors import (
+    BreakSetError,
+    DomainError,
+    InputError,
+    UnsupportedVariantError,
+    require_real,
+)
 
 __all__ = [
     "Composition",
@@ -148,6 +154,14 @@ def _check_breaks_abscissa(
             )
 
 
+def _check_two_speed(k: float, eps: float) -> None:
+    """Parameter contract of the two-speed families: ``k > 1``, ``0 < eps < (k-1)^2``."""
+    require_real(k, "k must be > 1", lambda v: v > 1.0)
+    require_real(eps, "eps must be > 0", lambda v: v > 0.0)
+    if not eps < (k - 1.0) ** 2:
+        raise InputError("eps must be < (k-1)^2")
+
+
 @dataclass(frozen=True)
 class _PowerPiece:
     """One smooth radial piece ``h(w) = amp * w * |w|**(s-1) * exp(i*c*log|w|)``."""
@@ -191,14 +205,15 @@ class SpiralStretch(MapFamily):
     winding: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.q, (int, float)) and 0.0 < self.q < 1.0):
-            raise InputError("q must be in (0, 1)")
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k >= 1.0):
-            raise InputError("k must be >= 1")
-        if not (isinstance(self.theta, (int, float)) and math.isfinite(self.theta)):
-            raise InputError("theta must be a finite real number")
-        if not (isinstance(self.winding, int) and self.winding >= 0):
-            raise InputError("winding must be a non-negative integer")
+        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
+        require_real(self.theta, "theta must be a finite real number")
+        require_real(
+            self.winding,
+            "winding must be a non-negative integer",
+            lambda v: v >= 0,
+            integer=True,
+        )
 
     @property
     def c(self) -> float:
@@ -268,12 +283,9 @@ class InverseSpiralStretch(MapFamily):
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.q, (int, float)) and 0.0 < self.q < 1.0):
-            raise InputError("q must be in (0, 1)")
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k >= 1.0):
-            raise InputError("k must be >= 1")
-        if not (isinstance(self.theta, (int, float)) and math.isfinite(self.theta)):
-            raise InputError("theta must be a finite real number")
+        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
+        require_real(self.theta, "theta must be a finite real number")
 
     @property
     def c(self) -> float:
@@ -332,14 +344,8 @@ class PiecewiseRadialStretch(MapFamily):
     eps: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.q, (int, float)) and 0.0 < self.q < 1.0):
-            raise InputError("q must be in (0, 1)")
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k > 1.0):
-            raise InputError("k must be > 1")
-        if not (isinstance(self.eps, (int, float)) and self.eps > 0.0):
-            raise InputError("eps must be > 0")
-        if not self.eps < (self.k - 1.0) ** 2:
-            raise InputError("eps must be < (k-1)^2")
+        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+        _check_two_speed(self.k, self.eps)
 
     @property
     def label(self) -> str:
@@ -436,10 +442,8 @@ class LinearStretch(MapFamily):
     n: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k >= 1.0):
-            raise InputError("k must be >= 1")
-        if not (isinstance(self.n, (int, float)) and math.isfinite(self.n)):
-            raise InputError("n must be a finite real number")
+        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
+        require_real(self.n, "n must be a finite real number")
 
     @property
     def label(self) -> str:
@@ -493,10 +497,8 @@ class InverseLinearStretch(MapFamily):
     n: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k >= 1.0):
-            raise InputError("k must be >= 1")
-        if not (isinstance(self.n, (int, float)) and math.isfinite(self.n)):
-            raise InputError("n must be a finite real number")
+        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
+        require_real(self.n, "n must be a finite real number")
 
     @property
     def label(self) -> str:
@@ -543,12 +545,7 @@ class PiecewiseLinearStretch(MapFamily):
     eps: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k > 1.0):
-            raise InputError("k must be > 1")
-        if not (isinstance(self.eps, (int, float)) and self.eps > 0.0):
-            raise InputError("eps must be > 0")
-        if not self.eps < (self.k - 1.0) ** 2:
-            raise InputError("eps must be < (k-1)^2")
+        _check_two_speed(self.k, self.eps)
 
     @property
     def label(self) -> str:
@@ -618,8 +615,7 @@ class ExpCoordinates(MapFamily):
     q: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.q, (int, float)) and 0.0 < self.q < 1.0):
-            raise InputError("q must be in (0, 1)")
+        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
 
     @property
     def label(self) -> str:
@@ -674,12 +670,9 @@ class LogCoordinatesG(MapFamily):
     ell: float | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.q, (int, float)) and 0.0 < self.q < 1.0):
-            raise InputError("q must be in (0, 1)")
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k >= 1.0):
-            raise InputError("k must be >= 1")
-        if not (isinstance(self.n, (int, float)) and math.isfinite(self.n)):
-            raise InputError("n must be a finite real number")
+        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
+        require_real(self.n, "n must be a finite real number")
         derived = math.log(1.0 / self.q) / (2.0 * math.pi)
         if self.ell is None:
             object.__setattr__(self, "ell", derived)
@@ -738,10 +731,8 @@ class ExpCoordinatesF(MapFamily):
     k: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.q, (int, float)) and 0.0 < self.q < 1.0):
-            raise InputError("q must be in (0, 1)")
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k >= 1.0):
-            raise InputError("k must be >= 1")
+        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
 
     @property
     def label(self) -> str:
@@ -789,8 +780,7 @@ class Rotation(MapFamily):
     beta: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta)):
-            raise InputError("beta must be a finite real number")
+        require_real(self.beta, "beta must be a finite real number")
 
     @property
     def label(self) -> str:
@@ -945,8 +935,7 @@ def wirtinger_fd(family: MapFamily, z: complex, h: float = 1e-5) -> WirtingerPai
     cut, since a difference quotient across a discontinuity of the derivative
     estimates nothing.
     """
-    if not (isinstance(h, float) and 0.0 < h < 1.0):
-        raise InputError("step h must be in (0, 1)")
+    require_real(h, "step h must be in (0, 1)", lambda v: 0.0 < v < 1.0)
     z = complex(z)
     stencil = [z + h, z - h, z + 1j * h, z - 1j * h, z]
     for b in family.break_radii():

@@ -176,13 +176,9 @@ class DbarField:
     values: np.ndarray
 
 
-def dbar_field(
-    family: MapFamily, grid: QuadratureGrid, threads: int = 1
-) -> DbarField:
+def dbar_field(family: MapFamily, grid: QuadratureGrid) -> DbarField:
     """Sample the ``dbar`` derivative of a map on all grid cells."""
-    from .functionals import _wirtinger_chunked
-
-    _, fzb = _wirtinger_chunked(family, grid.centers, threads)
+    _, fzb = family.wirtinger_many(grid.centers)
     return DbarField(family=family, grid=grid, values=np.asarray(fzb))
 
 
@@ -346,7 +342,6 @@ def psi_dbar_mass(
     fstar: LinearStretch,
     n_x: int = 256,
     n_y: int = 256,
-    threads: int = 1,
 ) -> float:
     """Source-normalized ``dbar`` mass of ``Psi = f after fstar^{-1}``.
 
@@ -368,9 +363,7 @@ def psi_dbar_mass(
     psi = Composition(f, InverseLinearStretch(fstar.k, fstar.n))
     domain = RectangleDomain(width=float(fstar.k), height=1.0)
     grid = build_cartesian_grid(domain, n_x, n_y, breaks=psi.break_abscissae())
-    from .functionals import _wirtinger_chunked
-
-    _, fzb = _wirtinger_chunked(psi, grid.centers, threads)
+    _, fzb = psi.wirtinger_many(grid.centers)
     return integrate(grid, np.abs(fzb)) / fstar.jacobian
 
 
@@ -379,7 +372,6 @@ def phi_dbar_mass(
     gstar: SpiralStretch,
     n_radial: int = 512,
     n_angular: int = 256,
-    threads: int = 1,
 ) -> float:
     """``dbar`` mass of ``Phi = g after gstar^{-1}`` on the image annulus.
 
@@ -396,7 +388,5 @@ def phi_dbar_mass(
     phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
     domain = AnnulusDomain(inner_radius=gstar.q**gstar.k)
     grid = build_polar_grid(domain, n_radial, n_angular, breaks=phi.break_radii())
-    from .functionals import _wirtinger_chunked
-
-    _, fzb = _wirtinger_chunked(phi, grid.centers, threads)
+    _, fzb = phi.wirtinger_many(grid.centers)
     return integrate(grid, np.abs(fzb))

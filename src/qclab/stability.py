@@ -19,6 +19,7 @@ from .errors import (
     DegenerateExperimentError,
     InputError,
     UnsupportedVariantError,
+    require_real,
 )
 from .gauges import ConvexGauge, theta_check_many
 from .geometry import (
@@ -356,8 +357,12 @@ def audit_gn_gap(
     stretch, ``rhs`` that of the winding-0 one; the audit passes when the gap
     exceeds ``1e-6``, i.e. extra winding strictly costs distortion.
     """
-    if not (isinstance(winding, int) and winding >= 1):
-        raise InputError("winding must be an integer >= 1 for the gap audit")
+    require_real(
+        winding,
+        "winding must be an integer >= 1 for the gap audit",
+        lambda v: v >= 1,
+        integer=True,
+    )
     g_n = SpiralStretch(q, k, theta, winding)
     g_0 = SpiralStretch(q, k, theta, 0)
     lhs = mean_distortion(g_n, gauge, grid, Density.INVERSE_SQUARE).value
@@ -428,6 +433,21 @@ class FitReport:
     metadata: dict
 
 
+def _check_ladder_eps(eps_values: tuple[float, ...], k: float) -> None:
+    """At least two distinct rungs, each inside ``(0, min(0.1, (k-1)^2 / 2))``."""
+    eps_cap = min(0.1, 0.5 * (k - 1.0) ** 2)
+    for eps in eps_values:
+        require_real(
+            eps,
+            f"eps {eps!r} outside the supported ladder range (0, {eps_cap!r})",
+            lambda v: 0.0 < v < eps_cap,
+        )
+    if len(eps_values) < 2:
+        raise InputError("the ladder needs at least two eps values")
+    if len(set(eps_values)) < len(eps_values):
+        raise InputError(f"eps values must be distinct, got {list(eps_values)!r}")
+
+
 def _ladder_candidate(config: LadderConfig, eps: float) -> MapFamily:
     base = PiecewiseRadialStretch(config.q, config.k, eps)
     if config.theta == 0.0:
@@ -451,14 +471,7 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
         raise DegenerateExperimentError(
             "gauge yields zero deficit; use a strictly convex gauge"
         )
-    eps_cap = min(0.1, 0.5 * (config.k - 1.0) ** 2)
-    for eps in config.eps_values:
-        if not (0.0 < eps < eps_cap):
-            raise InputError(
-                f"eps {eps!r} outside the supported ladder range (0, {eps_cap!r})"
-            )
-    if len(config.eps_values) < 2:
-        raise InputError("the ladder needs at least two eps values")
+    _check_ladder_eps(config.eps_values, config.k)
 
     domain = AnnulusDomain(config.q)
     break_radius = math.sqrt(config.q)
@@ -574,16 +587,11 @@ def run_flat_gauge_ladder(
     no bound of the form ``l1 <= deficit**alpha`` can hold — the distance
     scales like ``sqrt(eps)`` (the fitted slope) while the deficit collapses.
     """
-    if not (isinstance(alpha, float) and 0.0 < alpha < 0.5):
-        raise InputError("alpha must lie strictly between 0 and 0.5")
-    if len(eps_values) < 2:
-        raise InputError("the ladder needs at least two eps values")
-    eps_cap = min(0.1, 0.5 * (k - 1.0) ** 2)
-    for eps in eps_values:
-        if not (0.0 < eps < eps_cap):
-            raise InputError(
-                f"eps {eps!r} outside the supported ladder range (0, {eps_cap!r})"
-            )
+    require_real(
+        alpha, "alpha must lie strictly between 0 and 0.5", lambda v: 0.0 < v < 0.5
+    )
+    alpha = float(alpha)  # keep eta in double precision for numpy scalar input
+    _check_ladder_eps(eps_values, k)
     flat = ConvexGauge.flat()
     square = ConvexGauge.square()
     domain = AnnulusDomain(q)

@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, output formats, and determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -10,13 +9,8 @@ import pytest
 CMD = [sys.executable, "-m", "qclab"]
 
 
-def run(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=full_env
-    )
+def run(*args):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True)
 
 
 class TestExitCodes:
@@ -48,10 +42,11 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "exceeds the floor" in res.stderr
 
-    def test_bad_thread_env(self):
-        res = run("audit", "--lemma", "theta", env={"QCLAB_THREADS": "notanint"})
+    def test_repeated_eps_is_usage_error(self):
+        res = run("fit", "--grid", "64x64", "--eps", "0.01,0.01")
         assert res.returncode == 2
-        assert "QCLAB_THREADS must be an integer" in res.stderr
+        assert "eps values must be distinct" in res.stderr
+        assert res.stdout == ""
 
     def test_passing_audit(self):
         res = run("audit", "--lemma", "gn-gap", "--q", "0.5", "--k", "2",
@@ -80,12 +75,6 @@ class TestFitOutput:
         first, second = run(*args), run(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
-
-    def test_thread_count_does_not_change_bytes(self):
-        args = ("fit", "--grid", "64x64", "--eps", "1e-4,1e-3,1e-2")
-        one = run(*args, env={"QCLAB_THREADS": "1"})
-        four = run(*args, env={"QCLAB_THREADS": "4"})
-        assert one.stdout == four.stdout
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "ladder.csv"

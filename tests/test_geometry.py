@@ -15,7 +15,6 @@ from qclab.geometry import (
     build_polar_grid,
     integrate,
     integrate_complex,
-    sample_cells,
 )
 
 
@@ -152,13 +151,6 @@ class TestIntegration:
 
 
 class TestSampling:
-    def test_threads_do_not_change_values(self):
-        g = polar(0.5, 32, 32)
-        f = lambda pts: np.abs(pts) ** 2 + 1j * pts.real
-        a = sample_cells(g, f, threads=1)
-        b = sample_cells(g, f, threads=4)
-        assert np.array_equal(a, b)
-
     def test_nonfinite_sample_is_reported_with_location(self):
         g = cartesian(1.0, 4, 4)
         vals = np.ones(g.n_cells)

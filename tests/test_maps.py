@@ -27,6 +27,8 @@ from qclab.maps import (
     SpiralStretch,
     wirtinger_fd,
 )
+from qclab.geometry import RectangleDomain
+from qclab.stability import run_flat_gauge_ladder
 
 RNG = np.random.default_rng(20260815)
 
@@ -110,6 +112,45 @@ class TestSpiralStretch:
 
     def test_winding_label(self):
         assert SpiralStretch(0.5, 2.0, winding=2).label == "g2"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SpiralStretch(0.5, 2.0, 0.0, True), "winding"),
+        (lambda: LinearStretch(True, 0.0), "k must be >= 1"),
+        (lambda: RectangleDomain(True, True), "width"),
+        (lambda: SpiralStretch(0.5, 2.0, math.inf), "theta"),
+        (lambda: PiecewiseLinearStretch(2.0, math.nan), "eps must be > 0"),
+        (lambda: SpiralStretch(0.5, np.int64(2)), None),
+        (lambda: SpiralStretch(0.5, 2.0, 0.0, np.int64(2)), None),
+        (lambda: SpiralStretch(np.float32(0.5), 2.0), None),
+        (
+            lambda: run_flat_gauge_ladder(
+                np.float32(0.25), eps_values=(1e-3, 3e-3), n_radial=16, n_angular=8
+            ),
+            None,
+        ),
+    ],
+    ids=[
+        "bool-winding",
+        "bool-k",
+        "bool-rectangle",
+        "inf-theta",
+        "nan-eps",
+        "numpy-int-k",
+        "numpy-int-winding",
+        "numpy-float32-q",
+        "numpy-float32-alpha",
+    ],
+)
+def test_scalar_parameter_validation(build, message):
+    """Bools and non-finite values are refused; numpy scalars are accepted."""
+    if message is None:
+        assert build() is not None
+    else:
+        with pytest.raises(InputError, match=message):
+            build()
 
 
 class TestInverseSpiralStretch:
