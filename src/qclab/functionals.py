@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedVariantError
+from .errors import DegenerateExperimentError, InputError, UnsupportedVariantError
 from .gauges import ConvexGauge
 from .geometry import QuadratureGrid, RectangleDomain, integrate
 from .maps import (
@@ -100,13 +100,21 @@ def pointwise_analysis(family: MapFamily, z: complex) -> DistortionSample:
 def distortion_many(
     family: MapFamily, pts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized distortion: returns ``(K, degenerate_mask)`` arrays."""
+    """Vectorized distortion: returns ``(K, degenerate_mask)`` arrays.
+
+    ``degenerate_mask`` marks orientation reversal (``|f_zbar| >= |f_z|``),
+    where ``K`` is clamped to 1.0.  Where the distortion is undefined — both
+    derivatives are 0 (an underflow, not a reversal) or either is not
+    finite — ``K`` is NaN and the cell is not marked degenerate.
+    """
     fz, fzb = family.wirtinger_many(np.asarray(pts, dtype=np.complex128))
     afz = np.abs(fz)
     afzb = np.abs(fzb)
+    undefined = ~(np.isfinite(afz) & np.isfinite(afzb)) | ((afz == 0.0) & (afzb == 0.0))
     den = afz - afzb
-    degenerate = den <= 0.0
-    K = np.where(degenerate, 1.0, (afz + afzb) / np.where(degenerate, 1.0, den))
+    degenerate = (den <= 0.0) & ~undefined
+    K = np.where(degenerate, 1.0, (afz + afzb) / np.where(degenerate | undefined, 1.0, den))
+    K[undefined] = np.nan
     return K, degenerate
 
 
@@ -141,11 +149,22 @@ def mean_distortion(
     grid: QuadratureGrid,
     density: Density = Density.UNIFORM,
 ) -> MeanDistortionResult:
-    """Integrate ``phi(K(., family))`` over the grid against a density."""
+    """Integrate ``phi(K(., family))`` over the grid against a density.
+
+    Orientation-reversing cells count as ``K = 1`` and are reported in
+    ``degenerate_cells``; cells where ``K`` is undefined raise
+    :class:`DegenerateExperimentError`.
+    """
     if density is Density.INVERSE_SQUARE and grid.coordinate_kind != "polar":
         raise InputError("inverse-square density requires a polar grid")
     _check_breaks_honored(family, grid)
     K, degenerate = distortion_many(family, grid.centers)
+    n_undefined = int(np.count_nonzero(np.isnan(K)))
+    if n_undefined:
+        raise DegenerateExperimentError(
+            f"{n_undefined} of {grid.n_cells} cells have no defined distortion: "
+            "f_z and f_zbar both underflow to 0 or are not finite"
+        )
     values = np.asarray(gauge.evaluate(K), dtype=np.float64)
     if density is Density.INVERSE_SQUARE:
         values = values / np.abs(grid.centers) ** 2

@@ -11,6 +11,13 @@ smooth data); the area term uses the midpoint grid with a 3x3 cell patch
 around the target excluded, which keeps the singular kernel integrable at the
 cost of an O(h log 1/h) hole error.
 
+Both terms are batched across targets: ``reconstruct_many`` finds every
+target's excluded patch (as at most a few cell indices), then makes one
+``pompeiu_sum_many`` kernel call for the area term and one
+``cauchy_boundary`` call for the boundary term.  ``pompeiu_area`` and
+``reconstruct`` are its one-target case, so each target's sums have the
+same bits whichever entry point computed them.
+
 ``psi_dbar_mass`` and ``phi_dbar_mass`` are the scalar ``dbar`` functionals of
 a candidate map measured against its reference stretch, on the rectangle and
 annulus sides respectively.
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ordered_sum, pompeiu_sum
+from ._kernels import ordered_sum, ordered_sums, pompeiu_sum_many
 from .errors import AccuracyError, InputError, UnsupportedVariantError
 from .geometry import (
     AnnulusDomain,
@@ -138,32 +145,42 @@ def annulus_trace(
     return BoundaryTrace(domain=domain, components=tuple(comps))
 
 
+# Targets per pass of cauchy_boundary: its scratch is (step, n_nodes) complex,
+# so memory stays fixed however many targets are asked for.
+_CAUCHY_STEP = 64
+
+
 def cauchy_boundary(trace: BoundaryTrace, targets) -> np.ndarray:
     """``(1/(2*pi*i)) * sum values * dweights / (nodes - w)`` per target.
 
     Raises :class:`AccuracyError` when a target sits closer to a boundary
     circle than twice that circle's node spacing — inside that collar the
     trapezoid sum loses its spectral accuracy and the result would be junk.
+    The circles are checked in order and, within a circle, the targets in
+    order; the first offending pair is reported.
     """
     pts = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
     out = np.zeros(pts.shape, dtype=np.complex128)
     for comp in trace.components:
         guard = 2.0 * comp.spacing
         numer = comp.values * comp.dweights
-        for idx, w in enumerate(pts):
-            dist = np.abs(comp.nodes - w)
-            nearest = float(np.min(dist))
-            if nearest < guard:
+        for lo in range(0, pts.size, _CAUCHY_STEP):
+            chunk = pts[lo : lo + _CAUCHY_STEP]
+            diff = comp.nodes[None, :] - chunk[:, None]
+            near = np.min(np.abs(diff), axis=1) < guard
+            if np.any(near):
+                w = chunk[np.argmax(near)]
                 raise AccuracyError(
                     f"target {w!r} is within {guard!r} of the boundary nodes "
                     f"on the circle |xi| = {comp.radius!r}; refine the trace "
                     "or move the target"
                 )
-            term = numer / (comp.nodes - w)
-            out[idx] += complex(
-                ordered_sum(np.ascontiguousarray(term.real)),
-                ordered_sum(np.ascontiguousarray(term.imag)),
-            )
+            term = numer / diff
+            # (T, 2, n) view: the real and imaginary rows of every target
+            parts = np.moveaxis(term.view(np.float64).reshape(*term.shape, 2), -1, -2)
+            sums = ordered_sums(parts)
+            out.real[lo : lo + _CAUCHY_STEP] += sums[:, 0]
+            out.imag[lo : lo + _CAUCHY_STEP] += sums[:, 1]
     return out / (2j * math.pi)
 
 
@@ -185,8 +202,8 @@ def dbar_field(family: MapFamily, grid: QuadratureGrid) -> DbarField:
 _SNAP_CELLS = 1e-9
 
 
-def _exclusion_mask(grid: QuadratureGrid, w: complex) -> np.ndarray:
-    """Patch of cells around the target, as a uint8 mask.
+def _exclusion_cells(grid: QuadratureGrid, w: complex) -> np.ndarray:
+    """Indices of the patch of cells around the target, ascending.
 
     A cell is excluded when its center lies strictly within 1.5 cell-widths
     of the target in each axis (measured in index space, so uneven primary
@@ -220,26 +237,31 @@ def _exclusion_mask(grid: QuadratureGrid, w: complex) -> np.ndarray:
         d_sec = np.abs((d_sec + nsec / 2.0) % nsec - nsec / 2.0)
     else:
         d_sec = np.abs(d_sec)
-    patch = (d_prim[:, None] < 1.5) & (d_sec[None, :] < 1.5)
-    return patch.ravel().astype(np.uint8)
+    rows = np.flatnonzero(d_prim < 1.5)
+    cols = np.flatnonzero(d_sec < 1.5)
+    return (rows[:, None] * nsec + cols[None, :]).ravel()
+
+
+def _area_many(field: DbarField, pts: np.ndarray) -> list[complex]:
+    """``pompeiu_area`` at every target in ``pts``, in one kernel call."""
+    grid = field.grid
+    v = np.asarray(field.values, dtype=np.complex128)
+    re, im = pompeiu_sum_many(
+        grid.centers.real,
+        grid.centers.imag,
+        grid.weights,
+        v.real,
+        v.imag,
+        pts.real,
+        pts.imag,
+        [_exclusion_cells(grid, w) for w in pts],
+    )
+    return [complex(a, b) / math.pi for a, b in zip(re.tolist(), im.tolist())]
 
 
 def pompeiu_area(field: DbarField, w: complex) -> complex:
     """``(1/pi) * sum f_zbar * weight / (center - w)`` off the 3x3 patch."""
-    grid = field.grid
-    v = np.asarray(field.values, dtype=np.complex128)
-    mask = _exclusion_mask(grid, w)
-    re, im = pompeiu_sum(
-        np.ascontiguousarray(grid.centers.real),
-        np.ascontiguousarray(grid.centers.imag),
-        grid.weights,
-        np.ascontiguousarray(v.real),
-        np.ascontiguousarray(v.imag),
-        float(complex(w).real),
-        float(complex(w).imag),
-        mask,
-    )
-    return complex(re, im) / math.pi
+    return _area_many(field, np.array([w], dtype=np.complex128))[0]
 
 
 @dataclass(frozen=True)
@@ -270,22 +292,31 @@ def reconstruct(
     trace: BoundaryTrace, field: DbarField, w: complex
 ) -> ReconstructionResult:
     """Recover ``family(w)`` from its boundary trace and ``dbar`` field."""
-    value = complex(cauchy_boundary(trace, [w])[0]) - pompeiu_area(field, w)
-    exact = field.family.eval(complex(w))
-    return ReconstructionResult(
-        target=complex(w),
-        value=value,
-        exact=exact,
-        residual=abs(value - exact),
-        near_break=_near_break(field, w),
-    )
+    return reconstruct_many(trace, field, [w])[0]
 
 
 def reconstruct_many(
     trace: BoundaryTrace, field: DbarField, targets
 ) -> list[ReconstructionResult]:
+    """``reconstruct`` at every target, with the sums batched across targets."""
     pts = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
-    return [reconstruct(trace, field, complex(w)) for w in pts]
+    boundary = cauchy_boundary(trace, pts)
+    area = _area_many(field, pts)
+    results = []
+    for w, b, a in zip(pts, boundary, area):
+        w = complex(w)
+        value = complex(b) - a
+        exact = field.family.eval(w)
+        results.append(
+            ReconstructionResult(
+                target=w,
+                value=value,
+                exact=exact,
+                residual=abs(value - exact),
+                near_break=_near_break(field, w),
+            )
+        )
+    return results
 
 
 def kernel_mass(grid: QuadratureGrid, xi: complex) -> float:

@@ -1,8 +1,16 @@
-"""Shared grid builders, cached so repeated tests don't rebuild geometry."""
+"""Shared grid builders, cached so repeated tests don't rebuild geometry.
+
+Property tests run under a derandomized hypothesis profile: every run draws
+the same examples, and no example fails for being slow on a busy machine.
+"""
 
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("qclab", derandomize=True, deadline=None)
+settings.load_profile("qclab")
 
 from qclab.geometry import (
     AnnulusDomain,

@@ -48,6 +48,19 @@ class TestExitCodes:
         assert "eps values must be distinct" in res.stderr
         assert res.stdout == ""
 
+    def test_fit_grid_without_coarser_noise_grid(self):
+        res = run("fit", "--grid", "2x1")
+        assert res.returncode == 2
+        assert "too coarse" in res.stderr
+        assert res.stdout == ""
+
+    def test_underflowed_distortion_is_degenerate(self):
+        res = run("distortion", "--map", "gstar", "--k", "1e308", "--gauge",
+                  "square", "--grid", "32x32")
+        assert res.returncode == 3
+        assert "1024 of 1024 cells have no defined distortion" in res.stderr
+        assert res.stdout == ""
+
     def test_passing_audit(self):
         res = run("audit", "--lemma", "gn-gap", "--q", "0.5", "--k", "2",
                   "--winding", "1", "--grid", "128x128")

@@ -16,9 +16,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cartesian, polar
-from qclab.errors import InputError, UnsupportedVariantError
+from qclab.errors import DegenerateExperimentError, InputError, UnsupportedVariantError
 from qclab.functionals import (
     Density,
     conformal_transfer_check,
@@ -127,6 +129,14 @@ class TestMeanDistortion:
         assert res.degenerate_cells == g.n_cells
         assert res.warning is not None
 
+    def test_underflow_is_not_orientation_reversal(self):
+        g = polar(0.5, 8, 8)
+        K, degenerate = distortion_many(SpiralStretch(0.5, 1e308), g.centers)
+        assert np.isnan(K).all()
+        assert not degenerate.any()
+        with pytest.raises(DegenerateExperimentError, match="64 of 64 cells"):
+            mean_distortion(SpiralStretch(0.5, 1e308), ConvexGauge.square(), g)
+
 
 class TestDeficit:
     def test_self_deficit_vanishes(self):
@@ -135,6 +145,17 @@ class TestDeficit:
         d = deficit(ref, ref, ConvexGauge.square(), g)
         assert abs(d.value) < 1e-10
         assert not d.below_tolerance
+
+    @settings(max_examples=25)
+    @given(
+        st.floats(0.05, 0.95),
+        st.floats(1.0, 6.0),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_self_deficit_is_exactly_zero(self, q, k, theta):
+        ref = SpiralStretch(q, k, theta)
+        d = deficit(ref, ref, ConvexGauge.square(), polar(q, 16, 16))
+        assert d.value == 0.0
 
     def test_quadratic_regime_value(self):
         g = polar(0.5, 256, 256, breaks=(math.sqrt(0.5),))

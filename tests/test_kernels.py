@@ -160,3 +160,178 @@ def test_pompeiu_sum_matches_naive_numpy():
 def test_ordered_sum_property_cross_lane(xs):
     x = np.asarray(xs, dtype=np.float64)
     assert _core.ordered_sum(x) == fallback.ordered_sum(x)
+
+
+# Bits pinned with float.hex from the single-target, per-row kernels that
+# preceded the batched ones; the batched core must reproduce them exactly.
+# Per n: ordered_sum, ordered_dot, pompeiu_sum real part, imaginary part.
+GOLDEN_KERNELS = {
+    0: ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    1: ("-0x1.972922991068ap+17", "-0x1.e9a47fd9b6672p+2", "0x1.76d281c834e9dp+3", "0x1.e18cac2de647cp+2"),
+    63: ("0x1.70a04aa86f3ccp+15", "0x1.960d5dc1cc4edp+30", "-0x1.66a70ab954828p+3", "-0x1.46bab4fbc4844p-1"),
+    64: ("-0x1.cbe23194b02c7p+15", "-0x1.b89930862ae15p+27", "0x1.6af3508b4bbd4p+2", "0x1.78b3a93d135f7p+3"),
+    65: ("0x1.24cd1dfdde931p+15", "-0x1.56e502dfeb5c5p+24", "-0x1.a38727f272eb6p+2", "0x1.4cf80a87e2a5bp+2"),
+    513: ("-0x1.0a4044704f735p+18", "-0x1.cc09c8bc5adddp+33", "0x1.48b881a176a0ap+4", "0x1.a6253794d1263p+4"),
+    4096: ("0x1.1a54ad67baac0p+20", "0x1.ff7d928b0c3e0p+33", "-0x1.3b9e78496530ap+7", "-0x1.7a1bac6b19c7cp+2"),
+}
+
+
+def _pompeiu_inputs(n):
+    rng = np.random.default_rng(n + 1)
+    cr = rng.normal(size=n)
+    ci = rng.normal(size=n)
+    wt = rng.uniform(0.1, 2.0, size=n)
+    vr = rng.normal(size=n)
+    vi = rng.normal(size=n)
+    mask = (rng.uniform(size=n) < 0.1).astype(np.uint8)
+    return cr, ci, wt, vr, vi, mask
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_KERNELS))
+def test_fallback_kernels_match_pinned_bits(n):
+    cr, ci, wt, vr, vi, mask = _pompeiu_inputs(n)
+    re, im = fallback.pompeiu_sum(cr, ci, wt, vr, vi, 0.317, -0.858, mask)
+    got = (
+        fallback.ordered_sum(_rand(n, n + 7)),
+        fallback.ordered_dot(_rand(n, n + 11), _rand(n, n + 13)),
+        re,
+        im,
+    )
+    assert tuple(float(x).hex() for x in got) == GOLDEN_KERNELS[n]
+
+
+# reconstruct_many on a 64x64 polar grid of the q = 0.5, k = 2 annulus,
+# 1024 trace nodes, offset_targets(grid, 6, seed=1): (value.real, value.imag).
+GOLDEN_RECONSTRUCT = {
+    "conj": [
+        ("0x1.13fa2f467f68cp-5", "0x1.5e416b9c972ddp-2"),
+        ("-0x1.d72755fca2695p-3", "-0x1.6090cdaa15650p-2"),
+        ("0x1.0535ae05765ecp-1", "-0x1.5d11c878e621fp-2"),
+        ("0x1.2d57fce9855c3p-1", "-0x1.f348581fffdcap-3"),
+        ("-0x1.86a0f6a63180cp-1", "-0x1.36cdb6aa7d6ebp-3"),
+        ("-0x1.a7784960dd494p-1", "-0x1.5ed05d7d6d146p-2"),
+    ],
+    "phi-eps:1e-3": [
+        ("0x1.96a65a32d3541p-4", "-0x1.4f22ddb4f5007p-2"),
+        ("-0x1.a296e8ed292ccp-2", "0x1.49d1d9f036780p-5"),
+        ("-0x1.1a490973580d1p-1", "-0x1.d3b4a22d589dbp-3"),
+        ("-0x1.182201f1ad438p-1", "-0x1.2b77df0f2be00p-2"),
+        ("0x1.355b2acbafeddp-3", "0x1.84cf3f74c43d7p-1"),
+        ("-0x1.616c0eec91baep-1", "0x1.220bc8392b6bap-1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("field", sorted(GOLDEN_RECONSTRUCT))
+def test_reconstruct_many_matches_pinned_bits(field):
+    from qclab.geometry import AnnulusDomain, build_polar_grid
+    from qclab.maps import (
+        Composition,
+        ConjugationMap,
+        InverseSpiralStretch,
+        PiecewiseRadialStretch,
+    )
+    from qclab.pompeiu import annulus_trace, dbar_field, offset_targets, reconstruct_many
+
+    if field == "conj":
+        family = ConjugationMap()
+    else:
+        family = Composition(
+            PiecewiseRadialStretch(0.5, 2.0, 1e-3), InverseSpiralStretch(0.5, 2.0, 0.0)
+        )
+    domain = AnnulusDomain(0.25)
+    grid = build_polar_grid(domain, 64, 64, breaks=family.break_radii())
+    results = reconstruct_many(
+        annulus_trace(family, domain, 1024),
+        dbar_field(family, grid),
+        offset_targets(grid, 6, seed=1),
+    )
+    got = [(r.value.real.hex(), r.value.imag.hex()) for r in results]
+    assert got == GOLDEN_RECONSTRUCT[field]
+
+
+def _reference_sum(xs):
+    """The canonical order spelled out one float at a time (as in _core.pyx)."""
+    n = len(xs)
+    nb = -(-n // fallback.BLOCK)
+    totals = []
+    for b in range(nb):
+        s = c = 0.0
+        for j in range(fallback.BLOCK):
+            idx = b * fallback.BLOCK + j
+            x = xs[idx] if idx < n else 0.0
+            t = s + x
+            c += ((s - t) + x) if abs(s) >= abs(x) else ((x - t) + s)
+            s = t
+        totals.append(s + c)
+    size = 1
+    while size < nb:
+        size *= 2
+    buf = totals + [0.0] * (size - nb)
+    while len(buf) > 1:
+        buf = [buf[2 * i] + buf[2 * i + 1] for i in range(len(buf) // 2)]
+    return buf[0] if buf else 0.0
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 200),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_sums_match_per_row_sums(rows, n, seed):
+    a = np.stack([_rand(n, seed + r) for r in range(rows)]) if rows else np.zeros((0, n))
+    got = fallback.ordered_sums(a)
+    assert got.shape == (rows,)
+    for r in range(rows):
+        want = _reference_sum(a[r].tolist())
+        assert got[r].hex() == want.hex() == fallback.ordered_sum(a[r]).hex()
+    # a strided view of the same rows reduces to the same bits
+    doubled = np.repeat(a, 2, axis=-1)[..., ::2]
+    assert np.array_equal(fallback.ordered_sums(doubled), got)
+
+
+def _pompeiu_reference(cr, ci, wt, vr, vi, wr, wi, dead):
+    """Per-target terms in plain numpy, reduced by ``_reference_sum``."""
+    dr = cr - wr
+    di = ci - wi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = dr * dr + di * di
+        re = (vr * wt * dr + vi * wt * di) / den
+        im = (vi * wt * dr - vr * wt * di) / den
+    re[dead] = 0.0
+    im[dead] = 0.0
+    return _reference_sum(re.tolist()), _reference_sum(im.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 63, 130, 700])
+def test_pompeiu_sum_many_equals_single_target_loop(n):
+    cr, ci, wt, vr, vi, mask = _pompeiu_inputs(n)
+    wr = np.array([0.317, cr[n // 2], -0.2, 0.05, 1.7])
+    wi = np.array([-0.858, ci[n // 2], 0.4, 0.05, -0.3])
+    dead = [
+        np.flatnonzero(mask),
+        np.array([n // 2]),  # target on this cell's centre: 0/0, masked
+        np.arange(n),  # every cell masked
+        np.array([], dtype=np.intp),
+        np.arange(0, n, 7),
+    ]
+    re, im = _kernels.pompeiu_sum_many(cr, ci, wt, vr, vi, wr, wi, dead)
+    assert re.shape == im.shape == (5,)
+    assert (re[2], im[2]) == (0.0, 0.0)
+    for t in range(5):
+        one = np.zeros(n, dtype=np.uint8)
+        one[dead[t]] = 1
+        want = _kernels.pompeiu_sum(cr, ci, wt, vr, vi, wr[t], wi[t], one)
+        assert (re[t].hex(), im[t].hex()) == (want[0].hex(), want[1].hex())
+        ref = _pompeiu_reference(cr, ci, wt, vr, vi, wr[t], wi[t], dead[t])
+        assert (re[t].hex(), im[t].hex()) == (ref[0].hex(), ref[1].hex())
+        assert math.isfinite(re[t]) and math.isfinite(im[t])
+
+
+def test_pompeiu_sum_many_rejects_bad_cells():
+    one = np.ones(4)
+    with pytest.raises(ValueError):
+        fallback.pompeiu_sum_many(one, one, one, one, one, [0.0], [0.0], [[4]])
+    with pytest.raises(ValueError):
+        fallback.pompeiu_sum_many(one, one, one, one, one, [0.0, 1.0], [0.0], [[], []])

@@ -41,7 +41,7 @@ from qclab.pompeiu import (
     psi_dbar_mass,
     reconstruct,
     reconstruct_many,
-    _exclusion_mask,
+    _exclusion_cells,
 )
 
 DOM = AnnulusDomain(0.25)
@@ -90,9 +90,47 @@ class TestBoundaryTransform:
         with pytest.raises(AccuracyError):
             cauchy_boundary(trace, [0.999 + 0j])
 
+    def test_first_offending_target_is_reported(self):
+        # circles in the outer loop, targets in the inner loop: the target
+        # near the outer circle is reported although one near the inner
+        # circle comes first in the list
+        trace = annulus_trace(IdentityMap(), DOM, 64)
+        pts = np.array([0.6, 0.26, -0.95, 0.97j, -0.26j], dtype=np.complex128)
+        # with many targets the offending ones also fall in different passes
+        fine = 0.6 * np.exp(1j * np.linspace(0.0, 6.0, 70))
+        pts = np.concatenate([pts[:2], fine, pts[2:]])
+        expected = None
+        for comp in trace.components:
+            for w in pts:
+                if expected is None and np.min(np.abs(comp.nodes - w)) < 2.0 * comp.spacing:
+                    expected = (w, comp.radius)
+        assert expected[0] == -0.95 and expected[1] == 1.0
+        with pytest.raises(AccuracyError) as err:
+            cauchy_boundary(trace, pts)
+        assert f"target {expected[0]!r} " in str(err.value)
+        assert f"|xi| = {expected[1]!r};" in str(err.value)
+        with pytest.raises(AccuracyError, match=r"\|xi\| = 0\.25"):
+            cauchy_boundary(trace, pts[[0, -1, 1]])
+
+    def test_batched_targets_match_one_at_a_time(self):
+        trace = annulus_trace(ConjugationMap(), DOM, 256)
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0.35, 0.85, 150) * np.exp(2j * math.pi * rng.uniform(size=150))
+        many = cauchy_boundary(trace, pts)
+        for i, w in enumerate(pts):
+            one = cauchy_boundary(trace, [w])
+            assert many[i].real.hex() == one[0].real.hex()
+            assert many[i].imag.hex() == one[0].imag.hex()
+
     def test_node_count_floor(self):
         with pytest.raises(InputError):
             annulus_trace(IdentityMap(), DOM, 4)
+
+
+def _exclusion_mask(grid, w):
+    mask = np.zeros(grid.n_cells, dtype=np.uint8)
+    mask[_exclusion_cells(grid, w)] = 1
+    return mask
 
 
 class TestExclusionMask:
@@ -132,6 +170,18 @@ class TestExclusionMask:
 
 
 class TestReconstruction:
+    def test_one_target_entry_points_share_the_batched_path(self):
+        g = polar(0.25, 32, 32)
+        trace = annulus_trace(ConjugationMap(), DOM, 512)
+        field = dbar_field(ConjugationMap(), g)
+        pts = offset_targets(g, 4, seed=2)
+        many = reconstruct_many(trace, field, pts)
+        for w, r in zip(pts, many):
+            one = reconstruct(trace, field, w)
+            assert one == r
+            area = pompeiu_area(field, w)
+            assert r.value == complex(cauchy_boundary(trace, [w])[0]) - area
+
     def test_identity_is_exact(self):
         g = polar(0.25, 128, 128)
         trace = annulus_trace(IdentityMap(), DOM, 1024)
