@@ -1,8 +1,7 @@
 """Pure-numpy reduction kernels.
 
-These implement the exact same floating-point operation order as the compiled
-lane in ``_core.pyx`` so that results agree bit for bit regardless of which
-lane the import selected:
+Every sum follows one canonical floating-point operation order, so results
+are bitwise reproducible:
 
 * the input is cut into blocks of ``BLOCK`` values; each block is accumulated
   sequentially with Neumaier compensation (trailing ragged positions behave as
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-LANE = "fallback"
 BLOCK = 64
 
 # Targets per step of pompeiu_sum_many.  It is fixed so that scratch memory
@@ -236,7 +234,7 @@ def pompeiu_sum(
     ``mask``: uint8, nonzero entries contribute exactly 0.0.
 
     Returns the real and imaginary parts as two canonical sums.  The complex
-    division is spelled out in real arithmetic so both lanes share it verbatim.
+    division is spelled out in real arithmetic, so its rounding is fixed.
     """
     mask = np.asarray(mask)
     if mask.shape != np.shape(cr):

@@ -32,7 +32,13 @@ from . import __version__
 from .errors import DegenerateExperimentError, QclabError
 from .functionals import Density, mean_distortion
 from .gauges import ConvexGauge
-from .geometry import AnnulusDomain, RectangleDomain, build_cartesian_grid, build_polar_grid
+from .geometry import (
+    AnnulusDomain,
+    RectangleDomain,
+    build_cartesian_grid,
+    build_polar_grid,
+    half_resolution_shape,
+)
 from .errors import InputError
 from .maps import (
     Composition,
@@ -156,12 +162,13 @@ def cmd_distortion(args) -> int:
     gauge = ConvexGauge.parse(args.gauge)
     density = Density.parse(args.density)
     n_a, n_b = _parse_grid(args.grid)
+    half_a, half_b = half_resolution_shape(n_a, n_b)
     if side == "annulus":
         grid = _annulus_grid_for(family, args.q, n_a, n_b)
-        half = _annulus_grid_for(family, args.q, max(2, n_a // 2), max(1, n_b // 2))
+        half = _annulus_grid_for(family, args.q, half_a, half_b)
     else:
         grid = _square_grid_for(family, n_a, n_b)
-        half = _square_grid_for(family, max(2, n_a // 2), max(1, n_b // 2))
+        half = _square_grid_for(family, half_a, half_b)
     result = mean_distortion(family, gauge, grid, density)
     result_half = mean_distortion(family, gauge, half, density)
     error_estimate = abs(result.value - result_half.value) / 3.0

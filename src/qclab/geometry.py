@@ -10,8 +10,8 @@ uniform.
 Cell weights are exact areas: ``r_mid * dr * dtheta`` on polar grids (exact
 for any radial partition, since ``r_mid * dr = (r_hi^2 - r_lo^2)/2``) and
 ``dx * dy`` on cartesian grids.  Cells are ordered primary-axis slow,
-secondary-axis fast, and all reductions use the deterministic kernel lane, so
-every integral is reproducible to the bit.
+secondary-axis fast, and all reductions use the fixed-order kernels in
+``qclab._kernels``, so every integral is reproducible to the bit.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "RectangleDomain",
     "build_cartesian_grid",
     "build_polar_grid",
+    "half_resolution_shape",
     "integrate",
     "integrate_complex",
 ]
@@ -266,6 +267,23 @@ def build_cartesian_grid(
         centers=np.ascontiguousarray(centers),
         weights=np.ascontiguousarray(weights, dtype=np.float64),
     )
+
+
+def half_resolution_shape(n_primary: int, n_secondary: int) -> tuple[int, int]:
+    """Shape of the grid that estimates the quadrature error of a finer one.
+
+    Each axis is halved, keeping at least 2 primary and 1 secondary cells.
+    Raises ``InputError`` when that grid is no coarser than the full grid:
+    comparing a grid with itself would make the error estimate read 0.
+    """
+    half = (max(2, n_primary // 2), max(1, n_secondary // 2))
+    if half[0] >= n_primary and half[1] >= n_secondary:
+        raise InputError(
+            f"grid {n_primary}x{n_secondary} is too coarse: its half-resolution "
+            f"grid {half[0]}x{half[1]} is no coarser, so the quadrature error "
+            "estimate would read 0"
+        )
+    return half
 
 
 def _check_finite(grid: QuadratureGrid, values: np.ndarray) -> None:

@@ -26,6 +26,7 @@ from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
     build_polar_grid,
+    half_resolution_shape,
     integrate,
     integrate_complex,
 )
@@ -478,13 +479,7 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     grid = build_polar_grid(
         domain, config.n_radial, config.n_angular, breaks=[break_radius]
     )
-    half_shape = (max(2, config.n_radial // 2), max(1, config.n_angular // 2))
-    if half_shape[0] >= config.n_radial and half_shape[1] >= config.n_angular:
-        raise InputError(
-            f"grid {config.n_radial}x{config.n_angular} is too coarse: its "
-            f"noise-estimate grid {half_shape[0]}x{half_shape[1]} is no coarser, "
-            "so the noise floor would read 0"
-        )
+    half_shape = half_resolution_shape(config.n_radial, config.n_angular)
     half_grid = build_polar_grid(domain, *half_shape, breaks=[break_radius])
     reference = SpiralStretch(config.q, config.k, config.theta, 0)
 

@@ -54,6 +54,13 @@ class TestExitCodes:
         assert "too coarse" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("family", ["gstar", "fstar"])
+    def test_distortion_grid_without_coarser_error_grid(self, family):
+        res = run("distortion", "--map", family, "--grid", "2x1")
+        assert res.returncode == 2
+        assert "too coarse" in res.stderr
+        assert res.stdout == ""
+
     def test_underflowed_distortion_is_degenerate(self):
         res = run("distortion", "--map", "gstar", "--k", "1e308", "--gauge",
                   "square", "--grid", "32x32")

@@ -32,10 +32,12 @@ from qclab.functionals import (
 )
 from qclab.gauges import ConvexGauge
 from qclab.maps import (
+    Composition,
     ConjugationMap,
     LinearStretch,
     PiecewiseLinearStretch,
     PiecewiseRadialStretch,
+    Rotation,
     SpiralStretch,
 )
 
@@ -136,6 +138,31 @@ class TestMeanDistortion:
         assert not degenerate.any()
         with pytest.raises(DegenerateExperimentError, match="64 of 64 cells"):
             mean_distortion(SpiralStretch(0.5, 1e308), ConvexGauge.square(), g)
+
+    @settings(max_examples=30)
+    @given(
+        st.booleans(),
+        st.floats(0.05, 0.95),
+        st.floats(1.1, 6.0),
+        st.floats(-math.pi, math.pi),
+        st.floats(0.01, 0.99),
+        st.floats(-math.pi, math.pi),
+        st.sampled_from(["linear", "square"]),
+        st.sampled_from([Density.UNIFORM, Density.INVERSE_SQUARE]),
+    )
+    def test_pre_rotation_leaves_mean_distortion_unchanged(
+        self, spiral, q, k, theta, eps_frac, beta, gauge, density
+    ):
+        if spiral:
+            family = SpiralStretch(q, k, theta)
+        else:
+            family = PiecewiseRadialStretch(q, k, eps_frac * (k - 1.0) ** 2)
+        rotated = Composition(family, Rotation(beta))
+        g = polar(q, 32, 16, breaks=rotated.break_radii())
+        gauge = ConvexGauge.parse(gauge)
+        want = mean_distortion(family, gauge, g, density).value
+        got = mean_distortion(rotated, gauge, g, density).value
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestDeficit:
