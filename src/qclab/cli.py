@@ -219,11 +219,17 @@ def cmd_fit(args) -> int:
         gauge=ConvexGauge.parse(args.gauge),
         n_radial=n_radial,
         n_angular=n_angular,
-        seed=args.seed,
     )
     report = run_ladder(config)
     rows = [
-        {"eps": r.eps, "deficit": r.deficit, "l1": r.l1, "dbar_mass": r.dbar_mass}
+        {
+            "eps": r.eps,
+            "deficit": r.deficit,
+            "l1": r.l1,
+            "dbar_mass": r.dbar_mass,
+            "noise": r.noise,
+            "included": r.included,
+        }
         for r in report.rows
     ]
     params = {
@@ -232,7 +238,7 @@ def cmd_fit(args) -> int:
         "theta": config.theta,
         "gauge": config.gauge.label,
         "grid": args.grid,
-        "seed": config.seed,
+        "seed": args.seed,
     }
     summary = {
         "slope": report.slope,
@@ -241,18 +247,6 @@ def cmd_fit(args) -> int:
         "rows_total": report.metadata["rows_total"],
         "rows_used": report.metadata["rows_used"],
     }
-    if args.format == "json":
-        rows = [
-            {
-                "eps": r.eps,
-                "deficit": r.deficit,
-                "l1": r.l1,
-                "dbar_mass": r.dbar_mass,
-                "noise": r.noise,
-                "included": r.included,
-            }
-            for r in report.rows
-        ]
     _emit(args, ["eps", "deficit", "l1", "dbar_mass"], rows, params, summary)
     return 0
 
@@ -260,11 +254,6 @@ def cmd_fit(args) -> int:
 def cmd_audit(args) -> int:
     gauge = ConvexGauge.parse(args.gauge)
     if args.lemma == "taylor":
-        if args.c is not None and args.c > gauge.curvature_floor + 1e-15:
-            raise InputError(
-                f"declared curvature c = {args.c!r} exceeds the floor "
-                f"{gauge.curvature_floor!r} of gauge {gauge.label!r}"
-            )
         report = audit_taylor(gauge, n_pairs=args.samples, seed=args.seed, c=args.c)
     elif args.lemma == "theta":
         report = audit_theta(n_samples=args.samples, seed=args.seed)

@@ -73,27 +73,39 @@ class DistortionSample:
     degenerate: bool
 
 
+def _distortion(fz: np.ndarray, fzb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one ``(f_z, f_zbar) -> (K, degenerate)`` rule; see :func:`distortion_many`."""
+    afz = np.abs(fz)
+    afzb = np.abs(fzb)
+    undefined = ~(np.isfinite(afz) & np.isfinite(afzb)) | ((afz == 0.0) & (afzb == 0.0))
+    den = afz - afzb
+    degenerate = (den <= 0.0) & ~undefined
+    K = np.where(degenerate, 1.0, (afz + afzb) / np.where(degenerate | undefined, 1.0, den))
+    K[undefined] = np.nan
+    return K, degenerate
+
+
 def pointwise_analysis(family: MapFamily, z: complex) -> DistortionSample:
     """Evaluate the Wirtinger pair and derived quantities at one point.
 
-    The distortion is ``(|f_z| + |f_zbar|) / (|f_z| - |f_zbar|)`` where the
-    map is orientation-preserving; at degenerate points (``|f_zbar| >=
-    |f_z|``) it is reported as 1.0 with the ``degenerate`` flag set.
+    The distortion follows :func:`distortion_many`: ``(|f_z| + |f_zbar|) /
+    (|f_z| - |f_zbar|)`` where the map preserves orientation, 1.0 with the
+    ``degenerate`` flag set where ``|f_zbar| >= |f_z|``, and NaN (not
+    degenerate) where it is undefined.
     """
     fz, fzb = family.wirtinger(complex(z))
+    K, degenerate = _distortion(np.array([fz]), np.array([fzb]))
     afz, afzb = abs(fz), abs(fzb)
     jac = afz * afz - afzb * afzb
-    degenerate = afzb >= afz
-    dist = 1.0 if degenerate else (afz + afzb) / (afz - afzb)
     mu = fzb / fz if fz != 0 else complex("nan")
     return DistortionSample(
         point=complex(z),
         fz=fz,
         fzb=fzb,
         mu=mu,
-        distortion=float(dist),
+        distortion=float(K[0]),
         jacobian=float(jac),
-        degenerate=bool(degenerate),
+        degenerate=bool(degenerate[0]),
     )
 
 
@@ -107,15 +119,7 @@ def distortion_many(
     derivatives are 0 (an underflow, not a reversal) or either is not
     finite — ``K`` is NaN and the cell is not marked degenerate.
     """
-    fz, fzb = family.wirtinger_many(np.asarray(pts, dtype=np.complex128))
-    afz = np.abs(fz)
-    afzb = np.abs(fzb)
-    undefined = ~(np.isfinite(afz) & np.isfinite(afzb)) | ((afz == 0.0) & (afzb == 0.0))
-    den = afz - afzb
-    degenerate = (den <= 0.0) & ~undefined
-    K = np.where(degenerate, 1.0, (afz + afzb) / np.where(degenerate | undefined, 1.0, den))
-    K[undefined] = np.nan
-    return K, degenerate
+    return _distortion(*family.wirtinger_many(np.asarray(pts, dtype=np.complex128)))
 
 
 def _check_breaks_honored(family: MapFamily, grid: QuadratureGrid) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "Composition",
     "ConjugationMap",
     "ExpCoordinates",
-    "ExpCoordinatesF",
     "IdentityMap",
     "InverseLinearStretch",
     "InverseSpiralStretch",
@@ -52,6 +51,7 @@ __all__ = [
 
 _RTOL = 1e-9
 _BREAK_ATOL = 1e-12
+_ZERO_BITS = bytes(16)
 
 
 class WirtingerPair(NamedTuple):
@@ -136,22 +136,51 @@ def _check_annulus(pts: np.ndarray, lo: float, hi: float, label: str) -> np.ndar
     return r
 
 
-def _check_breaks_radial(r: np.ndarray, breaks: tuple[float, ...], label: str) -> None:
-    for b in breaks:
-        if np.any(np.abs(r - b) <= _BREAK_ATOL):
-            raise BreakSetError(
-                f"derivative of {label} requested on its break circle |w| = {b!r}"
-            )
+def _check_strip(x: np.ndarray, hi: float, label: str, atol: float = _RTOL) -> None:
+    """Refuse abscissae outside ``[-_RTOL, hi * (1 + _RTOL) + atol]``."""
+    bad = (x < -_RTOL) | (x > hi * (1.0 + _RTOL) + atol)
+    if np.any(bad):
+        raise DomainError(
+            f"point with Re z = {float(x[np.flatnonzero(bad)[0]])!r} lies "
+            f"outside the strip 0 <= Re z <= {hi!r} of {label}"
+        )
 
 
-def _check_breaks_abscissa(
-    x: np.ndarray, breaks: tuple[float, ...], label: str
+_CIRCLE = "circle |w|"
+_LINE = "line Re z"
+
+
+def _check_breaks(
+    coord: np.ndarray, breaks: tuple[float, ...], noun: str, label: str
 ) -> None:
-    for a in breaks:
-        if np.any(np.abs(x - a) <= _BREAK_ATOL):
+    """Refuse points whose ``coord`` (radius or abscissa) lies on a break."""
+    for b in breaks:
+        if np.any(np.abs(coord - b) <= _BREAK_ATOL):
             raise BreakSetError(
-                f"derivative of {label} requested on its break line Re z = {a!r}"
+                f"derivative of {label} requested on its break {noun} = {b!r}"
             )
+
+
+def _check_inside(radius: float, lo: float) -> None:
+    """``pullback_radius`` contract: the image radius lies strictly in ``(lo, 1)``."""
+    if not (lo < radius < 1.0):
+        raise InputError(
+            f"image radius {radius!r} is not strictly inside [{lo!r}, 1]"
+        )
+
+
+def _constant_pair(pts: np.ndarray, fz: complex, fzb: complex):
+    """The Wirtinger pair of an affine map: ``(fz, fzb)`` at every point.
+
+    A ``+0`` constant (all bits clear) comes from ``np.zeros``, whose
+    untouched pages read faster than written ones.
+    """
+    return tuple(
+        np.zeros(pts.shape, dtype=np.complex128)
+        if np.complex128(v).tobytes() == _ZERO_BITS
+        else np.full(pts.shape, v, dtype=np.complex128)
+        for v in (fz, fzb)
+    )
 
 
 def _check_two_speed(k: float, eps: float) -> None:
@@ -261,11 +290,7 @@ class SpiralStretch(MapFamily):
         return pts * np.exp((1.0 - self.k) * logr - 1j * self.c * logr)
 
     def pullback_radius(self, radius: float) -> float:
-        if not (self.image_inner_radius < radius < 1.0):
-            raise InputError(
-                f"image radius {radius!r} is not strictly inside "
-                f"[{self.image_inner_radius!r}, 1]"
-            )
+        _check_inside(radius, self.image_inner_radius)
         return radius ** (1.0 / self.k)
 
 
@@ -321,10 +346,7 @@ class InverseSpiralStretch(MapFamily):
         return SpiralStretch(self.q, self.k, self.theta, 0).eval_many(w)
 
     def pullback_radius(self, radius: float) -> float:
-        if not (self.q < radius < 1.0):
-            raise InputError(
-                f"image radius {radius!r} is not strictly inside [{self.q!r}, 1]"
-            )
+        _check_inside(radius, self.q)
         return radius**self.k
 
 
@@ -398,7 +420,7 @@ class PiecewiseRadialStretch(MapFamily):
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = _as_points(z)
         r = _check_annulus(pts, self.q, 1.0, self.label)
-        _check_breaks_radial(r, self.break_radii(), self.label)
+        _check_breaks(r, self.break_radii(), _CIRCLE, self.label)
         outer = self._pieces(r)
         fz = np.empty_like(pts)
         fzb = np.empty_like(pts)
@@ -410,11 +432,7 @@ class PiecewiseRadialStretch(MapFamily):
         return fz, fzb
 
     def pullback_radius(self, radius: float) -> float:
-        if not (self.image_inner_radius < radius < 1.0):
-            raise InputError(
-                f"image radius {radius!r} is not strictly inside "
-                f"[{self.image_inner_radius!r}, 1]"
-            )
+        _check_inside(radius, self.image_inner_radius)
         if radius >= self.image_break_radius:
             return radius ** (1.0 / (self.k + self.root_eps))
         return (radius / self.q**self.root_eps) ** (1.0 / (self.k - self.root_eps))
@@ -471,11 +489,7 @@ class LinearStretch(MapFamily):
         return self.k * x + 1j * (self.n * x + y)
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        return (
-            np.full(pts.shape, self.fz, dtype=np.complex128),
-            np.full(pts.shape, self.fzb, dtype=np.complex128),
-        )
+        return _constant_pair(_as_points(z), self.fz, self.fzb)
 
     def invert_many(self, w: np.ndarray) -> np.ndarray:
         pts = _as_points(w)
@@ -518,11 +532,7 @@ class InverseLinearStretch(MapFamily):
         return x + 1j * (pts.imag - self.n * x)
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        return (
-            np.full(pts.shape, self.fz, dtype=np.complex128),
-            np.full(pts.shape, self.fzb, dtype=np.complex128),
-        )
+        return _constant_pair(_as_points(z), self.fz, self.fzb)
 
     def invert_many(self, w: np.ndarray) -> np.ndarray:
         return LinearStretch(self.k, self.n).eval_many(w)
@@ -568,25 +578,17 @@ class PiecewiseLinearStretch(MapFamily):
             (self.k - self.root_eps) * x + self.root_eps,
         )
 
-    def _check_strip(self, x: np.ndarray) -> None:
-        bad = (x < -_RTOL) | (x > 1.0 + _RTOL)
-        if np.any(bad):
-            raise DomainError(
-                f"point with Re z = {float(x[np.flatnonzero(bad)[0]])!r} lies "
-                f"outside the strip 0 <= Re z <= 1 of {self.label}"
-            )
-
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         pts = _as_points(z)
         x = pts.real
-        self._check_strip(x)
+        _check_strip(x, 1.0, self.label, atol=0.0)
         return self._g(x) + 1j * pts.imag
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = _as_points(z)
         x = pts.real
-        self._check_strip(x)
-        _check_breaks_abscissa(x, self.break_abscissae(), self.label)
+        _check_strip(x, 1.0, self.label, atol=0.0)
+        _check_breaks(x, self.break_abscissae(), _LINE, self.label)
         slope = self._slopes(x)
         fz = (slope + 1.0) / 2.0 + 0.0j
         fzb = (slope - 1.0) / 2.0 + 0.0j
@@ -625,22 +627,14 @@ class ExpCoordinates(MapFamily):
     def ell(self) -> float:
         return math.log(1.0 / self.q) / (2.0 * math.pi)
 
-    def _check_strip(self, x: np.ndarray) -> None:
-        bad = (x < -_RTOL) | (x > self.ell * (1.0 + _RTOL) + _RTOL)
-        if np.any(bad):
-            raise DomainError(
-                f"point with Re z = {float(x[np.flatnonzero(bad)[0]])!r} lies "
-                f"outside the strip 0 <= Re z <= {self.ell!r} of {self.label}"
-            )
-
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         pts = _as_points(z)
-        self._check_strip(pts.real)
+        _check_strip(pts.real, self.ell, self.label)
         return self.q * np.exp(2.0 * math.pi * pts)
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = _as_points(z)
-        self._check_strip(pts.real)
+        _check_strip(pts.real, self.ell, self.label)
         h = self.q * np.exp(2.0 * math.pi * pts)
         return 2.0 * math.pi * h, np.zeros_like(h)
 
@@ -657,33 +651,31 @@ class LogCoordinatesG(MapFamily):
 
     Defined on ``[q**k, 1]`` with the argument branch ``[0, 2*pi)`` (so
     ``log 1 = 0``) and the cut on the positive real axis, where the map is
-    continuous from above but not differentiable.  The image is the rectangle
-    ``[0, k*ell] x [n*ell, n*ell + 1)``; the inverse chart is
-    ``zeta -> q**k * exp(2*pi*zeta)``, and the round trip
-    ``eval(invert(zeta)) == zeta`` holds exactly on that image whenever
-    ``n*ell`` is an integer.
+    continuous from above but not differentiable.  With
+    ``ell = log(1/q)/(2*pi)`` the image is the rectangle
+    ``[0, k*ell] x [n*ell, n*ell + 1)``.  The inverse chart is
+    ``ExpCoordinates(q**k)``, ``zeta -> q**k * exp(2*pi*zeta)`` (``invert``
+    evaluates it without the strip check).  Following this map by that chart
+    multiplies ``w`` by ``exp(2*pi*i*n*ell)``, so the round trip returns ``w``,
+    up to rounding, only when ``n*ell`` is an integer.
     """
 
     q: float
     k: float
     n: float = 0.0
-    ell: float | None = None
 
     def __post_init__(self) -> None:
         require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
         require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
         require_real(self.n, "n must be a finite real number")
-        derived = math.log(1.0 / self.q) / (2.0 * math.pi)
-        if self.ell is None:
-            object.__setattr__(self, "ell", derived)
-        elif not math.isclose(self.ell, derived, rel_tol=1e-12):
-            raise InputError(
-                f"ell {self.ell!r} is inconsistent with q (expected {derived!r})"
-            )
 
     @property
     def label(self) -> str:
         return "log-chart"
+
+    @property
+    def ell(self) -> float:
+        return math.log(1.0 / self.q) / (2.0 * math.pi)
 
     @property
     def inner_radius(self) -> float:
@@ -720,60 +712,6 @@ class LogCoordinatesG(MapFamily):
 
 
 @dataclass(frozen=True)
-class ExpCoordinatesF(MapFamily):
-    """Conformal chart ``zeta -> q**k * exp(2*pi*zeta)`` onto ``[q**k, 1]``.
-
-    Restricted to the strip ``0 <= Re zeta <= k*ell``; the vertical coordinate
-    is 1-periodic on the image.
-    """
-
-    q: float
-    k: float
-
-    def __post_init__(self) -> None:
-        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
-        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
-
-    @property
-    def label(self) -> str:
-        return "exp-chart-image"
-
-    @property
-    def ell(self) -> float:
-        return math.log(1.0 / self.q) / (2.0 * math.pi)
-
-    @property
-    def inner_radius(self) -> float:
-        return self.q**self.k
-
-    def _check_strip(self, x: np.ndarray) -> None:
-        hi = self.k * self.ell
-        bad = (x < -_RTOL) | (x > hi * (1.0 + _RTOL) + _RTOL)
-        if np.any(bad):
-            raise DomainError(
-                f"point with Re z = {float(x[np.flatnonzero(bad)[0]])!r} lies "
-                f"outside the strip 0 <= Re z <= {hi!r} of {self.label}"
-            )
-
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        pts = _as_points(z)
-        self._check_strip(pts.real)
-        return self.inner_radius * np.exp(2.0 * math.pi * pts)
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        self._check_strip(pts.real)
-        h = self.inner_radius * np.exp(2.0 * math.pi * pts)
-        return 2.0 * math.pi * h, np.zeros_like(h)
-
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        pts = _as_points(w)
-        r = _check_annulus(pts, self.inner_radius, 1.0, self.label)
-        theta = np.mod(np.angle(pts), 2.0 * math.pi)
-        return (np.log(r / self.inner_radius) + 1j * theta) / (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
 class Rotation(MapFamily):
     """Rigid rotation ``z -> exp(i*beta) * z``."""
 
@@ -794,11 +732,7 @@ class Rotation(MapFamily):
         return self.factor * _as_points(z)
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        return (
-            np.full(pts.shape, self.factor, dtype=np.complex128),
-            np.zeros(pts.shape, dtype=np.complex128),
-        )
+        return _constant_pair(_as_points(z), self.factor, 0.0)
 
     def invert_many(self, w: np.ndarray) -> np.ndarray:
         return _as_points(w) / self.factor
@@ -822,11 +756,7 @@ class IdentityMap(MapFamily):
         return _as_points(z).copy()
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        return (
-            np.ones(pts.shape, dtype=np.complex128),
-            np.zeros(pts.shape, dtype=np.complex128),
-        )
+        return _constant_pair(_as_points(z), 1.0, 0.0)
 
     def invert_many(self, w: np.ndarray) -> np.ndarray:
         return _as_points(w).copy()
@@ -850,11 +780,7 @@ class ConjugationMap(MapFamily):
         return np.conj(_as_points(z))
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        return (
-            np.zeros(pts.shape, dtype=np.complex128),
-            np.ones(pts.shape, dtype=np.complex128),
-        )
+        return _constant_pair(_as_points(z), 0.0, 1.0)
 
     def invert_many(self, w: np.ndarray) -> np.ndarray:
         return np.conj(_as_points(w))
@@ -938,24 +864,19 @@ def wirtinger_fd(family: MapFamily, z: complex, h: float = 1e-5) -> WirtingerPai
     require_real(h, "step h must be in (0, 1)", lambda v: 0.0 < v < 1.0)
     z = complex(z)
     stencil = [z + h, z - h, z + 1j * h, z - 1j * h, z]
-    for b in family.break_radii():
-        sides = [abs(p) - b for p in stencil]
-        if min(abs(s) for s in sides) <= _BREAK_ATOL or (
-            max(sides) > 0.0 > min(sides)
-        ):
-            raise BreakSetError(
-                f"finite-difference stencil at {z!r} straddles the break "
-                f"circle |w| = {b!r}"
-            )
-    for a in family.break_abscissae():
-        sides = [p.real - a for p in stencil]
-        if min(abs(s) for s in sides) <= _BREAK_ATOL or (
-            max(sides) > 0.0 > min(sides)
-        ):
-            raise BreakSetError(
-                f"finite-difference stencil at {z!r} straddles the break "
-                f"line Re z = {a!r}"
-            )
+    for breaks, coords, noun in (
+        (family.break_radii(), [abs(p) for p in stencil], _CIRCLE),
+        (family.break_abscissae(), [p.real for p in stencil], _LINE),
+    ):
+        for b in breaks:
+            sides = [c - b for c in coords]
+            if min(abs(s) for s in sides) <= _BREAK_ATOL or (
+                max(sides) > 0.0 > min(sides)
+            ):
+                raise BreakSetError(
+                    f"finite-difference stencil at {z!r} straddles the break "
+                    f"{noun} = {b!r}"
+                )
     if family.has_positive_real_cut and abs(z.imag) <= h and z.real > 0.0:
         raise BreakSetError(
             f"finite-difference stencil at {z!r} straddles the branch cut "

@@ -391,7 +391,11 @@ def audit_gn_gap(
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Parameters of the square-gauge epsilon ladder."""
+    """Parameters of the square-gauge epsilon ladder.
+
+    The dbar-mass grid ``mass_n_radial x mass_n_angular`` defaults to
+    ``n_radial x max(1, n_angular // 2)``: 512x256 at the default grid.
+    """
 
     q: float = 0.5
     k: float = 2.0
@@ -406,9 +410,8 @@ class LadderConfig:
     gauge: ConvexGauge = field(default_factory=ConvexGauge.square)
     n_radial: int = 512
     n_angular: int = 512
-    mass_n_radial: int = 512
-    mass_n_angular: int = 256
-    seed: int = 0
+    mass_n_radial: int | None = None
+    mass_n_angular: int | None = None
 
 
 @dataclass(frozen=True)
@@ -482,6 +485,11 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     half_shape = half_resolution_shape(config.n_radial, config.n_angular)
     half_grid = build_polar_grid(domain, *half_shape, breaks=[break_radius])
     reference = SpiralStretch(config.q, config.k, config.theta, 0)
+    mass_n_radial, mass_n_angular = config.mass_n_radial, config.mass_n_angular
+    if mass_n_radial is None:
+        mass_n_radial = config.n_radial
+    if mass_n_angular is None:
+        mass_n_angular = max(1, config.n_angular // 2)
 
     rows = []
     for eps in config.eps_values:
@@ -493,8 +501,8 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
         mass = phi_dbar_mass(
             candidate,
             reference,
-            n_radial=config.mass_n_radial,
-            n_angular=config.mass_n_angular,
+            n_radial=mass_n_radial,
+            n_angular=mass_n_angular,
         )
         included = d_full > 0.0 and d_full > 10.0 * noise
         rows.append(
@@ -525,9 +533,8 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
         "gauge": config.gauge.label,
         "n_radial": config.n_radial,
         "n_angular": config.n_angular,
-        "mass_n_radial": config.mass_n_radial,
-        "mass_n_angular": config.mass_n_angular,
-        "seed": config.seed,
+        "mass_n_radial": mass_n_radial,
+        "mass_n_angular": mass_n_angular,
         "rows_total": len(rows),
         "rows_used": len(usable),
     }
@@ -572,7 +579,6 @@ def run_flat_gauge_ladder(
     eps_values: tuple[float, ...] = (1e-4, 3e-4, 1e-3, 3e-3),
     n_radial: int = 512,
     n_angular: int = 256,
-    seed: int = 0,
 ) -> FlatLadderReport:
     """Show the flat gauge cannot certify any polynomial stability exponent.
 
@@ -632,7 +638,6 @@ def run_flat_gauge_ladder(
         "alpha": alpha,
         "n_radial": n_radial,
         "n_angular": n_angular,
-        "seed": seed,
         "gauge": flat.label,
     }
     return FlatLadderReport(

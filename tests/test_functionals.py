@@ -62,6 +62,22 @@ class TestPointwise:
         assert sample.mu == pytest.approx(1.0 / 3.0)
         assert sample.jacobian == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "family, z",
+        [
+            (SpiralStretch(0.5, 2.0, 0.3, 1), 0.6 + 0.2j),
+            (ConjugationMap(), 0.5 + 0.2j),
+            (LinearStretch(3.0, 0.7), 0.1 + 0.4j),
+            (SpiralStretch(0.5, 1e308), 0.75),  # f_z and f_zbar underflow to 0
+        ],
+        ids=["spiral", "conjugation", "linear", "underflow"],
+    )
+    def test_pointwise_matches_distortion_many(self, family, z):
+        sample = pointwise_analysis(family, z)
+        K, degenerate = distortion_many(family, np.array([z]))
+        assert float(K[0]).hex() == sample.distortion.hex()
+        assert sample.degenerate == bool(degenerate[0])
+
 
 class TestMeanDistortion:
     def test_reference_value_inverse_square(self):
@@ -260,6 +276,28 @@ class TestConformalTransfer:
             r,
         )
         assert rep.rel_gap < 5e-5
+
+    @settings(max_examples=30)
+    @given(
+        st.floats(0.2, 0.8),
+        st.floats(1.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.integers(0, 2),
+        st.sampled_from(["linear", "square"]),
+    )
+    def test_gap_is_second_order_quadrature_error(self, q, k, theta, winding, gauge):
+        # the spiral stretch and its linear chart twin; doubling the radial
+        # cells must cut the gap to about a quarter
+        ell = math.log(1.0 / q) / (2.0 * math.pi)
+        g = SpiralStretch(q, k, theta, winding)
+        f = LinearStretch(k, -(theta + 2.0 * math.pi * winding) / (2.0 * math.pi * ell))
+        gauge = ConvexGauge.parse(gauge)
+        rect = cartesian(ell, 8, 8)
+        coarse, fine = (
+            conformal_transfer_check(g, f, gauge, polar(q, n, 16), rect).rel_gap
+            for n in (32, 64)
+        )
+        assert fine <= 0.3 * coarse
 
     def test_mismatched_q_is_rejected(self):
         g = polar(0.5, 64, 8)

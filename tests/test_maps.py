@@ -15,7 +15,6 @@ from qclab.maps import (
     Composition,
     ConjugationMap,
     ExpCoordinates,
-    ExpCoordinatesF,
     IdentityMap,
     InverseLinearStretch,
     InverseSpiralStretch,
@@ -291,6 +290,22 @@ class TestLinearFamilies:
         f.eval(0.5 + 3.7j - 0.25)  # y is unconstrained inside the strip
 
 
+@pytest.mark.parametrize(
+    "family, top",
+    [
+        (PiecewiseLinearStretch(2.0, 0.01), 1.0 + 1e-9),
+        (ExpCoordinates(0.5), ExpCoordinates(0.5).ell * (1.0 + 1e-9) + 1e-9),
+    ],
+    ids=["feps", "exp-chart"],
+)
+def test_strip_accepts_its_closed_interval_with_tolerance(family, top):
+    for x in (-1e-9, top):
+        family.eval(complex(x, 0.5))
+    for x in (np.nextafter(-1e-9, -1.0), np.nextafter(top, 2.0)):
+        with pytest.raises(DomainError, match="outside the strip"):
+            family.eval(complex(x, 0.5))
+
+
 class TestCharts:
     def test_exp_chart_fd(self):
         e = ExpCoordinates(0.5)
@@ -313,7 +328,7 @@ class TestCharts:
         # ell = 1 makes n*ell an integer for integer n, so F(G(w)) = w exactly
         q = math.exp(-2 * math.pi)
         gmap = LogCoordinatesG(q, 2.0, n=1.0)
-        fmap = ExpCoordinatesF(q, 2.0)
+        fmap = ExpCoordinates(q**2.0)
         assert gmap.ell == pytest.approx(1.0)
         w = annulus_points(q**2, n=8)
         assert np.allclose(fmap.eval_many(gmap.eval_many(w)), w, atol=1e-10)
@@ -321,7 +336,7 @@ class TestCharts:
     def test_log_chart_roundtrip_breaks_without_integral_winding(self):
         q = math.exp(-2 * math.pi)
         gmap = LogCoordinatesG(q, 2.0, n=0.5)
-        fmap = ExpCoordinatesF(q, 2.0)
+        fmap = ExpCoordinates(q**2.0)
         w = 0.3 * np.exp(0.8j)
         back = fmap.eval(complex(gmap.eval(complex(w))))
         # off by the phase exp(2*pi*i*n*ell) = exp(pi*i) = -1
@@ -337,12 +352,6 @@ class TestCharts:
         fz, fzb = gmap.wirtinger(0.7 + 1e-6j)
         assert fzb == 0.0
         assert fz == pytest.approx(1.0 / (2 * math.pi * (0.7 + 1e-6j)), rel=1e-9)
-
-    def test_log_chart_ell_validation(self):
-        with pytest.raises(InputError):
-            LogCoordinatesG(0.5, 2.0, ell=0.3)  # inconsistent with q
-        ok = LogCoordinatesG(0.5, 2.0, ell=math.log(2.0) / (2 * math.pi))
-        assert ok.ell == pytest.approx(math.log(2.0) / (2 * math.pi))
 
 
 class TestSmallMaps:
@@ -414,3 +423,151 @@ class TestFiniteDifferenceHelper:
         fz, fzb = wirtinger_fd(IdentityMap(), 0.2 + 0.7j)
         assert fz == pytest.approx(1.0, abs=1e-10)
         assert fzb == pytest.approx(0.0, abs=1e-10)
+
+
+# Bits of every exported family on fixed points, as ``float.hex`` strings
+# ("re im" per point).  `exp-chart-image` is the image-side chart
+# ``zeta -> q**k * exp(2*pi*zeta)``, which is ``ExpCoordinates(q**k)``.
+ANNULUS = (0.55 + 0.3j, -0.4 + 0.75j, 0.2 - 0.9j)  # radii 0.63, 0.85, 0.92
+WIDE = (0.3 + 0.2j, -0.55 - 0.3j, 0.1 + 0.95j)  # radii 0.36, 0.63, 0.96
+SQUARE = (0.05 + 0.3j, 0.3 + 0.9j, 0.8 + 0.1j)
+PLANE = (0.3 + 0.2j, -1.7 + 0.4j, 2.5 - 3.0j)
+GOLDEN_CASES = {
+    # name: (family, eval/wirtinger points, invert points or None)
+    "spiral": (SpiralStretch(0.5, 2.0, 0.7, 0), ANNULUS, WIDE),
+    "spiral-winding": (SpiralStretch(0.4, 1.5, -0.3, 2), (0.5 + 0.3j,) + ANNULUS[1:], None),
+    "inverse-spiral": (InverseSpiralStretch(0.5, 2.0, 0.7), WIDE, ANNULUS),
+    "piecewise-radial": (PiecewiseRadialStretch(0.5, 2.0, 0.01), ANNULUS, WIDE),
+    "linear": (LinearStretch(2.0, 0.3), PLANE, PLANE),
+    "inverse-linear": (InverseLinearStretch(2.0, 0.3), PLANE, PLANE),
+    "piecewise-linear": (PiecewiseLinearStretch(2.0, 0.01), SQUARE, PLANE),
+    "exp-chart": (ExpCoordinates(0.5), (0.02 + 0.3j, 0.07 + 0.6j, 0.1 + 0.95j), ANNULUS),
+    "exp-chart-image": (
+        ExpCoordinates(0.3**2.5),
+        (0.02 + 0.3j, 0.2 + 0.6j, 0.45 + 0.95j),
+        WIDE,
+    ),
+    "log-chart": (LogCoordinatesG(0.5, 2.0, 1.0), WIDE, (0.02 + 0.3j, 0.2 + 1.6j, -0.1 - 0.95j)),
+    "rotation": (Rotation(0.5), PLANE, PLANE),
+    "identity": (IdentityMap(), PLANE, PLANE),
+    "conjugation": (ConjugationMap(), PLANE, PLANE),
+    "composition": (
+        Composition(PiecewiseRadialStretch(0.5, 2.0, 1e-3), InverseSpiralStretch(0.5, 2.0, 0.0)),
+        WIDE,
+        WIDE,
+    ),
+}
+GOLDEN_MAPS = {
+    "spiral": {
+        "eval": ('0x1.c55cdbc214e48p-3 0x1.4be57cf607e1bp-2', '-0x1.c224646bb1f4bp-2 0x1.2592201945981p-1', '0x1.01d447817eb98p-2 -0x1.9fab100c9adb3p-1'),
+        "fz": ('0x1.f62abb5763bcfp-1 0x1.2a7c117595a3bp-3', '0x1.53f75d30727d3p+0 -0x1.b88c9ef195b96p-3', '0x1.6a9badc68669fp+0 -0x1.6705cd971af68p-2'),
+        "fzb": ('0x1.624e5ea9023c3p-2 0x1.1ededfb6fbf7dp-2', '-0x1.221c8c2a29c4dp-1 -0x1.ac7fb88f59da8p-3', '-0x1.4333d6444c15ep-1 0x1.671246b055d5dp-3'),
+        "invert": ('0x1.329ebea801778p-1 0x1.664cc40b85ec1p-5', '-0x1.874c0f4901e2ap-1 -0x1.a5caef50e46f9p-3', '0x1.ff013420db473p-4 0x1.f051ae34616c2p-1'),
+    },
+    "spiral-winding": {
+        "eval": ('0x1.511ff61ed5200p-5 0x1.c5fd6ae6b9e3ap-2', '-0x1.6fb60e5d5efc5p-2 -0x1.64a1c408c87cap-1', '0x1.b581ab55107cdp-1 -0x1.d9a0761e6b7bcp-3'),
+        "fz": ('0x1.2be18b69a545ep+2 -0x1.20809a2919fbcp+1', '0x1.1af146a74c639p+2 0x1.1d40b46d78248p+2', '0x1.8ff3c6ce0bef2p+2 -0x1.ebff44020b3a2p+0'),
+        "fzb": ('0x1.21905d8255fb9p+2 0x1.3155890531d9cp+1', '0x1.4436c03f798d3p-2 -0x1.8ab4a7d665fbap+2', '-0x1.9b9990c142873p+2 0x1.b5a71d59d48edp-5'),
+    },
+    "inverse-spiral": {
+        "eval": ('0x1.329ebea801778p-1 0x1.664cc40b85ec1p-5', '-0x1.874c0f4901e2ap-1 -0x1.a5caef50e46f9p-3', '0x1.ff013420db471p-4 0x1.f051ae34616c2p-1'),
+        "fz": ('0x1.4b49de63607b3p+0 -0x1.fec35ec28ada8p-3', '0x1.fde334aed012dp-1 0x1.6a589c380e104p-4', '0x1.8bd81a6224218p-1 0x1.ec90a9b32c406p-3'),
+        "fzb": ('-0x1.2c6d5a5807534p-1 0x1.38c608b63e7d4p-4', '-0x1.cb7d141ccc605p-2 0x1.97fb22cc3148fp-7', '0x1.83a0f4948e1f2p-3 -0x1.3dd2c833b4c1bp-2'),
+        "invert": ('0x1.c55cdbc214e48p-3 0x1.4be57cf607e1bp-2', '-0x1.c224646bb1f4bp-2 0x1.2592201945981p-1', '0x1.01d447817eb98p-2 -0x1.9fab100c9adb3p-1'),
+    },
+    "piecewise-radial": {
+        "eval": ('0x1.58f992deef0d6p-2 0x1.785614961c0e9p-3', '-0x1.568c27191ae30p-2 0x1.412364a78934dp-1', '0x1.76938be1d26d8p-3 -0x1.a565fd5e0cbb3p-1'),
+        "fz": ('0x1.c6bd58e00c91bp-1 0x0.0p+0', '0x1.4bd7c5e0520bfp+0 0x0.0p+0', '0x1.6adeef82c3da1p+0 -0x1.0f0f0f0f0f0f1p-54'),
+        "fzb": ('0x1.319f966cdc15bp-3 0x1.da9d7a2a8f007p-3', '-0x1.06647e0f5ae82p-2 -0x1.8724e86feede0p-2', '-0x1.d29161cfde93cp-2 -0x1.b44572bbb8d9fp-3'),
+        "invert": ('0x1.0247a0321e9c5p-1 0x1.585f8042d37b2p-2', '-0x1.67c1857f71388p-1 -0x1.887605ff643dap-2', '0x1.a38aadc03efadp-4 0x1.f234ae544ac9ep-1'),
+    },
+    "linear": {
+        "eval": ('0x1.3333333333333p-1 0x1.28f5c28f5c290p-2', '-0x1.b333333333333p+1 -0x1.c28f5c28f5c28p-4', '0x1.4000000000000p+2 -0x1.2000000000000p+1'),
+        "fz": ('0x1.8000000000000p+0 0x1.3333333333333p-3', '0x1.8000000000000p+0 0x1.3333333333333p-3', '0x1.8000000000000p+0 0x1.3333333333333p-3'),
+        "fzb": ('0x1.0000000000000p-1 0x1.3333333333333p-3', '0x1.0000000000000p-1 0x1.3333333333333p-3', '0x1.0000000000000p-1 0x1.3333333333333p-3'),
+        "invert": ('0x1.3333333333333p-3 0x1.3d70a3d70a3d8p-3', '-0x1.b333333333333p-1 0x1.4f5c28f5c28f6p-1', '0x1.4000000000000p+0 -0x1.b000000000000p+1'),
+    },
+    "inverse-linear": {
+        "eval": ('0x1.3333333333333p-3 0x1.3d70a3d70a3d8p-3', '-0x1.b333333333333p-1 0x1.4f5c28f5c28f6p-1', '0x1.4000000000000p+0 -0x1.b000000000000p+1'),
+        "fz": ('0x1.8000000000000p-1 -0x1.3333333333333p-4', '0x1.8000000000000p-1 -0x1.3333333333333p-4', '0x1.8000000000000p-1 -0x1.3333333333333p-4'),
+        "fzb": ('-0x1.0000000000000p-2 -0x1.3333333333333p-4', '-0x1.0000000000000p-2 -0x1.3333333333333p-4', '-0x1.0000000000000p-2 -0x1.3333333333333p-4'),
+        "invert": ('0x1.3333333333333p-1 0x1.28f5c28f5c290p-2', '-0x1.b333333333333p+1 -0x1.c28f5c28f5c28p-4', '0x1.4000000000000p+2 -0x1.2000000000000p+1'),
+    },
+    "piecewise-linear": {
+        "eval": ('0x1.ae147ae147ae2p-4 0x1.3333333333333p-2', '0x1.428f5c28f5c29p-1 0x1.ccccccccccccdp-1', '0x1.9eb851eb851ecp+0 0x1.999999999999ap-4'),
+        "fz": ('0x1.8cccccccccccdp+0 0x0.0p+0', '0x1.8cccccccccccdp+0 0x0.0p+0', '0x1.7333333333333p+0 0x0.0p+0'),
+        "fzb": ('0x1.199999999999ap-1 0x0.0p+0', '0x1.199999999999ap-1 0x0.0p+0', '0x1.cccccccccccccp-2 0x0.0p+0'),
+        "invert": ('0x1.2492492492492p-3 0x1.999999999999ap-3', '-0x1.9e79e79e79e79p-1 0x1.999999999999ap-2', '0x1.435e50d79435ep+0 -0x1.8000000000000p+1'),
+    },
+    "exp-chart": {
+        "eval": ('-0x1.66cdd84c88186p-3 0x1.1412443ebeed2p-1', '-0x1.41858e9d7e0a8p-1 -0x1.d332c9916d0b3p-2', '0x1.c85fec6b28deep-1 -0x1.2891fc773d051p-2'),
+        "fz": ('-0x1.19cdd7524a9e8p+0 0x1.b1a6e0db5292ap+1', '-0x1.f90b8cc8be399p+1 -0x1.6eefcf3e20e55p+1', '0x1.666f9401b4f46p+2 -0x1.d1d9fa1f1bf21p+0'),
+        "fzb": ('0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0'),
+        "invert": ('0x1.260e3ae0dc448p-5 0x1.458600f69d8e5p-4', '0x1.59ea746aa7bdcp-4 0x1.4fd9c2daf71d0p-2', '0x1.8ee386b14893dp-4 0x1.91d199847e1edp-1'),
+    },
+    "exp-chart-image": {
+        "eval": ('-0x1.1aff024802517p-6 0x1.b37c7bbafbfa7p-5', '-0x1.1ef920ced6a90p-3 -0x1.a0ff1471ce757p-4', '0x1.95b6574b2c720p-1 -0x1.07a5d72f90cd8p-2'),
+        "fz": ('-0x1.bc877ed81c930p-4 0x1.5607b55cdec53p-2', '-0x1.c2c6c0e26f677p-1 -0x1.47821a20dd04bp-1', '0x1.3ea54ab75bf8ep+2 -0x1.9e2313ac4e279p+0'),
+        "fzb": ('0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0'),
+        "invert": ('0x1.444a5e4ffa93bp-2 0x1.7f516f1bbd0a4p-4', '0x1.9e558c4fe2af4p-2 0x1.28b0c01ed3b1dp-1', '0x1.e314c1fe00fc6p-2 0x1.ddd0c033cd529p-3'),
+    },
+    "log-chart": {
+        "eval": ('0x1.dd6dfcd16e3bcp-5 0x1.a1970409d33a0p-3', '0x1.2b71db342bc60p-3 0x1.612c533dd0df0p-1', '0x1.b4f0469068605p-3 0x1.5fdf8657e103cp-2'),
+        "fz": ('0x1.78186a6103621p-2 -0x1.f575e32c0482cp-3', '-0x1.c8be88ccc7c6fp-3 0x1.f244382537078p-4', '0x1.1dc387c4eb6cdp-6 -0x1.53583139d7914p-3'),
+        "fzb": ('0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0'),
+        "invert": ('-0x1.66cdd84c88186p-4 0x1.1412443ebeed2p-2', '-0x1.6bd8b1b513171p-1 -0x1.085994e1e705bp-1', '0x1.03c6f5f6a219ap-3 0x1.51a07cbe5f413p-5'),
+    },
+    "rotation": {
+        "eval": ('0x1.56d063f82fa66p-3 0x1.470228bd4b3e8p-2', '-0x1.af046110877e9p+0 -0x1.db204c09cbf71p-2', '0x1.d0ed02f95508cp+1 -0x1.6f26ac0da5842p+0'),
+        "fz": ('0x1.c1528065b7d50p-1 0x1.eaee8744b05f0p-2', '0x1.c1528065b7d50p-1 0x1.eaee8744b05f0p-2', '0x1.c1528065b7d50p-1 0x1.eaee8744b05f0p-2'),
+        "fzb": ('0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0'),
+        "invert": ('0x1.6fc79b4ac4c60p-2 0x1.0398563a3e92ap-5', '-0x1.4cd4ac6931052p+0 0x1.2a82acc4bc863p+0', '0x1.82e8761743060p-1 -0x1.ea686a91c0fd7p+1'),
+    },
+    "identity": {
+        "eval": ('0x1.3333333333333p-2 0x1.999999999999ap-3', '-0x1.b333333333333p+0 0x1.999999999999ap-2', '0x1.4000000000000p+1 -0x1.8000000000000p+1'),
+        "fz": ('0x1.0000000000000p+0 0x0.0p+0', '0x1.0000000000000p+0 0x0.0p+0', '0x1.0000000000000p+0 0x0.0p+0'),
+        "fzb": ('0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0'),
+        "invert": ('0x1.3333333333333p-2 0x1.999999999999ap-3', '-0x1.b333333333333p+0 0x1.999999999999ap-2', '0x1.4000000000000p+1 -0x1.8000000000000p+1'),
+    },
+    "conjugation": {
+        "eval": ('0x1.3333333333333p-2 -0x1.999999999999ap-3', '-0x1.b333333333333p+0 -0x1.999999999999ap-2', '0x1.4000000000000p+1 0x1.8000000000000p+1'),
+        "fz": ('0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0', '0x0.0p+0 0x0.0p+0'),
+        "fzb": ('0x1.0000000000000p+0 0x0.0p+0', '0x1.0000000000000p+0 0x0.0p+0', '0x1.0000000000000p+0 0x0.0p+0'),
+        "invert": ('0x1.3333333333333p-2 -0x1.999999999999ap-3', '-0x1.b333333333333p+0 -0x1.999999999999ap-2', '0x1.4000000000000p+1 0x1.8000000000000p+1'),
+    },
+    "composition": {
+        "eval": ('0x1.316d2e6358804p-2 0x1.973c3dd9cb55bp-3', '-0x1.17869135b9ee0p-1 -0x1.30efe43a9c496p-2', '0x1.994db88783c8dp-4 0x1.e60c4b20ec7e6p-1'),
+        "fz": ('0x1.f90511af8bfdap-1 -0x1.c8a6123de5f4ap-55', '0x1.001f88b29413bp+0 -0x1.edc129c86f2f4p-55', '0x1.01d64ee389c72p+0 -0x1.a85b754360792p-56'),
+        "fzb": ('-0x1.8c3e517f9b580p-9 -0x1.db7dfb65ed980p-8', '0x1.167015527d520p-8 0x1.b065c6c25c340p-8', '-0x1.fa6294d418280p-8 0x1.af351c7e1bb80p-10'),
+        "invert": ('0x1.3503368cb5a94p-2 0x1.9c0448bb9ce1bp-3', '-0x1.1ba8375840453p-1 -0x1.3571b0bd5d62cp-2', '0x1.99e45a0ddccf6p-4 0x1.e6bf2af076365p-1'),
+    },
+}
+
+
+def _hex(values):
+    return tuple(f"{float(v.real).hex()} {float(v.imag).hex()}" for v in values)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_map_bits_are_pinned(name):
+    family, pts, inv = GOLDEN_CASES[name]
+    pts = np.asarray(pts, dtype=np.complex128)
+    fz, fzb = family.wirtinger_many(pts)
+    got = {"eval": _hex(family.eval_many(pts)), "fz": _hex(fz), "fzb": _hex(fzb)}
+    if inv is not None:
+        got["invert"] = _hex(family.invert_many(np.asarray(inv, dtype=np.complex128)))
+    assert got == GOLDEN_MAPS[name]
+
+
+def test_every_exported_family_is_pinned():
+    from qclab import maps
+
+    pinned = {type(family).__name__ for family, _, _ in GOLDEN_CASES.values()}
+    families = {
+        name
+        for name in maps.__all__
+        if isinstance(getattr(maps, name), type)
+        and issubclass(getattr(maps, name), maps.MapFamily)
+        and name != "MapFamily"
+    }
+    assert families <= pinned
