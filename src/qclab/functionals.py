@@ -9,6 +9,11 @@ weighted annulus integral to an unweighted rectangle integral.
 
 Grids must honor a map's break set: integrating a map whose derivative jumps
 inside a cell is refused rather than silently degraded.
+
+On a polar grid the integrands of rotation-equivariant maps depend only on
+``|w|``, so ``mean_distortion``, ``l1_distance`` and ``phi_dbar_mass``
+evaluate them once per ring rather than once per cell (the ring path, chosen
+by ``_sampling``; nothing a caller sets selects it).
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ import numpy as np
 
 from .errors import DegenerateExperimentError, InputError, UnsupportedVariantError
 from .gauges import ConvexGauge
-from .geometry import QuadratureGrid, RectangleDomain, integrate
+from .geometry import (
+    QuadratureGrid,
+    RectangleDomain,
+    integrate,
+    integrate_rings,
+    ring_radii,
+)
 from .maps import (
     LinearStretch,
     MapFamily,
@@ -73,13 +84,33 @@ class DistortionSample:
     degenerate: bool
 
 
+# Conditioning guard of ``_distortion``: ``c * u`` with ``c = 2**10`` and the
+# unit roundoff ``u = 2**-53``.
+_ILL_CONDITIONED = 2.0**10 * 2.0**-53
+
+
 def _distortion(fz: np.ndarray, fzb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one ``(f_z, f_zbar) -> (K, degenerate)`` rule; see :func:`distortion_many`."""
+    """The one ``(f_z, f_zbar) -> (K, degenerate)`` rule; see :func:`distortion_many`.
+
+    A cell is undefined (``K = NaN``) when ``|f_z|`` or ``|f_zbar|`` is not
+    finite, or when ``abs(|f_z| - |f_zbar|) <= c*u*(|f_z| + |f_zbar|)`` with
+    ``u = 2**-53`` (the unit roundoff) and ``c = 2**10``.  ``K = (|f_z| +
+    |f_zbar|) / (|f_z| - |f_zbar|)`` carries a relative error of about
+    ``u*K`` times the error of the moduli in ulps (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 1.7), so past the ceiling
+    ``K = 1/(c*u) = 2**43`` (about 8.8e12) fewer than three significant digits
+    would remain and even the sign of the difference, that is the
+    orientation, is not certain.  The guard also covers both moduli
+    underflowing to 0.  A reversal with a well-separated difference (the
+    conjugation map, ``f_z = 0``) stays degenerate.
+    """
     afz = np.abs(fz)
     afzb = np.abs(fzb)
-    undefined = ~(np.isfinite(afz) & np.isfinite(afzb)) | ((afz == 0.0) & (afzb == 0.0))
     den = afz - afzb
-    degenerate = (den <= 0.0) & ~undefined
+    undefined = ~(np.isfinite(afz) & np.isfinite(afzb)) | (
+        np.abs(den) <= _ILL_CONDITIONED * (afz + afzb)
+    )
+    degenerate = (den < 0.0) & ~undefined
     K = np.where(degenerate, 1.0, (afz + afzb) / np.where(degenerate | undefined, 1.0, den))
     K[undefined] = np.nan
     return K, degenerate
@@ -90,7 +121,7 @@ def pointwise_analysis(family: MapFamily, z: complex) -> DistortionSample:
 
     The distortion follows :func:`distortion_many`: ``(|f_z| + |f_zbar|) /
     (|f_z| - |f_zbar|)`` where the map preserves orientation, 1.0 with the
-    ``degenerate`` flag set where ``|f_zbar| >= |f_z|``, and NaN (not
+    ``degenerate`` flag set where ``|f_zbar| > |f_z|``, and NaN (not
     degenerate) where it is undefined.
     """
     fz, fzb = family.wirtinger(complex(z))
@@ -114,10 +145,12 @@ def distortion_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized distortion: returns ``(K, degenerate_mask)`` arrays.
 
-    ``degenerate_mask`` marks orientation reversal (``|f_zbar| >= |f_z|``),
-    where ``K`` is clamped to 1.0.  Where the distortion is undefined — both
-    derivatives are 0 (an underflow, not a reversal) or either is not
-    finite — ``K`` is NaN and the cell is not marked degenerate.
+    ``degenerate_mask`` marks orientation reversal (``|f_zbar| > |f_z|``),
+    where ``K`` is clamped to 1.0.  Where the distortion is undefined —
+    either modulus is not finite, or the two agree to within rounding (both
+    underflow to 0, or ``K`` would exceed ``2**43``; see the conditioning
+    guard of ``_distortion``) — ``K`` is NaN and the cell is not marked
+    degenerate.
     """
     return _distortion(*family.wirtinger_many(np.asarray(pts, dtype=np.complex128)))
 
@@ -147,6 +180,22 @@ class MeanDistortionResult:
     warning: str | None
 
 
+def _sampling(grid: QuadratureGrid, *families: MapFamily):
+    """Where to evaluate an integrand built from ``families``, and how to sum it.
+
+    Returns ``(points, integrator, cells_per_point)``.  On a polar grid where
+    every family is rotation-equivariant, the integrand depends only on
+    ``|w|``: it is evaluated once per ring at ``ring_radii(grid) + 0j`` and
+    summed by ``integrate_rings`` (the ring path).  The angular midpoint sum
+    of such an integrand is exact, so this changes the reduction order, not
+    the quadrature.  Every other grid and family is evaluated at each cell
+    center and summed by ``integrate``.
+    """
+    if grid.coordinate_kind == "polar" and all(f.rotation_equivariant for f in families):
+        return ring_radii(grid) + 0j, integrate_rings, grid.n_secondary
+    return grid.centers, integrate, 1
+
+
 def mean_distortion(
     family: MapFamily,
     gauge: ConvexGauge,
@@ -157,23 +206,27 @@ def mean_distortion(
 
     Orientation-reversing cells count as ``K = 1`` and are reported in
     ``degenerate_cells``; cells where ``K`` is undefined raise
-    :class:`DegenerateExperimentError`.
+    :class:`DegenerateExperimentError`.  Rotation-equivariant families on a
+    polar grid take the ring path (see ``_sampling``); counts are in cells
+    either way.
     """
     if density is Density.INVERSE_SQUARE and grid.coordinate_kind != "polar":
         raise InputError("inverse-square density requires a polar grid")
     _check_breaks_honored(family, grid)
-    K, degenerate = distortion_many(family, grid.centers)
-    n_undefined = int(np.count_nonzero(np.isnan(K)))
+    pts, integrator, cells_per_point = _sampling(grid, family)
+    K, degenerate = distortion_many(family, pts)
+    n_undefined = int(np.count_nonzero(np.isnan(K))) * cells_per_point
     if n_undefined:
         raise DegenerateExperimentError(
             f"{n_undefined} of {grid.n_cells} cells have no defined distortion: "
-            "f_z and f_zbar both underflow to 0 or are not finite"
+            "f_z or f_zbar is not finite, or |f_z| and |f_zbar| agree to within "
+            "rounding (both underflow to 0, or K exceeds 2**43)"
         )
     values = np.asarray(gauge.evaluate(K), dtype=np.float64)
     if density is Density.INVERSE_SQUARE:
-        values = values / np.abs(grid.centers) ** 2
-    value = integrate(grid, values)
-    n_deg = int(np.count_nonzero(degenerate))
+        values = values / np.abs(pts) ** 2
+    value = integrator(grid, values)
+    n_deg = int(np.count_nonzero(degenerate)) * cells_per_point
     warning = None
     if n_deg > 0.01 * grid.n_cells:
         warning = (
@@ -219,6 +272,15 @@ def deficit(
         raise InputError("reference must be a SpiralStretch with winding 0")
     num_cand = mean_distortion(candidate, gauge, grid, Density.INVERSE_SQUARE).value
     num_ref = mean_distortion(reference, gauge, grid, Density.INVERSE_SQUARE).value
+    return _relative_excess(num_cand, num_ref)
+
+
+def _relative_excess(num_cand: float, num_ref: float) -> DeficitResult:
+    """``(num_cand - num_ref) / num_ref`` as a :class:`DeficitResult`.
+
+    Shared by ``deficit`` and ``run_ladder``, which integrates its fixed
+    reference once per grid rather than once per rung.
+    """
     if num_ref == 0.0:
         raise InputError("reference mean distortion is zero; deficit undefined")
     value = (num_cand - num_ref) / num_ref
@@ -231,10 +293,13 @@ def deficit(
 
 
 def l1_distance(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> float:
-    """``integral |a - b|`` over the grid (uniform density)."""
-    va = a.eval_many(grid.centers)
-    vb = b.eval_many(grid.centers)
-    return integrate(grid, np.abs(va - vb))
+    """``integral |a - b|`` over the grid (uniform density).
+
+    Two rotation-equivariant maps on a polar grid take the ring path (see
+    ``_sampling``).
+    """
+    pts, integrator, _ = _sampling(grid, a, b)
+    return integrator(grid, np.abs(a.eval_many(pts) - b.eval_many(pts)))
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,15 @@ for any radial partition, since ``r_mid * dr = (r_hi^2 - r_lo^2)/2``) and
 ``dx * dy`` on cartesian grids.  Cells are ordered primary-axis slow,
 secondary-axis fast, and all reductions use the fixed-order kernels in
 ``qclab._kernels``, so every integral is reproducible to the bit.
+``integrate_rings`` integrates a polar-grid integrand given once per ring
+(at ``ring_radii``), for integrands that do not depend on the angle.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,6 @@ from .errors import InputError, NonFiniteSampleError, require_real
 
 __all__ = [
     "AnnulusDomain",
-    "Cell",
-    "ParallelogramDomain",
     "QuadratureGrid",
     "RectangleDomain",
     "build_cartesian_grid",
@@ -37,6 +36,8 @@ __all__ = [
     "half_resolution_shape",
     "integrate",
     "integrate_complex",
+    "integrate_rings",
+    "ring_radii",
 ]
 
 _SNAP_REL = 1e-12
@@ -80,35 +81,6 @@ class RectangleDomain:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-
-@dataclass(frozen=True)
-class ParallelogramDomain:
-    """Parallelogram with vertices ``0, base, base + 1j, 1j``.
-
-    The slanted side is ``base`` (complex, ``Re base > 0``); the other side is
-    the unit vertical segment.  No grid builder targets this domain directly —
-    integrals over it are done in a source chart — but it records the exact
-    geometry, and its area ``Re base`` is the Jacobian factor such transfers
-    need.
-    """
-
-    base: complex
-
-    def __post_init__(self) -> None:
-        b = complex(self.base)
-        if not (math.isfinite(b.real) and math.isfinite(b.imag) and b.real > 0.0):
-            raise InputError("base must have positive finite real part")
-
-    @property
-    def area(self) -> float:
-        return complex(self.base).real
-
-
-class Cell(NamedTuple):
-    index: int
-    center: complex
-    weight: float
 
 
 def _partition_with_breaks(
@@ -187,24 +159,6 @@ class QuadratureGrid:
     @property
     def secondary_step(self) -> float:
         return self.secondary_span / self.n_secondary
-
-    @property
-    def cells(self) -> Iterator[Cell]:
-        for i in range(self.n_cells):
-            yield Cell(i, complex(self.centers[i]), float(self.weights[i]))
-
-    def locate(self, point: complex) -> tuple[int, int]:
-        """Return the (primary, secondary) indices of the cell holding ``point``."""
-        w = complex(point)
-        if self.coordinate_kind == "polar":
-            p, s = abs(w), math.atan2(w.imag, w.real) % (2.0 * math.pi)
-        else:
-            p, s = w.real, w.imag
-        i = int(np.searchsorted(self.primary_edges, p, side="right")) - 1
-        i = min(max(i, 0), self.n_primary - 1)
-        j = int(s // self.secondary_step)
-        j = min(max(j, 0), self.n_secondary - 1)
-        return i, j
 
 
 def build_polar_grid(
@@ -286,15 +240,21 @@ def half_resolution_shape(n_primary: int, n_secondary: int) -> tuple[int, int]:
     return half
 
 
-def _check_finite(grid: QuadratureGrid, values: np.ndarray) -> None:
+def _check_finite(grid: QuadratureGrid, values: np.ndarray, stride: int = 1) -> None:
+    """Refuse non-finite samples, naming the first offending cell.
+
+    ``values[i]`` stands for the cells ``i * stride`` to ``i * stride +
+    stride - 1``; the first of them is reported.
+    """
     bad = ~np.isfinite(values)
     if values.dtype.kind == "c":
         bad = ~(np.isfinite(values.real) & np.isfinite(values.imag))
     if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
+        i = int(np.flatnonzero(bad)[0])
+        idx = i * stride
         center = complex(grid.centers[idx])
         raise NonFiniteSampleError(
-            f"non-finite sample {values[idx]!r} at cell {idx} (center {center!r})",
+            f"non-finite sample {values[i]!r} at cell {idx} (center {center!r})",
             cell_index=idx,
             center=center,
         )
@@ -322,3 +282,36 @@ def integrate_complex(grid: QuadratureGrid, values: np.ndarray) -> complex:
     re = ordered_dot(grid.weights, np.ascontiguousarray(v.real))
     im = ordered_dot(grid.weights, np.ascontiguousarray(v.imag))
     return complex(re, im)
+
+
+def ring_radii(grid: QuadratureGrid) -> np.ndarray:
+    """Midpoint radius ``r_mid`` of every ring of a polar grid, inner first.
+
+    These are the radii ``build_polar_grid`` built the cell centers from,
+    computed from ``primary_edges`` by the same expression rather than read
+    back as ``|center|`` (which rounds differently in the last bits).
+    """
+    if grid.coordinate_kind != "polar":
+        raise InputError("ring radii need a polar grid")
+    edges = grid.primary_edges
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+def integrate_rings(grid: QuadratureGrid, values: np.ndarray) -> float:
+    """``integrate`` for a polar-grid integrand that is constant on each ring.
+
+    ``values[i]`` is the integrand on ring ``i``; it is weighted by the ring's
+    area, the sum of its ``n_secondary`` equal cell weights.  The midpoint
+    rule in angle integrates such an integrand exactly, so this equals
+    ``integrate`` on the broadcast values up to the order of the reduction.
+    A non-finite value is reported at the first cell of its ring.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if grid.coordinate_kind != "polar" or v.shape != (grid.n_primary,):
+        raise InputError(
+            f"expected {grid.n_primary} ring samples on a polar grid, got array "
+            f"of shape {v.shape}"
+        )
+    _check_finite(grid, v, grid.n_secondary)
+    areas = grid.weights[:: grid.n_secondary] * grid.n_secondary
+    return ordered_dot(areas, v)

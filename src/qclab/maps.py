@@ -112,6 +112,16 @@ class MapFamily(abc.ABC):
         """True if the map has a branch cut on the positive real axis."""
         return False
 
+    @property
+    def rotation_equivariant(self) -> bool:
+        """True if ``f(exp(i*t) * w) == exp(i*t) * f(w)`` for every real ``t``.
+
+        Then ``|f_z|``, ``|f_zbar|`` and ``|f - g|`` against another such map
+        depend only on ``|w|``, so a polar-grid integral of them can be
+        evaluated once per ring (see ``qclab.functionals``).
+        """
+        return False
+
     def pullback_radius(self, radius: float) -> float:
         """Source radius mapping onto the given image radius."""
         raise UnsupportedVariantError(
@@ -261,6 +271,10 @@ class SpiralStretch(MapFamily):
         return f"spiral(theta={self.theta:g},winding={self.winding})"
 
     @property
+    def rotation_equivariant(self) -> bool:
+        return True
+
+    @property
     def image_inner_radius(self) -> float:
         return self.q**self.k
 
@@ -329,6 +343,10 @@ class InverseSpiralStretch(MapFamily):
         return "gstar-inverse"
 
     @property
+    def rotation_equivariant(self) -> bool:
+        return True
+
+    @property
     def inner_radius(self) -> float:
         return self.q**self.k
 
@@ -372,6 +390,10 @@ class PiecewiseRadialStretch(MapFamily):
     @property
     def label(self) -> str:
         return "geps"
+
+    @property
+    def rotation_equivariant(self) -> bool:
+        return True
 
     @property
     def root_eps(self) -> float:
@@ -725,6 +747,10 @@ class Rotation(MapFamily):
         return f"rotation({self.beta:g})"
 
     @property
+    def rotation_equivariant(self) -> bool:
+        return True
+
+    @property
     def factor(self) -> complex:
         return cmath.exp(1j * self.beta)
 
@@ -751,6 +777,10 @@ class IdentityMap(MapFamily):
     @property
     def label(self) -> str:
         return "identity"
+
+    @property
+    def rotation_equivariant(self) -> bool:
+        return True
 
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         return _as_points(z).copy()
@@ -831,6 +861,10 @@ class Composition(MapFamily):
     @property
     def has_positive_real_cut(self) -> bool:
         return self.inner.has_positive_real_cut
+
+    @property
+    def rotation_equivariant(self) -> bool:
+        return self.outer.rotation_equivariant and self.inner.rotation_equivariant
 
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         return self.outer.eval_many(self.inner.eval_many(z))

@@ -32,6 +32,7 @@ import numpy as np
 
 from ._kernels import ordered_sum, ordered_sums, pompeiu_sum_many
 from .errors import AccuracyError, InputError, UnsupportedVariantError
+from .functionals import _sampling
 from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
@@ -409,6 +410,7 @@ def phi_dbar_mass(
     ``Phi`` compares a candidate annulus map with its reference spiral stretch
     on the image annulus ``[q**k, 1]``; the mass is the plain integral of
     ``|Phi_wbar|`` there.  Exactly zero when ``g`` is the reference itself.
+    A rotation-equivariant ``g`` takes the ring path of ``mean_distortion``.
     """
     if not isinstance(gstar, SpiralStretch):
         raise InputError("gstar must be a SpiralStretch")
@@ -419,5 +421,6 @@ def phi_dbar_mass(
     phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
     domain = AnnulusDomain(inner_radius=gstar.q**gstar.k)
     grid = build_polar_grid(domain, n_radial, n_angular, breaks=phi.break_radii())
-    _, fzb = phi.wirtinger_many(grid.centers)
-    return integrate(grid, np.abs(fzb))
+    pts, integrator, _ = _sampling(grid, phi)
+    _, fzb = phi.wirtinger_many(pts)
+    return integrator(grid, np.abs(fzb))

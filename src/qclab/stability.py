@@ -30,7 +30,13 @@ from .geometry import (
     integrate,
     integrate_complex,
 )
-from .functionals import Density, deficit, distortion_many, l1_distance, mean_distortion
+from .functionals import (
+    Density,
+    _relative_excess,
+    distortion_many,
+    l1_distance,
+    mean_distortion,
+)
 from .maps import Composition, LinearStretch, MapFamily, PiecewiseRadialStretch, SpiralStretch
 from .pompeiu import phi_dbar_mass
 
@@ -80,11 +86,20 @@ def _unit_mu(fstar: LinearStretch) -> complex:
 
 
 def _alignment_integrand(
-    f: MapFamily, fstar: LinearStretch, grid: QuadratureGrid
+    fz: np.ndarray, fzb: np.ndarray, fstar: LinearStretch
 ) -> np.ndarray:
-    u = _unit_mu(fstar)
-    fz, fzb = f.wirtinger_many(grid.centers)
-    return u * fz + fzb
+    return _unit_mu(fstar) * fz + fzb
+
+
+def _alpha_from(integrand: np.ndarray, grid: QuadratureGrid) -> AlphaStar:
+    total = integrate_complex(grid, integrand)
+    r = abs(total)
+    if r < 1e-13 * grid.domain.area:
+        return AlphaStar(alpha=0.0, r=float(r), degenerate=True)
+    alpha = -math.atan2(total.imag, total.real)
+    if alpha <= -math.pi:
+        alpha += 2.0 * math.pi
+    return AlphaStar(alpha=float(alpha), r=float(r), degenerate=False)
 
 
 def alpha_star(f: MapFamily, fstar: LinearStretch, grid: QuadratureGrid) -> AlphaStar:
@@ -96,15 +111,8 @@ def alpha_star(f: MapFamily, fstar: LinearStretch, grid: QuadratureGrid) -> Alph
     ``R`` vanishes (below ``1e-13 *`` domain area) the angle is meaningless
     and the result is flagged degenerate.
     """
-    integrand = _alignment_integrand(f, fstar, grid)
-    total = integrate_complex(grid, integrand)
-    r = abs(total)
-    if r < 1e-13 * grid.domain.area:
-        return AlphaStar(alpha=0.0, r=float(r), degenerate=True)
-    alpha = -math.atan2(total.imag, total.real)
-    if alpha <= -math.pi:
-        alpha += 2.0 * math.pi
-    return AlphaStar(alpha=float(alpha), r=float(r), degenerate=False)
+    fz, fzb = f.wirtinger_many(grid.centers)
+    return _alpha_from(_alignment_integrand(fz, fzb, fstar), grid)
 
 
 @dataclass(frozen=True)
@@ -128,12 +136,12 @@ class AlignmentReport:
 def audit_alignment(
     f: MapFamily, fstar: LinearStretch, grid: QuadratureGrid
 ) -> AlignmentReport:
-    integrand = _alignment_integrand(f, fstar, grid)
-    star = alpha_star(f, fstar, grid)
+    fz, fzb = f.wirtinger_many(grid.centers)
+    integrand = _alignment_integrand(fz, fzb, fstar)
+    star = _alpha_from(integrand, grid)
     rotated = np.exp(1j * star.alpha) * integrand
     real_part_gap = integrate(grid, np.abs(integrand) - rotated.real)
     imag_part_mass = integrate(grid, np.abs(rotated.imag))
-    fz, fzb = f.wirtinger_many(grid.centers)
     absdiff_mass = integrate(grid, np.abs(fzb - fstar.mu * fz))
     return AlignmentReport(
         alpha=star.alpha,
@@ -491,11 +499,17 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     if mass_n_angular is None:
         mass_n_angular = max(1, config.n_angular // 2)
 
+    def weighted(family: MapFamily, on: QuadratureGrid) -> float:
+        return mean_distortion(family, config.gauge, on, Density.INVERSE_SQUARE).value
+
+    # The reference is the same on every rung: integrate it once per grid.
+    ref_full = weighted(reference, grid)
+    ref_half = weighted(reference, half_grid)
     rows = []
     for eps in config.eps_values:
         candidate = _ladder_candidate(config, eps)
-        d_full = deficit(candidate, reference, config.gauge, grid).value
-        d_half = deficit(candidate, reference, config.gauge, half_grid).value
+        d_full = _relative_excess(weighted(candidate, grid), ref_full).value
+        d_half = _relative_excess(weighted(candidate, half_grid), ref_half).value
         noise = abs(d_full - d_half) / 3.0
         l1 = l1_distance(candidate, reference, grid)
         mass = phi_dbar_mass(

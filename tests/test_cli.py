@@ -68,6 +68,23 @@ class TestExitCodes:
         assert "1024 of 1024 cells have no defined distortion" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("k", ["1e16", "1e17"])
+    def test_cancelled_distortion_is_undefined(self, k):
+        # (k+1)/2 and (k-1)/2 round to the same float: K cannot be recovered,
+        # and reading the zero difference as orientation reversal printed 1.0
+        res = run("distortion", "--map", "fstar", "--k", k, "--grid", "16x16")
+        assert res.returncode == 3
+        assert "256 of 256 cells have no defined distortion" in res.stderr
+        assert res.stdout == ""
+
+    def test_large_resolved_distortion_is_exact(self):
+        res = run("distortion", "--map", "fstar", "--k", "1e8", "--grid", "16x16",
+                  "--format", "json")
+        assert res.returncode == 0
+        summary = json.loads(res.stdout)["summary"]
+        assert summary["value"] == 1e8
+        assert summary["degenerate_cells"] == 0
+
     def test_passing_audit(self):
         res = run("audit", "--lemma", "gn-gap", "--q", "0.5", "--k", "2",
                   "--winding", "1", "--grid", "128x128")

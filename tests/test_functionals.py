@@ -16,11 +16,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import cartesian, polar
-from qclab.errors import DegenerateExperimentError, InputError, UnsupportedVariantError
+from qclab.errors import (
+    DegenerateExperimentError,
+    InputError,
+    NonFiniteSampleError,
+    UnsupportedVariantError,
+)
 from qclab.functionals import (
     Density,
     conformal_transfer_check,
@@ -31,15 +36,18 @@ from qclab.functionals import (
     pointwise_analysis,
 )
 from qclab.gauges import ConvexGauge
+from qclab.geometry import AnnulusDomain, build_polar_grid, integrate
 from qclab.maps import (
     Composition,
     ConjugationMap,
+    InverseSpiralStretch,
     LinearStretch,
     PiecewiseLinearStretch,
     PiecewiseRadialStretch,
     Rotation,
     SpiralStretch,
 )
+from qclab.pompeiu import phi_dbar_mass
 
 L1_RADIAL_ORACLE = 0.033886557607767716
 FOUR_PI_LOG2 = 4.0 * math.pi * math.log(2.0)
@@ -69,14 +77,41 @@ class TestPointwise:
             (ConjugationMap(), 0.5 + 0.2j),
             (LinearStretch(3.0, 0.7), 0.1 + 0.4j),
             (SpiralStretch(0.5, 1e308), 0.75),  # f_z and f_zbar underflow to 0
+            (LinearStretch(1e17), 0.1 + 0.4j),  # |f_z| - |f_zbar| rounds to 0
         ],
-        ids=["spiral", "conjugation", "linear", "underflow"],
+        ids=["spiral", "conjugation", "linear", "underflow", "ill-conditioned"],
     )
     def test_pointwise_matches_distortion_many(self, family, z):
         sample = pointwise_analysis(family, z)
         K, degenerate = distortion_many(family, np.array([z]))
         assert float(K[0]).hex() == sample.distortion.hex()
         assert sample.degenerate == bool(degenerate[0])
+
+
+class TestConditioningGuard:
+    PTS = np.array([0.1 + 0.4j, 0.7 + 0.2j])
+
+    @pytest.mark.parametrize("k", [1e16, 1e17])
+    def test_cancelled_difference_is_undefined_not_reversed(self, k):
+        K, degenerate = distortion_many(LinearStretch(k), self.PTS)
+        assert np.isnan(K).all()
+        assert not degenerate.any()
+
+    def test_large_but_resolved_distortion_is_exact(self):
+        K, degenerate = distortion_many(LinearStretch(1e8), self.PTS)
+        assert K.tolist() == [1e8, 1e8]
+        assert not degenerate.any()
+
+    def test_guard_sits_at_two_to_the_43(self):
+        # |f_z| - |f_zbar| = 1 exactly for these k; K = k - 1 + 1 = k
+        below, above = 2.0**42, 2.0**44
+        assert distortion_many(LinearStretch(below), self.PTS)[0].tolist() == [below] * 2
+        assert np.isnan(distortion_many(LinearStretch(above), self.PTS)[0]).all()
+
+    def test_conjugation_stays_degenerate(self):
+        K, degenerate = distortion_many(ConjugationMap(), self.PTS)
+        assert K.tolist() == [1.0, 1.0]
+        assert degenerate.all()
 
 
 class TestMeanDistortion:
@@ -250,6 +285,123 @@ class TestL1Distance:
             PiecewiseLinearStretch(2.0, 0.01), LinearStretch(2.0), g
         )
         assert val == pytest.approx(0.025, abs=1e-14)
+
+
+def _cell_mean(family, gauge, grid, density):
+    """Per-cell oracle: evaluate at every cell center, weight, integrate."""
+    K, degenerate = distortion_many(family, grid.centers)
+    values = np.asarray(gauge.evaluate(K), dtype=np.float64)
+    if density is Density.INVERSE_SQUARE:
+        values = values / np.abs(grid.centers) ** 2
+    return integrate(grid, values), int(np.count_nonzero(degenerate))
+
+
+def _cell_l1(a, b, grid):
+    return integrate(grid, np.abs(a.eval_many(grid.centers) - b.eval_many(grid.centers)))
+
+
+def _cell_dbar_mass(g, gstar, n_radial, n_angular):
+    phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
+    domain = AnnulusDomain(gstar.q**gstar.k)
+    grid = build_polar_grid(domain, n_radial, n_angular, breaks=phi.break_radii())
+    return integrate(grid, np.abs(phi.wirtinger_many(grid.centers)[1]))
+
+
+class TestRingPath:
+    """Rotation-equivariant maps on polar grids are integrated once per ring.
+
+    The ring path must agree with the per-cell oracle above to rounding: the
+    angular midpoint sum of a rotation-invariant integrand is exact, so the
+    two differ only in evaluation points (``r_mid`` vs ``|center|``, one ulp)
+    and reduction order.
+    """
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(["spiral", "piecewise", "twisted"]),
+        st.floats(0.1, 0.9),
+        st.floats(1.1, 4.0),
+        st.floats(0.01, 0.99),
+        st.floats(-math.pi, math.pi),
+        st.integers(0, 2),
+        st.sampled_from(["linear", "square", "power:1.5", "power:3"]),
+        st.sampled_from([Density.UNIFORM, Density.INVERSE_SQUARE]),
+        st.integers(8, 40),
+        st.integers(4, 24),
+    )
+    def test_ring_path_matches_per_cell_oracle(
+        self, kind, q, k, eps_frac, theta, winding, gauge, density, n_r, n_a
+    ):
+        eps = eps_frac * min(0.1, (k - 1.0) ** 2)
+        # The two paths round K differently by about u*K per cell, so every
+        # bound below is drawn for K <= 50.  Over 1500 random draws of this
+        # space the worst gaps were 4.1e-15 (mean distortion), 4.3e-15
+        # (deficit), 1.8e-14 (L1) and 6.9e-15 (dbar mass).  Winding or
+        # strongly twisted spirals on thin annuli reach K ~ 1e3, where the
+        # paths sit ~u*K apart.
+        if kind == "spiral":
+            # near the reference, |a - b| cancels and no relative bound holds
+            assume(winding > 0 or abs(theta) >= 0.05)
+            family = SpiralStretch(q, k, theta, winding)
+            assume(family.distortion <= 50.0)
+        elif kind == "piecewise":
+            family = PiecewiseRadialStretch(q, k, eps)
+        else:
+            twist = SpiralStretch(q**k, 1.0, theta, 0)
+            assume(twist.distortion * (k + math.sqrt(eps)) <= 50.0)
+            family = Composition(twist, PiecewiseRadialStretch(q, k, eps))
+        reference = SpiralStretch(q, k)
+        assert family.rotation_equivariant
+        gauge = ConvexGauge.parse(gauge)
+        grid = build_polar_grid(
+            AnnulusDomain(q), n_r, n_a, breaks=family.break_radii()
+        )
+
+        got = mean_distortion(family, gauge, grid, density)
+        want, want_degenerate = _cell_mean(family, gauge, grid, density)
+        assert got.value == pytest.approx(want, rel=1e-13)
+        assert got.degenerate_cells == want_degenerate
+
+        ref = _cell_mean(reference, gauge, grid, Density.INVERSE_SQUARE)[0]
+        cand = _cell_mean(family, gauge, grid, Density.INVERSE_SQUARE)[0]
+        d = deficit(family, reference, gauge, grid).value
+        want_d = (cand - ref) / ref
+        # absolute for every ladder-sized deficit; winding spirals and steep
+        # gauges reach deficits of 1e4 and more, where it is taken relative
+        assert abs(d - want_d) <= 1e-14 * max(1.0, abs(want_d))
+
+        assert l1_distance(family, reference, grid) == pytest.approx(
+            _cell_l1(family, reference, grid), rel=1e-13
+        )
+        assert phi_dbar_mass(family, reference, n_r, n_a) == pytest.approx(
+            _cell_dbar_mass(family, reference, n_r, n_a), rel=1e-13
+        )
+
+    def test_undefined_cells_are_counted_in_cells(self):
+        g = polar(0.5, 8, 8)
+        with pytest.raises(DegenerateExperimentError, match="64 of 64 cells"):
+            mean_distortion(SpiralStretch(0.5, 1e308), ConvexGauge.square(), g)
+
+    def test_nonfinite_integrand_names_the_first_cell_of_its_ring(self):
+        # phi(K) = K**800 overflows on every ring; ring 0 starts at cell 0
+        g = polar(0.5, 8, 4)
+        with pytest.raises(NonFiniteSampleError) as err, np.errstate(over="ignore"):
+            mean_distortion(SpiralStretch(0.5, 3.0), ConvexGauge.power(800.0), g)
+        assert err.value.cell_index == 0
+        assert err.value.center == complex(g.centers[0])
+
+    def test_non_equivariant_family_keeps_its_per_cell_bits(self):
+        # float.hex values computed with the per-cell path before the ring
+        # path existed; g o conj is not rotation-equivariant, so it stays there
+        g = SpiralStretch(0.5, 2.0, 0.3)
+        family = Composition(g, ConjugationMap())
+        assert not family.rotation_equivariant
+        grid = polar(0.5, 16, 8)
+        res = mean_distortion(family, ConvexGauge.square(), grid, Density.INVERSE_SQUARE)
+        assert res.value.hex() == "0x1.16ae95d9937ccp+2"
+        assert res.degenerate_cells == 128
+        assert l1_distance(family, g, grid).hex() == "0x1.ec5ec72417a07p+0"
+        assert phi_dbar_mass(family, g, 16, 8).hex() == "0x1.81b7af5b547fbp+1"
 
 
 class TestConformalTransfer:

@@ -9,12 +9,13 @@ from conftest import cartesian, polar
 from qclab.errors import InputError, NonFiniteSampleError
 from qclab.geometry import (
     AnnulusDomain,
-    ParallelogramDomain,
     RectangleDomain,
     build_cartesian_grid,
     build_polar_grid,
     integrate,
     integrate_complex,
+    integrate_rings,
+    ring_radii,
 )
 
 
@@ -38,12 +39,6 @@ class TestDomains:
             RectangleDomain(0.0)
         with pytest.raises(InputError):
             RectangleDomain(1.0, height=-1.0)
-
-    def test_parallelogram_base_validation(self):
-        dom = ParallelogramDomain(2.0 + 0.5j)
-        assert dom.area == pytest.approx(2.0)
-        with pytest.raises(InputError):
-            ParallelogramDomain(-1.0 + 0.5j)
 
 
 class TestBreakHandling:
@@ -102,12 +97,6 @@ class TestGridInvariants:
         # constant radius along each secondary row
         assert np.allclose(radii, radii[:, :1])
 
-    def test_locate_roundtrips_cell_centers(self):
-        g = polar(0.5, 16, 16)
-        for m in [0, 5, 16, 100, 255]:
-            i, j = g.locate(complex(g.centers[m]))
-            assert (i, j) == divmod(m, g.n_secondary)
-
     def test_secondary_span(self):
         assert polar(0.5, 4, 4).secondary_span == pytest.approx(2 * math.pi)
         assert cartesian(2.0, 4, 4).secondary_span == pytest.approx(1.0)
@@ -115,13 +104,6 @@ class TestGridInvariants:
     def test_all_weights_positive(self):
         g = polar(0.25, 32, 32)
         assert (g.weights > 0).all()
-
-    def test_cells_iterator_agrees_with_arrays(self):
-        g = polar(0.5, 4, 4)
-        cells = list(g.cells)
-        assert len(cells) == g.n_cells
-        assert cells[7].center == complex(g.centers[7])
-        assert cells[7].weight == float(g.weights[7])
 
 
 class TestIntegration:
@@ -148,6 +130,43 @@ class TestIntegration:
         vals = np.abs(g.centers) ** 2
         want = 2 * math.pi * (1 - q**4) / 4
         assert integrate(g, vals) == pytest.approx(want, rel=1e-5)
+
+
+class TestRings:
+    def test_ring_radii_are_the_built_midpoints(self):
+        g = polar(0.5, 9, 8, breaks=(math.sqrt(0.5),))
+        r = ring_radii(g)
+        edges = g.primary_edges
+        assert r.tolist() == (0.5 * (edges[:-1] + edges[1:])).tolist()
+        np.testing.assert_allclose(
+            np.abs(g.centers).reshape(g.n_primary, g.n_secondary),
+            np.broadcast_to(r[:, None], (g.n_primary, g.n_secondary)),
+            rtol=4e-16,
+        )
+
+    def test_integrate_rings_matches_broadcast_integrate(self):
+        g = polar(0.3, 13, 6, breaks=(0.55,))
+        ring_values = np.cos(ring_radii(g)) + 2.0
+        want = integrate(g, np.repeat(ring_values, g.n_secondary))
+        assert integrate_rings(g, ring_values) == pytest.approx(want, rel=1e-15)
+
+    def test_nonfinite_ring_is_reported_at_its_first_cell(self):
+        g = polar(0.5, 4, 8)
+        vals = np.ones(g.n_primary)
+        vals[2] = np.nan
+        with pytest.raises(NonFiniteSampleError) as err:
+            integrate_rings(g, vals)
+        assert err.value.cell_index == 16
+        assert err.value.center == complex(g.centers[16])
+        assert "at cell 16 " in str(err.value)
+
+    def test_rings_need_a_polar_grid_and_one_value_per_ring(self):
+        with pytest.raises(InputError):
+            ring_radii(cartesian(1.0, 4, 4))
+        with pytest.raises(InputError):
+            integrate_rings(cartesian(1.0, 4, 4), np.ones(4))
+        with pytest.raises(InputError):
+            integrate_rings(polar(0.5, 4, 4), np.ones(16))
 
 
 class TestSampling:

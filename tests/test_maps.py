@@ -571,3 +571,34 @@ def test_every_exported_family_is_pinned():
         and name != "MapFamily"
     }
     assert families <= pinned
+
+
+ROTATION_EQUIVARIANT = {
+    "spiral",
+    "spiral-winding",
+    "inverse-spiral",
+    "piecewise-radial",
+    "rotation",
+    "identity",
+    "composition",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_rotation_equivariant_flag(name):
+    family, pts, _ = GOLDEN_CASES[name]
+    assert family.rotation_equivariant is (name in ROTATION_EQUIVARIANT)
+    if family.rotation_equivariant:
+        pts = np.asarray(pts, dtype=np.complex128)
+        turn = np.exp(0.9j)
+        np.testing.assert_allclose(
+            family.eval_many(turn * pts), turn * family.eval_many(pts), rtol=1e-13
+        )
+
+
+def test_composition_is_equivariant_when_both_parts_are():
+    spiral = SpiralStretch(0.5, 2.0, 0.3)
+    assert Composition(spiral, Rotation(0.4)).rotation_equivariant
+    assert Composition(Rotation(0.4), spiral).rotation_equivariant
+    assert not Composition(spiral, ConjugationMap()).rotation_equivariant
+    assert not Composition(ConjugationMap(), spiral).rotation_equivariant

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import cartesian, polar
 from qclab.errors import DegenerateExperimentError, InputError, UnsupportedVariantError
+from qclab.functionals import deficit
 from qclab.gauges import ConvexGauge
 from qclab.maps import (
     Composition,
@@ -83,6 +84,39 @@ class TestAlignment:
         assert rep.real_part_gap <= 1e-10
         assert rep.imag_part_mass <= 1e-10
         assert rep.passed
+
+    # float.hex of (alpha, r, real_part_gap, imag_part_mass, absdiff_mass),
+    # computed when the audit still evaluated the Wirtinger pair three times
+    GOLDEN = {
+        "fstar o feps": (
+            Composition(LinearStretch(1.5, 0.7), PiecewiseLinearStretch(2.0, 0.04)),
+            ("-0x1.df80fac914a11p-2", "0x1.a8fac370f60fap+1", "0x1.9b8bf33400000p-21",
+             "0x1.263eebf71e31ap-9", "0x1.3c61494596bccp-2"),
+        ),
+        "rotation o feps": (
+            Composition(Rotation(-1.1), PiecewiseLinearStretch(3.0, 0.25)),
+            ("0x1.111da05761cfep+0", "0x1.7fe502c0401b6p+1", "0x1.8ad6eda780000p-19",
+             "0x1.0f726f4544518p-8", "0x1.13605de097509p-3"),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_report_bits_are_pinned(self, name, monkeypatch):
+        family, want = self.GOLDEN[name]
+        calls = []
+        wirtinger_many = Composition.wirtinger_many
+
+        def counted(self, z):
+            calls.append(self)
+            return wirtinger_many(self, z)
+
+        monkeypatch.setattr(Composition, "wirtinger_many", counted)
+        grid = cartesian(1.0, 32, 16, breaks=(0.5,))
+        rep = audit_alignment(family, LinearStretch(3.0, 0.2), grid)
+        got = (rep.alpha, rep.r, rep.real_part_gap, rep.imag_part_mass, rep.absdiff_mass)
+        assert tuple(v.hex() for v in got) == want
+        assert rep.passed
+        assert calls == [family]  # the Wirtinger pair is evaluated once
 
 
 class TestKL2:
@@ -178,6 +212,27 @@ def small_fit():
 
 
 class TestLadder:
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_rows_equal_per_rung_deficits(self, theta):
+        # run_ladder integrates the reference once per grid; every row must
+        # still carry the bits of a per-rung deficit() call
+        cfg = LadderConfig(theta=theta, n_radial=64, n_angular=32,
+                           mass_n_radial=32, mass_n_angular=16)
+        fit = run_ladder(cfg)
+        breaks = [math.sqrt(cfg.q)]
+        grid = polar(cfg.q, 64, 32, breaks=tuple(breaks))
+        half = polar(cfg.q, 32, 16, breaks=tuple(breaks))
+        reference = SpiralStretch(cfg.q, cfg.k, theta, 0)
+        for row in fit.rows:
+            candidate = PiecewiseRadialStretch(cfg.q, cfg.k, row.eps)
+            if theta:
+                twist = SpiralStretch(cfg.q**cfg.k, 1.0, theta, 0)
+                candidate = Composition(twist, candidate)
+            d_full = deficit(candidate, reference, cfg.gauge, grid).value
+            d_half = deficit(candidate, reference, cfg.gauge, half).value
+            assert row.deficit.hex() == d_full.hex()
+            assert row.noise.hex() == (abs(d_full - d_half) / 3.0).hex()
+
     def test_slope_is_one_half(self, small_fit):
         assert small_fit.slope == pytest.approx(0.5, abs=0.05)
 
