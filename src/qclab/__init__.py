@@ -52,7 +52,6 @@ from .maps import (
     Rotation,
     SpiralStretch,
     WirtingerPair,
-    wirtinger_fd,
 )
 from .pompeiu import (
     annulus_trace,
@@ -137,5 +136,4 @@ __all__ = [
     "run_flat_gauge_ladder",
     "run_ladder",
     "theta_check",
-    "wirtinger_fd",
 ]

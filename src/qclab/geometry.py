@@ -7,20 +7,23 @@ allowed to be non-smooth — are spliced into the partition, so no cell ever
 straddles a break.  The secondary axis (angle, vertical coordinate) is always
 uniform.
 
-Cell weights are exact areas: ``r_mid * dr * dtheta`` on polar grids (exact
-for any radial partition, since ``r_mid * dr = (r_hi^2 - r_lo^2)/2``) and
-``dx * dy`` on cartesian grids.  Cells are ordered primary-axis slow,
-secondary-axis fast, and all reductions use the fixed-order kernels in
-``qclab._kernels``, so every integral is reproducible to the bit.
-``integrate_rings`` integrates a polar-grid integrand given once per ring
-(at ``ring_radii``), for integrands that do not depend on the angle.
+A grid is its partition: the primary edges and the secondary cell count.
+The rest is derived on first use.  Cell weights are exact areas,
+``r_mid * dr * dtheta`` on polar grids (exact for any radial partition, since
+``r_mid * dr = (r_hi^2 - r_lo^2)/2``) and ``dx * dy`` on cartesian grids, one
+per primary line.  Cells are ordered primary-axis slow, secondary-axis fast.
+All reductions use the fixed-order kernels in ``qclab._kernels``, so every
+integral is reproducible to the bit.  ``integrate_rings`` integrates a
+polar-grid integrand given once per ring (at ``ring_radii``), for integrands
+that do not depend on the angle, and reads only the partition.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,9 +87,9 @@ class RectangleDomain:
 
 
 def _partition_with_breaks(
-    lo: float, hi: float, n: int, breaks: Iterable[float], axis: str
+    lo: float, hi: float, n: int, breaks: tuple[float, ...], axis: str
 ) -> np.ndarray:
-    """Uniform ``n``-interval partition of ``[lo, hi]`` with breaks spliced in.
+    """Uniform ``n``-interval partition of ``[lo, hi]`` with sorted breaks spliced in.
 
     A break within ``1e-12 * (hi - lo)`` of an existing interior edge replaces
     that edge; otherwise it is inserted.  Breaks must lie strictly inside the
@@ -94,31 +97,30 @@ def _partition_with_breaks(
     """
     if n < 1:
         raise InputError(f"number of {axis} cells must be >= 1")
-    edges = list(np.linspace(lo, hi, n + 1))
-    span = hi - lo
-    tol = _SNAP_REL * span
-    for b in sorted(float(x) for x in breaks):
+    edges = np.linspace(lo, hi, n + 1)
+    tol = _SNAP_REL * (hi - lo)
+    for b in breaks:
         if not math.isfinite(b) or b <= lo + tol or b >= hi - tol:
             raise InputError(
                 f"break {b!r} must lie strictly inside the {axis} interval "
                 f"({lo!r}, {hi!r})"
             )
-        nearest = min(range(len(edges)), key=lambda i: abs(edges[i] - b))
+        nearest = int(np.argmin(np.abs(edges - b)))
         if abs(edges[nearest] - b) <= tol:
             edges[nearest] = b
         else:
-            edges.append(b)
-            edges.sort()
-    return np.asarray(edges, dtype=np.float64)
+            edges = np.insert(edges, np.searchsorted(edges, b), b)
+    return edges
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Midpoint tensor-product quadrature rule over a domain.
+    """Midpoint tensor-product quadrature rule over a domain, held as its partition.
 
-    ``centers`` are the complex cell midpoints, ``weights`` the exact cell
-    areas, both flat in primary-slow/secondary-fast order.  ``primary_edges``
-    is the (break-adjusted) partition of the primary axis.
+    ``primary_edges`` partitions the primary axis (breaks spliced in); the
+    secondary axis has ``n_secondary`` uniform cells.  The per-line
+    ``primary_mid`` and ``line_weights`` and the per-cell ``centers`` and
+    ``weights`` (primary-slow/secondary-fast) are derived on first use.
     """
 
     domain: AnnulusDomain | RectangleDomain
@@ -126,17 +128,16 @@ class QuadratureGrid:
     primary_edges: np.ndarray
     n_secondary: int
     mandatory_breaks: tuple[float, ...]
-    centers: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.coordinate_kind not in ("polar", "cartesian"):
             raise InputError("coordinate_kind must be 'polar' or 'cartesian'")
-        if self.centers.shape != self.weights.shape or self.centers.ndim != 1:
-            raise InputError("centers and weights must be equal-length vectors")
-        if np.any(self.weights <= 0.0):
+        if self.n_secondary < 1:
+            axis = "angular" if self.coordinate_kind == "polar" else "vertical"
+            raise InputError(f"number of {axis} cells must be >= 1")
+        if np.any(self.line_weights <= 0.0):
             raise InputError("all quadrature weights must be positive")
-        total = ordered_sum(self.weights)
+        total = ordered_sum(self.line_weights) * self.n_secondary
         if not math.isclose(total, self.domain.area, rel_tol=1e-12):
             raise InputError(
                 f"weights sum to {total!r}, expected domain area {self.domain.area!r}"
@@ -148,7 +149,7 @@ class QuadratureGrid:
 
     @property
     def n_cells(self) -> int:
-        return self.centers.shape[0]
+        return self.n_primary * self.n_secondary
 
     @property
     def secondary_span(self) -> float:
@@ -160,6 +161,33 @@ class QuadratureGrid:
     def secondary_step(self) -> float:
         return self.secondary_span / self.n_secondary
 
+    @cached_property
+    def primary_mid(self) -> np.ndarray:
+        """Midpoint of each primary interval: ``r_mid`` or ``x_mid``."""
+        return 0.5 * (self.primary_edges[:-1] + self.primary_edges[1:])
+
+    @cached_property
+    def line_weights(self) -> np.ndarray:
+        """Weight of the cells on each primary line (all equal), one value per line."""
+        width = np.diff(self.primary_edges)
+        if self.coordinate_kind == "polar":
+            width = self.primary_mid * width
+        return width * self.secondary_step
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """Complex midpoint of every cell."""
+        sec = (np.arange(self.n_secondary) + 0.5) * self.secondary_step
+        mid = self.primary_mid[:, None]
+        if self.coordinate_kind == "polar":
+            return (mid * np.exp(1j * sec)[None, :]).ravel()
+        return (mid + 1j * sec[None, :]).ravel()
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Exact area of every cell."""
+        return np.repeat(self.line_weights, self.n_secondary)
+
 
 def build_polar_grid(
     domain: AnnulusDomain,
@@ -170,28 +198,9 @@ def build_polar_grid(
     """Polar midpoint grid on an annulus, honoring radial break points."""
     if not isinstance(domain, AnnulusDomain):
         raise InputError("build_polar_grid requires an AnnulusDomain")
-    if n_angular < 1:
-        raise InputError("number of angular cells must be >= 1")
-    r_edges = _partition_with_breaks(
-        domain.inner_radius, 1.0, n_radial, breaks, "radial"
-    )
-    r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
-    dr = np.diff(r_edges)
-    dtheta = 2.0 * math.pi / n_angular
-    theta_mid = (np.arange(n_angular) + 0.5) * dtheta
-    centers = (r_mid[:, None] * np.exp(1j * theta_mid)[None, :]).ravel()
-    weights = np.broadcast_to(
-        (r_mid * dr * dtheta)[:, None], (r_mid.size, n_angular)
-    ).ravel()
-    return QuadratureGrid(
-        domain=domain,
-        coordinate_kind="polar",
-        primary_edges=r_edges,
-        n_secondary=n_angular,
-        mandatory_breaks=tuple(sorted(float(b) for b in breaks)),
-        centers=np.ascontiguousarray(centers),
-        weights=np.ascontiguousarray(weights, dtype=np.float64),
-    )
+    breaks = tuple(sorted(float(b) for b in breaks))
+    edges = _partition_with_breaks(domain.inner_radius, 1.0, n_radial, breaks, "radial")
+    return QuadratureGrid(domain, "polar", edges, n_angular, breaks)
 
 
 def build_cartesian_grid(
@@ -203,24 +212,9 @@ def build_cartesian_grid(
     """Cartesian midpoint grid on a rectangle, honoring abscissa break points."""
     if not isinstance(domain, RectangleDomain):
         raise InputError("build_cartesian_grid requires a RectangleDomain")
-    if n_y < 1:
-        raise InputError("number of vertical cells must be >= 1")
-    x_edges = _partition_with_breaks(0.0, domain.width, n_x, breaks, "horizontal")
-    x_mid = 0.5 * (x_edges[:-1] + x_edges[1:])
-    dx = np.diff(x_edges)
-    dy = domain.height / n_y
-    y_mid = (np.arange(n_y) + 0.5) * dy
-    centers = (x_mid[:, None] + 1j * y_mid[None, :]).ravel()
-    weights = np.broadcast_to((dx * dy)[:, None], (x_mid.size, n_y)).ravel()
-    return QuadratureGrid(
-        domain=domain,
-        coordinate_kind="cartesian",
-        primary_edges=x_edges,
-        n_secondary=n_y,
-        mandatory_breaks=tuple(sorted(float(b) for b in breaks)),
-        centers=np.ascontiguousarray(centers),
-        weights=np.ascontiguousarray(weights, dtype=np.float64),
-    )
+    breaks = tuple(sorted(float(b) for b in breaks))
+    edges = _partition_with_breaks(0.0, domain.width, n_x, breaks, "horizontal")
+    return QuadratureGrid(domain, "cartesian", edges, n_y, breaks)
 
 
 def half_resolution_shape(n_primary: int, n_secondary: int) -> tuple[int, int]:
@@ -246,9 +240,7 @@ def _check_finite(grid: QuadratureGrid, values: np.ndarray, stride: int = 1) -> 
     ``values[i]`` stands for the cells ``i * stride`` to ``i * stride +
     stride - 1``; the first of them is reported.
     """
-    bad = ~np.isfinite(values)
-    if values.dtype.kind == "c":
-        bad = ~(np.isfinite(values.real) & np.isfinite(values.imag))
+    bad = ~np.isfinite(values)  # a complex value needs both parts finite
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         idx = i * stride
@@ -260,25 +252,25 @@ def _check_finite(grid: QuadratureGrid, values: np.ndarray, stride: int = 1) -> 
         )
 
 
-def integrate(grid: QuadratureGrid, values: np.ndarray) -> float:
-    """Deterministic ``sum(weights * values)`` for real samples."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape != grid.weights.shape:
+def _cell_samples(grid: QuadratureGrid, values: np.ndarray, dtype) -> np.ndarray:
+    """``values`` as ``dtype``, after checking it holds one finite sample per cell."""
+    v = np.asarray(values, dtype=dtype)
+    if v.shape != (grid.n_cells,):
         raise InputError(
             f"expected {grid.n_cells} samples, got array of shape {v.shape}"
         )
     _check_finite(grid, v)
-    return ordered_dot(grid.weights, v)
+    return v
+
+
+def integrate(grid: QuadratureGrid, values: np.ndarray) -> float:
+    """Deterministic ``sum(weights * values)`` for real samples."""
+    return ordered_dot(grid.weights, _cell_samples(grid, values, np.float64))
 
 
 def integrate_complex(grid: QuadratureGrid, values: np.ndarray) -> complex:
     """Deterministic ``sum(weights * values)`` for complex samples."""
-    v = np.asarray(values, dtype=np.complex128)
-    if v.shape != grid.weights.shape:
-        raise InputError(
-            f"expected {grid.n_cells} samples, got array of shape {v.shape}"
-        )
-    _check_finite(grid, v)
+    v = _cell_samples(grid, values, np.complex128)
     re = ordered_dot(grid.weights, np.ascontiguousarray(v.real))
     im = ordered_dot(grid.weights, np.ascontiguousarray(v.imag))
     return complex(re, im)
@@ -287,24 +279,23 @@ def integrate_complex(grid: QuadratureGrid, values: np.ndarray) -> complex:
 def ring_radii(grid: QuadratureGrid) -> np.ndarray:
     """Midpoint radius ``r_mid`` of every ring of a polar grid, inner first.
 
-    These are the radii ``build_polar_grid`` built the cell centers from,
-    computed from ``primary_edges`` by the same expression rather than read
-    back as ``|center|`` (which rounds differently in the last bits).
+    These are the radii the cell centers are built from (``primary_mid``),
+    not ``|center|``, which rounds differently in the last bits.
     """
     if grid.coordinate_kind != "polar":
         raise InputError("ring radii need a polar grid")
-    edges = grid.primary_edges
-    return 0.5 * (edges[:-1] + edges[1:])
+    return grid.primary_mid
 
 
 def integrate_rings(grid: QuadratureGrid, values: np.ndarray) -> float:
     """``integrate`` for a polar-grid integrand that is constant on each ring.
 
     ``values[i]`` is the integrand on ring ``i``; it is weighted by the ring's
-    area, the sum of its ``n_secondary`` equal cell weights.  The midpoint
-    rule in angle integrates such an integrand exactly, so this equals
-    ``integrate`` on the broadcast values up to the order of the reduction.
-    A non-finite value is reported at the first cell of its ring.
+    area, ``n_secondary`` times its cell weight.  The midpoint rule in angle
+    integrates such an integrand exactly, so this equals ``integrate`` on the
+    broadcast values up to the order of the reduction.  It reads only the
+    grid's partition.  A non-finite value is reported at the first cell of
+    its ring.
     """
     v = np.asarray(values, dtype=np.float64)
     if grid.coordinate_kind != "polar" or v.shape != (grid.n_primary,):
@@ -313,5 +304,4 @@ def integrate_rings(grid: QuadratureGrid, values: np.ndarray) -> float:
             f"of shape {v.shape}"
         )
     _check_finite(grid, v, grid.n_secondary)
-    areas = grid.weights[:: grid.n_secondary] * grid.n_secondary
-    return ordered_dot(areas, v)
+    return ordered_dot(grid.line_weights * grid.n_secondary, v)

@@ -4,9 +4,7 @@ Every family can evaluate itself and its Wirtinger pair ``(f_z, f_zbar)`` in
 closed form on arrays of points, report the discontinuity sets of its
 derivatives (break radii on annuli, break abscissae on rectangles, a possible
 branch cut on the positive real axis), and — where meaningful — invert itself
-and pull image-side breaks back to the source.  A generic finite-difference
-probe ``wirtinger_fd`` cross-checks the closed forms; it refuses stencils that
-straddle a break or cut.
+and pull image-side breaks back to the source.
 
 Radial families share one core: ``h(w) = A * w * |w|**(s-1) * exp(i*c*log|w|)``
 whose derivatives are ``h_w = (s+1+ic)/2 * h/w`` and
@@ -46,7 +44,6 @@ __all__ = [
     "Rotation",
     "SpiralStretch",
     "WirtingerPair",
-    "wirtinger_fd",
 ]
 
 _RTOL = 1e-9
@@ -887,39 +884,3 @@ class Composition(MapFamily):
     def pullback_abscissa(self, abscissa: float) -> float:
         return self.inner.pullback_abscissa(self.outer.pullback_abscissa(abscissa))
 
-
-def wirtinger_fd(family: MapFamily, z: complex, h: float = 1e-5) -> WirtingerPair:
-    """Central-difference Wirtinger pair, for cross-checking the closed forms.
-
-    Refuses stencils that straddle a break circle, a break line, or a branch
-    cut, since a difference quotient across a discontinuity of the derivative
-    estimates nothing.
-    """
-    require_real(h, "step h must be in (0, 1)", lambda v: 0.0 < v < 1.0)
-    z = complex(z)
-    stencil = [z + h, z - h, z + 1j * h, z - 1j * h, z]
-    for breaks, coords, noun in (
-        (family.break_radii(), [abs(p) for p in stencil], _CIRCLE),
-        (family.break_abscissae(), [p.real for p in stencil], _LINE),
-    ):
-        for b in breaks:
-            sides = [c - b for c in coords]
-            if min(abs(s) for s in sides) <= _BREAK_ATOL or (
-                max(sides) > 0.0 > min(sides)
-            ):
-                raise BreakSetError(
-                    f"finite-difference stencil at {z!r} straddles the break "
-                    f"{noun} = {b!r}"
-                )
-    if family.has_positive_real_cut and abs(z.imag) <= h and z.real > 0.0:
-        raise BreakSetError(
-            f"finite-difference stencil at {z!r} straddles the branch cut "
-            "on the positive real axis"
-        )
-    fp = family.eval(z + h)
-    fm = family.eval(z - h)
-    gp = family.eval(z + 1j * h)
-    gm = family.eval(z - 1j * h)
-    fx = (fp - fm) / (2.0 * h)
-    fy = (gp - gm) / (2.0 * h)
-    return WirtingerPair(0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy))

@@ -475,9 +475,9 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     ``theta`` when nonzero); the deficit is measured against the reference
     spiral stretch with the square of the resolution used to estimate
     quadrature noise, and rows whose deficit is non-positive or within 10x the
-    noise floor are excluded from the fit.  Needs a strictly convex gauge —
-    with a linear one every deficit vanishes identically and the experiment is
-    vacuous.
+    noise floor are excluded from the fit, which needs two distinct deficits.
+    Needs a strictly convex gauge — with a linear one every deficit vanishes
+    identically and the experiment is vacuous.
     """
     if config.gauge.curvature_floor <= 0.0:
         raise DegenerateExperimentError(
@@ -531,10 +531,10 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
         )
 
     usable = [r for r in rows if r.included]
-    if len(usable) < 2:
+    if len({r.deficit for r in usable}) < 2:
         raise DegenerateExperimentError(
-            "fewer than two ladder rows rise above the quadrature noise floor; "
-            "refine the grid or enlarge eps"
+            "fewer than two distinct deficits rise above the quadrature noise "
+            "floor to fit a slope; refine the grid or use larger, wider-spaced eps"
         )
     x = np.log([r.deficit for r in usable])
     y = np.log([r.l1 for r in usable])

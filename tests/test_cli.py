@@ -48,6 +48,12 @@ class TestExitCodes:
         assert "eps values must be distinct" in res.stderr
         assert res.stdout == ""
 
+    def test_fit_rows_sharing_one_deficit_are_degenerate(self):
+        res = run("fit", "--grid", "64x64", "--eps", "0.001,0.0010000000000000002")
+        assert res.returncode == 3
+        assert "two distinct deficits" in res.stderr
+        assert res.stdout == ""
+
     def test_fit_grid_without_coarser_noise_grid(self):
         res = run("fit", "--grid", "2x1")
         assert res.returncode == 2

@@ -1,14 +1,18 @@
 """Domains, break-aware partitions, and the deterministic quadrature grid."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import cartesian, polar
 from qclab.errors import InputError, NonFiniteSampleError
+from qclab.functionals import Density, mean_distortion
+from qclab.gauges import ConvexGauge
 from qclab.geometry import (
     AnnulusDomain,
+    QuadratureGrid,
     RectangleDomain,
     build_cartesian_grid,
     build_polar_grid,
@@ -17,6 +21,7 @@ from qclab.geometry import (
     integrate_rings,
     ring_radii,
 )
+from qclab.maps import SpiralStretch
 
 
 class TestDomains:
@@ -54,6 +59,12 @@ class TestBreakHandling:
         assert g.n_primary == 9
         assert np.isclose(g.primary_edges, b).any()
         assert g.mandatory_breaks == (b,)
+
+    def test_breaks_may_come_from_a_generator(self):
+        # read once: the partition and mandatory_breaks see the same breaks
+        g = build_polar_grid(AnnulusDomain(0.5), 8, 8, breaks=(b for b in [0.7]))
+        assert g.n_primary == 9
+        assert g.mandatory_breaks == (0.7,)
 
     def test_nearly_on_edge_break_replaces_the_edge(self):
         edge = 0.25 + 3 * (0.75 / 4)  # third interior edge of [0.25, 1] / 4
@@ -104,6 +115,73 @@ class TestGridInvariants:
     def test_all_weights_positive(self):
         g = polar(0.25, 32, 32)
         assert (g.weights > 0).all()
+
+
+class TestGridPartition:
+    """A grid stores only its partition; centers and weights are derived."""
+
+    # 0.625 snaps onto an edge of the uniform partition of [0.25, 1] / 4;
+    # sqrt(1/2) is inserted between two edges
+    SNAPPED = 0.625 * (1.0 + 1e-14)
+    BREAKS = (math.sqrt(0.5), SNAPPED)
+
+    def test_partition_bits_with_snapped_and_inserted_breaks(self):
+        g = polar(0.25, 4, 8, self.BREAKS)
+        assert [x.hex() for x in g.primary_edges.tolist()] == [
+            "0x1.0000000000000p-2", "0x1.c000000000000p-2",
+            "0x1.4000000000038p-1", "0x1.6a09e667f3bcdp-1",
+            "0x1.a000000000000p-1", "0x1.0000000000000p+0",
+        ]
+        assert g.mandatory_breaks == (self.SNAPPED, math.sqrt(0.5))
+
+    @pytest.mark.parametrize("kind,cases", [
+        ("polar", {
+            0: ("0x1.4534a1e72c120p-2", "0x1.0d68bd2981474p-3", "0x1.9eb0b2ee64e81p-5"),
+            13: ("-0x1.a05c0d119942fp-3", "-0x1.f69728c25b64cp-2", "0x1.40714472654cbp-4"),
+            27: ("-0x1.6768314cf01e2p-1", "0x1.29be151a4911cp-2", "0x1.019c501fbace1p-4"),
+            39: ("0x1.acae1b3c5d006p-1", "-0x1.63215670e498cp-2", "0x1.11518d34656a6p-3"),
+        }),
+        ("cartesian", {
+            0: ("0x1.999999999999ap-3", "0x1.dddddddddddddp-4", "0x1.7e4b17e4b17e4p-4"),
+            7: ("0x1.b333333333334p-1", "0x1.6666666666666p-2", "0x1.7e4b17e4b17e3p-6"),
+            17: ("0x1.ccccccccccccdp+0", "0x1.2aaaaaaaaaaaap-1", "0x1.7e4b17e4b17e3p-4"),
+        }),
+    ])
+    def test_centers_and_weights_bits_are_pinned(self, kind, cases):
+        # (center.real, center.imag, weight) per cell, as built when grids
+        # stored them
+        if kind == "polar":
+            g = polar(0.25, 4, 8, self.BREAKS)
+        else:
+            g = build_cartesian_grid(RectangleDomain(2.0, 0.7), 5, 3, breaks=(0.9,))
+        assert g.centers.shape == g.weights.shape == (g.n_cells,)
+        for i, (re, im, w) in cases.items():
+            c = complex(g.centers[i])
+            assert (c.real.hex(), c.imag.hex(), float(g.weights[i]).hex()) == (re, im, w)
+
+    def test_edges_must_span_the_domain(self):
+        with pytest.raises(InputError, match="weights sum to"):
+            QuadratureGrid(AnnulusDomain(0.5), "polar", np.linspace(0.5, 0.9, 5), 4, ())
+        with pytest.raises(InputError, match="weights sum to"):
+            QuadratureGrid(RectangleDomain(2.0), "cartesian", np.linspace(0.0, 1.0, 3), 4, ())
+
+    def test_edges_must_increase(self):
+        edges = np.array([0.5, 0.8, 0.7, 1.0])
+        with pytest.raises(InputError, match="must be positive"):
+            QuadratureGrid(AnnulusDomain(0.5), "polar", edges, 4, ())
+
+    def test_ring_path_allocates_no_per_cell_array(self):
+        # a 1024x1024 grid's centers and weights alone are 25 MB
+        gauge = ConvexGauge.square()
+        family = SpiralStretch(0.5, 2.0, 0.3)
+        tracemalloc.start()
+        try:
+            g = build_polar_grid(AnnulusDomain(0.5), 1024, 1024)
+            mean_distortion(family, gauge, g, Density.INVERSE_SQUARE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestIntegration:

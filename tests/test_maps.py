@@ -10,6 +10,7 @@ from qclab.errors import (
     DomainError,
     InputError,
     UnsupportedVariantError,
+    require_real,
 )
 from qclab.maps import (
     Composition,
@@ -24,7 +25,6 @@ from qclab.maps import (
     PiecewiseRadialStretch,
     Rotation,
     SpiralStretch,
-    wirtinger_fd,
 )
 from qclab.geometry import RectangleDomain
 from qclab.stability import run_flat_gauge_ladder
@@ -42,6 +42,37 @@ def square_points(width=1.0, n=6, pad=0.05):
     x = RNG.uniform(pad, width - pad, size=n)
     y = RNG.uniform(pad, 1 - pad, size=n)
     return x + 1j * y
+
+
+def wirtinger_fd(family, z, h=1e-5):
+    """Central-difference Wirtinger pair: the oracle for the closed forms.
+
+    Refuses stencils that straddle a break circle, a break line, or a branch
+    cut, since a difference quotient across a discontinuity of the derivative
+    estimates nothing.
+    """
+    require_real(h, "step h must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+    z = complex(z)
+    stencil = [z + h, z - h, z + 1j * h, z - 1j * h, z]
+    for breaks, coords, noun in (
+        (family.break_radii(), [abs(p) for p in stencil], "circle |w|"),
+        (family.break_abscissae(), [p.real for p in stencil], "line Re z"),
+    ):
+        for b in breaks:
+            sides = [c - b for c in coords]
+            if min(abs(s) for s in sides) <= 1e-12 or max(sides) > 0.0 > min(sides):
+                raise BreakSetError(
+                    f"finite-difference stencil at {z!r} straddles the break "
+                    f"{noun} = {b!r}"
+                )
+    if family.has_positive_real_cut and abs(z.imag) <= h and z.real > 0.0:
+        raise BreakSetError(
+            f"finite-difference stencil at {z!r} straddles the branch cut "
+            "on the positive real axis"
+        )
+    fx = (family.eval(z + h) - family.eval(z - h)) / (2.0 * h)
+    fy = (family.eval(z + 1j * h) - family.eval(z - 1j * h)) / (2.0 * h)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 def assert_fd_agrees(family, pts, h=1e-6, tol=5e-6):
@@ -423,6 +454,13 @@ class TestFiniteDifferenceHelper:
         fz, fzb = wirtinger_fd(IdentityMap(), 0.2 + 0.7j)
         assert fz == pytest.approx(1.0, abs=1e-10)
         assert fzb == pytest.approx(0.0, abs=1e-10)
+
+    def test_refuses_stencils_across_a_break_or_cut(self):
+        g = PiecewiseRadialStretch(0.5, 2.0, 0.01)
+        with pytest.raises(BreakSetError, match="break circle"):
+            wirtinger_fd(g, g.break_radius + 1e-7)
+        with pytest.raises(BreakSetError, match="branch cut"):
+            wirtinger_fd(LogCoordinatesG(0.5, 2.0), 0.7 + 1e-7j)
 
 
 # Bits of every exported family on fixed points, as ``float.hex`` strings

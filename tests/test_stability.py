@@ -260,6 +260,15 @@ class TestLadder:
         with pytest.raises(DegenerateExperimentError):
             run_ladder(cfg)
 
+    def test_rows_sharing_one_deficit_are_degenerate(self):
+        # 1e-3 and the next float give equal deficits: a slope through them
+        # means nothing (np.polyfit only warns that it is ill-posed)
+        cfg = LadderConfig(eps_values=(1e-3, math.nextafter(1e-3, 1.0)),
+                           n_radial=64, n_angular=64, mass_n_radial=64,
+                           mass_n_angular=32)
+        with pytest.raises(DegenerateExperimentError, match="two distinct deficits"):
+            run_ladder(cfg)
+
     def test_eps_range_validation(self):
         with pytest.raises(InputError):
             run_ladder(LadderConfig(eps_values=(1e-3,)))
