@@ -4,8 +4,15 @@ Every reduction in the package goes through these numpy kernels, so every
 number it produces has the same bits on every install.  ``ordered_sum`` and
 ``ordered_dot`` reduce one vector; ``ordered_sums`` (the canonical sum of
 every row) and ``pompeiu_sum_many`` (the area sum at many targets) are the
-batched kernels, and ``pompeiu_sum`` is the single-target area sum.  The
-implementation lives in ``fallback``; this module re-exports it.
+batched kernels, and ``pompeiu_sum`` is the single-target area sum.
+
+Each block of ``BLOCK`` values is summed in sequence while the exact error
+of every step is accumulated; that error is computed as TwoSum, which
+equals Neumaier's correction.  The block totals meet in a fixed pairwise
+tree.  Short inputs are scanned along each block in one call, long or
+streamed inputs across blocks; the crossover is measured, and both scans
+give the same bits.  The implementation lives in ``fallback``; this module
+re-exports it.
 """
 
 from __future__ import annotations

@@ -3,20 +3,26 @@
 Every sum follows one canonical floating-point operation order, so results
 are bitwise reproducible:
 
-* the input is cut into blocks of ``BLOCK`` values; each block is accumulated
-  sequentially with Neumaier compensation (trailing ragged positions behave as
-  literal ``0.0`` terms),
+* the input is cut into blocks of ``BLOCK`` values; each block is summed in
+  sequence and the exact rounding error of every step is accumulated
+  alongside, then added to the block's sum (trailing ragged positions behave
+  as literal ``0.0`` terms),
 * the per-block totals are combined with a fixed pairwise tree, padded with
-  zeros to a power of two.
+  zeros to a power of two (``_tree``).
 
-One core, ``_reduce``, sums many rows at once.  It takes the rows laid out
-as ``(BLOCK, R*nb)`` block columns, so the ``j``-th term of every block of
-every row is one contiguous array and each Neumaier step is one pass over
-it; the per-block sequential order, and therefore every row's bits, is the
-same as summing the rows one by one.  ``ordered_sums`` lays its rows out
-once (``ordered_sum`` and ``ordered_dot`` are its one-row case), and
-``pompeiu_sum_many`` computes its terms column by column straight into that
-layout.
+The error of a step ``t = s + x`` is computed as Knuth's branch-free TwoSum,
+``(s - (t - b)) + (x - b)`` with ``b = t - s``.  It is the exact error, so it
+equals Neumaier's compensation term bit for bit.
+
+Block totals come from one of two scans, chosen by input size alone; both
+give the same bits.  Short in-memory inputs are scanned along each block
+(``_along``): the rows are laid out in natural order as ``(..., nb, 1 +
+BLOCK)`` blocks that each start with a literal ``0.0``, and the partial
+sums, the step errors and the running error are each one whole-array call.
+Long inputs, and the ``pompeiu_sum_many`` stream, are scanned across blocks
+(``_across``): the rows are laid out as ``(BLOCK, ..., nb)`` block columns
+and each step is one pass over the ``j``-th term of every block.
+``_ALONG_MAX`` is the measured crossover between them.
 """
 
 from __future__ import annotations
@@ -25,10 +31,47 @@ import numpy as np
 
 BLOCK = 64
 
+# Inputs of at most this many values are scanned along each block.  The
+# along scan makes about 10 numpy calls whatever the length, against about
+# 450 for the across scan, but ``np.add.accumulate`` is a scalar loop, so
+# the across scan wins on long inputs.  ``ordered_dot``, along vs across
+# (2-core x86-64 VM, numpy 2.4): 0.21 vs 0.35 ms at 16,384 values, 0.83 vs
+# 0.84 ms at 32,768 and 1.65 vs 1.12 ms at 65,536.
+_ALONG_MAX = 1 << 15
+
 # Targets per step of pompeiu_sum_many.  It is fixed so that scratch memory
-# does not grow with the number of targets: at 512x512 cells a step of two
-# needs about 1 MB, which stays in a core's L2 cache.
-_TARGET_STEP = 2
+# does not grow with the number of targets: a step of k targets needs
+# 16 * k * nb floats (the terms, the division temporaries and the scan
+# state), 2 MiB for four targets over 512x512 cells.  Of 1, 2 and 4, four
+# ran the default ``qclab reconstruct`` fastest, by a few percent over two.
+_TARGET_STEP = 4
+
+
+def _put(dst, srcs, start: int, stop: int) -> None:
+    """Write terms ``start:stop`` of the rows of ``srcs[0]`` (times ``srcs[1]``) into ``dst``."""
+    views = [x[..., start:stop].reshape(dst.shape) for x in srcs]
+    if len(views) == 1:
+        dst[...] = views[0]
+    else:
+        np.multiply(*views, out=dst)
+
+
+def _blocks(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """The rows of ``a`` (times ``b``, when given) as zero-led blocks.
+
+    ``a`` has shape ``(*lead, n)``; the result has shape ``(*lead, nb, 1 +
+    BLOCK)`` with ``nb = ceil(n / BLOCK)``.  Block ``k`` of a row holds a
+    literal ``0.0`` and then its ``BLOCK`` terms in natural order, with
+    zeros past the end of the row.
+    """
+    *lead, n = a.shape
+    full, rem = divmod(n, BLOCK)
+    out = np.zeros((*lead, full + (rem > 0), 1 + BLOCK), dtype=np.float64)
+    srcs = (a,) if b is None else (a, b)
+    _put(out[..., :full, 1:], srcs, 0, full * BLOCK)
+    if rem:
+        _put(out[..., full, 1 : rem + 1], srcs, full * BLOCK, n)
+    return out
 
 
 def _columns(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -44,60 +87,68 @@ def _columns(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     full, rem = divmod(n, BLOCK)
     cols = np.empty((BLOCK, *lead, full + (rem > 0)), dtype=np.float64)
     srcs = (a,) if b is None else (a, b)
-
-    def put(dst, start, stop, shape):
-        views = [np.moveaxis(x[..., start:stop].reshape(shape), -1, 0) for x in srcs]
-        if b is None:
-            dst[...] = views[0]
-        else:
-            np.multiply(*views, out=dst)
-
-    put(cols[..., :full], 0, full * BLOCK, (*lead, full, BLOCK))
+    _put(np.moveaxis(cols[..., :full], 0, -1), srcs, 0, full * BLOCK)
     if rem:
-        put(cols[:rem, ..., full], full * BLOCK, n, (*lead, rem))
+        _put(np.moveaxis(cols[:rem, ..., full], 0, -1), srcs, full * BLOCK, n)
         cols[rem:, ..., full] = 0.0
     return cols
 
 
-def _reduce(columns, shape: tuple[int, ...]) -> np.ndarray:
-    """The reduction core: canonical sums of rows given as block columns.
+def _along(blocks: np.ndarray) -> np.ndarray:
+    """Block totals of zero-led ``blocks`` (see ``_blocks``), scanned along each block.
 
-    ``shape`` is ``(*lead, nb)``.  ``columns`` yields ``BLOCK`` contiguous
-    arrays of that shape; the ``j``-th holds term ``j`` of block ``k`` of
-    each row at ``[..., k]``.  Each yielded array is consumed before the next
-    is requested, so a producer may reuse one buffer.  Returns the sums,
-    shape ``lead``.
+    The partial sums are one ``accumulate`` along the last axis; starting
+    from the leading ``0.0`` they are the sequential ``s`` of every step,
+    signed zeros included.  The step errors are then computed on the
+    flattened arrays at once, in place of the terms, so ``blocks`` is
+    overwritten.  The "step" into each block's leading zero crosses from the
+    previous block; its finite garbage is replaced by ``0.0``, which starts
+    the running error of every block, the second ``accumulate``.
     """
-    *lead, nb = shape
-    if nb == 0:
-        return np.zeros(lead, dtype=np.float64)
+    p = np.add.accumulate(blocks, axis=-1)
+    flat = p.reshape(-1)
+    s, t = flat[:-1], flat[1:]
+    e = blocks.reshape(-1)[1:]
+    b = t - s
+    e -= b  # x - b
+    np.subtract(t, b, out=b)
+    np.subtract(s, b, out=b)
+    e += b  # (s - (t - b)) + (x - b)
+    blocks[..., 0] = 0.0
+    np.add.accumulate(blocks, axis=-1, out=blocks)
+    return p[..., -1] + blocks[..., -1]
+
+
+def _across(columns, shape: tuple[int, ...]) -> np.ndarray:
+    """Block totals, scanned across blocks one block column at a time.
+
+    ``columns`` yields ``BLOCK`` arrays of shape ``shape``; the ``j``-th
+    holds term ``j`` of every block.  Each yielded array is consumed before
+    the next is requested, so a producer may reuse one buffer.  Returns the
+    totals, of shape ``shape``.
+    """
     m = int(np.prod(shape))
     s = np.zeros(m)
     c = np.zeros(m)
-    t = np.empty(m)
-    u = np.empty(m)
-    v = np.empty(m)
-    small = np.empty(m, dtype=bool)
+    t, b, e = np.empty(m), np.empty(m), np.empty(m)
     for col in columns:
-        xj = col.reshape(m)
-        np.add(s, xj, out=t)
-        np.abs(s, out=u)
-        np.abs(xj, out=v)
-        np.less(u, v, out=small)
-        np.subtract(s, t, out=u)
-        u += xj  # (s - t) + xj, taken where |s| >= |xj|
-        np.subtract(xj, t, out=v)
-        v += s  # (xj - t) + s, taken otherwise
-        np.copyto(u, v, where=small)
-        c += u
+        x = col.reshape(m)
+        np.add(s, x, out=t)
+        np.subtract(t, s, out=b)
+        np.subtract(t, b, out=e)
+        np.subtract(s, e, out=e)
+        np.subtract(x, b, out=b)
+        e += b
+        c += e
         s, t = t, s
     s += c
-    totals = s.reshape(*lead, nb)
+    return s.reshape(shape)
 
-    size = 1
-    while size < nb:
-        size *= 2
-    buf = np.zeros((*lead, size), dtype=np.float64)
+
+def _tree(totals: np.ndarray) -> np.ndarray:
+    """Combine the block totals on the last axis with the fixed pairwise tree."""
+    *lead, nb = totals.shape
+    buf = np.zeros((*lead, 1 << max(nb - 1, 0).bit_length()), dtype=np.float64)
     buf[..., :nb] = totals
     while buf.shape[-1] > 1:
         buf = buf[..., 0::2] + buf[..., 1::2]
@@ -106,8 +157,10 @@ def _reduce(columns, shape: tuple[int, ...]) -> np.ndarray:
 
 def _row_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Canonical sum along the last axis of ``a`` (or of ``a * b``)."""
+    if a.size <= _ALONG_MAX:
+        return _tree(_along(_blocks(a, b)))
     cols = _columns(a, b)
-    return _reduce(cols, cols.shape[1:])
+    return _tree(_across(cols, cols.shape[1:]))
 
 
 def ordered_sums(values: np.ndarray) -> np.ndarray:
@@ -211,7 +264,7 @@ def pompeiu_sum_many(
     for lo in range(0, n_targets, _TARGET_STEP):
         hi = min(lo + _TARGET_STEP, n_targets)
         terms = _pompeiu_columns(cols, wr[lo:hi], wi[lo:hi], dead[lo:hi], n)
-        sums = _reduce(terms, (hi - lo, 2, nb))
+        sums = _tree(_across(terms, (hi - lo, 2, nb)))
         re[lo:hi] = sums[:, 0]
         im[lo:hi] = sums[:, 1]
     return re, im

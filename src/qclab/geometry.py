@@ -174,14 +174,23 @@ class QuadratureGrid:
             width = self.primary_mid * width
         return width * self.secondary_step
 
+    def _centers(self, lines: slice, cells: np.ndarray) -> np.ndarray:
+        """Complex midpoints of secondary ``cells`` on primary ``lines``, one row per line."""
+        sec = (cells + 0.5) * self.secondary_step
+        mid = self.primary_mid[lines, None]
+        if self.coordinate_kind == "polar":
+            return mid * np.exp(1j * sec)[None, :]
+        return mid + 1j * sec[None, :]
+
     @cached_property
     def centers(self) -> np.ndarray:
         """Complex midpoint of every cell."""
-        sec = (np.arange(self.n_secondary) + 0.5) * self.secondary_step
-        mid = self.primary_mid[:, None]
-        if self.coordinate_kind == "polar":
-            return (mid * np.exp(1j * sec)[None, :]).ravel()
-        return (mid + 1j * sec[None, :]).ravel()
+        return self._centers(slice(None), np.arange(self.n_secondary)).ravel()
+
+    def center(self, index: int) -> complex:
+        """Complex midpoint of cell ``index``: ``centers[index]``, without building ``centers``."""
+        i, j = divmod(index, self.n_secondary)
+        return complex(self._centers(slice(i, i + 1), np.arange(j, j + 1))[0, 0])
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -244,7 +253,7 @@ def _check_finite(grid: QuadratureGrid, values: np.ndarray, stride: int = 1) -> 
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         idx = i * stride
-        center = complex(grid.centers[idx])
+        center = grid.center(idx)
         raise NonFiniteSampleError(
             f"non-finite sample {values[i]!r} at cell {idx} (center {center!r})",
             cell_index=idx,

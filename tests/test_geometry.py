@@ -238,6 +238,24 @@ class TestRings:
         assert err.value.center == complex(g.centers[16])
         assert "at cell 16 " in str(err.value)
 
+    def test_nonfinite_ring_error_builds_no_cell_centres(self):
+        # the ring path names the offending cell from its ring alone; the
+        # grid's 1024x1024 centres would be 16 MB
+        g = build_polar_grid(AnnulusDomain(0.5), 1024, 1024)
+        vals = np.ones(g.n_primary)
+        vals[700] = np.inf
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteSampleError) as err:
+                integrate_rings(g, vals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert err.value.cell_index == 700 * 1024
+        assert "centers" not in g.__dict__
+        assert err.value.center == complex(g.centers[700 * 1024])
+
     def test_rings_need_a_polar_grid_and_one_value_per_ring(self):
         with pytest.raises(InputError):
             ring_radii(cartesian(1.0, 4, 4))
@@ -248,6 +266,31 @@ class TestRings:
 
 
 class TestSampling:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            polar(0.25, 37, 129),
+            polar(0.5, 16, 1000, breaks=(0.7,)),
+            cartesian(2.0, 41, 77),
+            cartesian(0.5, 9, 3, breaks=(0.125,)),
+        ],
+        ids=["polar", "polar-breaks", "cartesian", "cartesian-breaks"],
+    )
+    def test_one_center_has_the_bits_of_centers(self, grid):
+        idx = [0, 1, grid.n_secondary - 1, grid.n_secondary, grid.n_cells // 2 + 3,
+               grid.n_cells - 2, grid.n_cells - 1]
+        want = grid.centers
+        for i in idx:
+            got = grid.center(i)
+            assert (got.real.hex(), got.imag.hex()) == (want[i].real.hex(), want[i].imag.hex())
+        for i in idx[:3]:  # the message and the error carry the same centre
+            vals = np.ones(grid.n_cells)
+            vals[i] = np.nan
+            with pytest.raises(NonFiniteSampleError) as err:
+                integrate(grid, vals)
+            assert err.value.center == complex(want[i])
+            assert f"(center {complex(want[i])!r})" in str(err.value)
+
     def test_nonfinite_sample_is_reported_with_location(self):
         g = cartesian(1.0, 4, 4)
         vals = np.ones(g.n_cells)

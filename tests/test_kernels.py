@@ -186,7 +186,8 @@ def _reference_sum(xs):
     Blocks of ``BLOCK`` values are summed sequentially with Neumaier
     compensation (ragged positions are literal ``0.0`` terms), and the block
     totals are combined by a pairwise tree padded with zeros to a power of
-    two.  The kernels must reproduce it bit for bit.
+    two.  The kernels compute the compensation as TwoSum instead, in either
+    of two scans; they must reproduce this spelling bit for bit.
     """
     n = len(xs)
     nb = -(-n // fallback.BLOCK)
@@ -245,6 +246,123 @@ def test_row_sums_match_per_row_sums(rows, n, seed):
     # a strided view of the same rows reduces to the same bits
     doubled = np.repeat(a, 2, axis=-1)[..., ::2]
     assert np.array_equal(fallback.ordered_sums(doubled), got)
+
+
+ALONG_MAX = fallback._ALONG_MAX
+
+
+def _with_zeros(x):
+    """``x`` with signed zeros mixed in, and a leading run of ``-0.0``."""
+    x = x.copy()
+    x[..., 3::11] = -0.0
+    x[..., 5::13] = 0.0
+    x[..., :70] = -0.0
+    return x
+
+
+def _bits(x):
+    return [float(v).hex() for v in np.ravel(x)]  # the hex of -0.0 keeps its sign
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Count the calls to each block scan."""
+    calls = {"along": 0, "across": 0}
+    for name in calls:
+        real = getattr(fallback, "_" + name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(fallback, "_" + name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [ALONG_MAX - 1, ALONG_MAX, ALONG_MAX + 1])
+def test_vector_kernels_match_reference_at_the_crossover(n, scans):
+    x = _with_zeros(_rand(n, n))
+    w = _rand(n, n + 1)
+    assert fallback.ordered_sum(x).hex() == _reference_sum(x.tolist()).hex()
+    assert fallback.ordered_dot(w, x).hex() == _reference_sum((w * x).tolist()).hex()
+    # the scan is chosen from the input's size alone
+    assert scans == ({"along": 2, "across": 0} if n <= ALONG_MAX else {"along": 0, "across": 2})
+
+
+def _cauchy_parts(t, n, seed):
+    """The strided ``(T, 2, n)`` view of complex terms that ``cauchy_boundary`` reduces."""
+    rng = np.random.default_rng(seed)
+    term = _with_zeros(rng.normal(size=(t, n))) + 1j * rng.normal(size=(t, n))
+    return np.moveaxis(term.view(np.float64).reshape(t, n, 2), -1, -2)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(lambda: _with_zeros(_rand(3 * (ALONG_MAX // 3), 1).reshape(3, -1)), id="ragged-below"),
+        pytest.param(lambda: _with_zeros(_rand(2 * (ALONG_MAX // 2), 2).reshape(2, -1)), id="at"),
+        pytest.param(lambda: _with_zeros(_rand(3 * (ALONG_MAX // 3 + 1), 3).reshape(3, -1)), id="ragged-above"),
+        pytest.param(lambda: _cauchy_parts(16, ALONG_MAX // 32 - 1, 4), id="strided-below"),
+        pytest.param(lambda: _cauchy_parts(16, ALONG_MAX // 32, 5), id="strided-at"),
+        pytest.param(lambda: _cauchy_parts(16, ALONG_MAX // 32 + 1, 6), id="strided-above"),
+    ],
+)
+def test_row_sums_match_reference_at_the_crossover(rows, scans):
+    a = rows()
+    a[0, ...] = -0.0  # a row of negative zeros sums to +0.0
+    got = fallback.ordered_sums(a)
+    assert scans["along" if a.size <= ALONG_MAX else "across"] == 1
+    assert got.shape == a.shape[:-1]
+    want = [_reference_sum(row.tolist()) for row in a.reshape(-1, a.shape[-1])]
+    assert _bits(got.ravel()) == _bits(np.array(want))
+    assert not np.signbit(got.ravel()[0])
+
+
+def _along_totals(a, b=None):
+    return fallback._tree(fallback._along(fallback._blocks(a, b)))
+
+
+def _across_totals(a, b=None):
+    cols = fallback._columns(a, b)
+    return fallback._tree(fallback._across(cols, cols.shape[1:]))
+
+
+@pytest.mark.parametrize("shape", [(1,), (64,), (3, 1), (5, 63), (2, 3, 130), (2, ALONG_MAX + 65)])
+def test_the_two_scans_give_identical_bits(shape):
+    a = _with_zeros(_rand(int(np.prod(shape)), sum(shape)).reshape(shape))
+    b = _rand(a.size, 7).reshape(shape)
+    assert _bits(_along_totals(a)) == _bits(_across_totals(a))
+    assert _bits(_along_totals(a, b)) == _bits(_across_totals(a, b))
+    strided = np.repeat(a, 2, axis=-1)[..., 1::2]
+    assert _bits(_along_totals(strided)) == _bits(_across_totals(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+        max_size=300,
+    ),
+    st.integers(1, 3),
+)
+@example([-0.0, 0.0, -0.0], 1)
+@example([-0.0] * 130, 2)
+def test_the_two_scans_agree_on_any_rows(xs, rows):
+    a = np.asarray(xs * rows, dtype=np.float64).reshape(rows, -1)
+    assert _bits(_along_totals(a)) == _bits(_across_totals(a))
+
+
+@pytest.mark.parametrize("xs", [[math.inf], [math.nan], [1e308, 1e308]], ids=["inf", "nan", "overflow"])
+@pytest.mark.parametrize("across", [False, True], ids=["along", "across"])
+def test_non_finite_sums_are_nan(xs, across, monkeypatch):
+    # an infinite partial sum makes the step error inf - inf; both the
+    # Neumaier and the TwoSum spelling of the compensation turn it into NaN
+    if across:
+        monkeypatch.setattr(fallback, "_ALONG_MAX", -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(fallback.ordered_sum(np.array(xs)))
+        assert math.isnan(fallback.ordered_dot(np.ones(len(xs)), np.array(xs)))
+        assert np.isnan(fallback.ordered_sums(np.array([xs, xs]))).all()
 
 
 def _pompeiu_reference(cr, ci, wt, vr, vi, wr, wi, dead):
