@@ -20,7 +20,7 @@ from .errors import (
     QclabError,
     UnsupportedVariantError,
 )
-from .gauges import ConvexGauge, theta_check
+from .gauges import ConvexGauge
 from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
@@ -36,17 +36,14 @@ from .functionals import (
     deficit,
     l1_distance,
     mean_distortion,
-    pointwise_analysis,
 )
 from .maps import (
     Composition,
     ConjugationMap,
-    ExpCoordinates,
     IdentityMap,
     InverseLinearStretch,
     InverseSpiralStretch,
     LinearStretch,
-    LogCoordinatesG,
     PiecewiseLinearStretch,
     PiecewiseRadialStretch,
     Rotation,
@@ -88,14 +85,12 @@ __all__ = [
     "DegenerateExperimentError",
     "Density",
     "DomainError",
-    "ExpCoordinates",
     "IdentityMap",
     "InputError",
     "InverseLinearStretch",
     "InverseSpiralStretch",
     "LadderConfig",
     "LinearStretch",
-    "LogCoordinatesG",
     "NonFiniteSampleError",
     "PiecewiseLinearStretch",
     "PiecewiseRadialStretch",
@@ -128,12 +123,10 @@ __all__ = [
     "mean_distortion",
     "offset_targets",
     "phi_dbar_mass",
-    "pointwise_analysis",
     "pompeiu_area",
     "psi_dbar_mass",
     "reconstruct",
     "reconstruct_many",
     "run_flat_gauge_ladder",
     "run_ladder",
-    "theta_check",
 ]

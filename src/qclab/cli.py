@@ -22,6 +22,7 @@ reruns with equal arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateExperimentError, QclabError
+from .errors import DegenerateExperimentError, InputError, QclabError
 from .functionals import Density, mean_distortion
 from .gauges import ConvexGauge
 from .geometry import (
@@ -39,7 +40,6 @@ from .geometry import (
     build_polar_grid,
     half_resolution_shape,
 )
-from .errors import InputError
 from .maps import (
     Composition,
     ConjugationMap,
@@ -79,6 +79,18 @@ def _parse_grid(token: str) -> tuple[int, int]:
     return a, b
 
 
+def _token_number(tok: str, convert, noun: str, token: str):
+    """The number after the first ``:`` of ``tok``, read with ``convert``.
+
+    A malformed number is an ``InputError`` naming the ``noun`` token as the
+    user wrote it.
+    """
+    try:
+        return convert(tok.split(":", 1)[1])
+    except ValueError:
+        raise InputError(f"malformed {noun} token {token!r}") from None
+
+
 def _parse_map(token: str, args) -> tuple[MapFamily, str]:
     """Build a map family from a token; returns (family, side).
 
@@ -88,24 +100,15 @@ def _parse_map(token: str, args) -> tuple[MapFamily, str]:
     if tok == "gstar":
         return SpiralStretch(args.q, args.k, args.theta, 0), "annulus"
     if tok.startswith("gn:"):
-        try:
-            winding = int(tok.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"malformed map token {token!r}") from None
+        winding = _token_number(tok, int, "map", token)
         return SpiralStretch(args.q, args.k, args.theta, winding), "annulus"
     if tok.startswith("geps:"):
-        try:
-            eps = float(tok.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"malformed map token {token!r}") from None
+        eps = _token_number(tok, float, "map", token)
         return PiecewiseRadialStretch(args.q, args.k, eps), "annulus"
     if tok == "fstar":
         return LinearStretch(args.k, getattr(args, "n", 0.0)), "square"
     if tok.startswith("feps:"):
-        try:
-            eps = float(tok.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"malformed map token {token!r}") from None
+        eps = _token_number(tok, float, "map", token)
         return PiecewiseLinearStretch(args.k, eps), "square"
     raise InputError(
         f"unknown map token {token!r}; expected gstar|gN:N|geps:eps|fstar|feps:eps"
@@ -345,10 +348,7 @@ def cmd_reconstruct(args) -> int:
     elif tok == "conj":
         family = ConjugationMap()
     elif tok.startswith("phi-eps:"):
-        try:
-            eps = float(tok.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"malformed field token {args.field!r}") from None
+        eps = _token_number(tok, float, "field", args.field)
         family = Composition(
             PiecewiseRadialStretch(args.q, args.k, eps),
             InverseSpiralStretch(args.q, args.k, 0.0),
@@ -422,7 +422,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qclab`` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="qclab",
         description="Numerical laboratory for quasiconformal extremal maps.",

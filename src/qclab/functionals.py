@@ -5,7 +5,9 @@ the uniform density or the conformally natural ``1/|w|^2`` density (polar
 grids only).  ``deficit`` compares a candidate map against a reference spiral
 stretch on the same grid, so the quadrature bias largely cancels.
 ``conformal_transfer_check`` verifies the chart identity that moves the
-weighted annulus integral to an unweighted rectangle integral.
+weighted annulus integral to an unweighted rectangle integral, on a map and
+its strip twin.  ``distortion_many`` is the one pointwise rule
+``(f_z, f_zbar) -> K`` that all of them use.
 
 Grids must honor a map's break set: integrating a map whose derivative jumps
 inside a cell is refused rather than silently degraded.
@@ -43,7 +45,6 @@ from .maps import (
 
 __all__ = [
     "Density",
-    "DistortionSample",
     "DeficitResult",
     "MeanDistortionResult",
     "TransferCheckResult",
@@ -52,7 +53,6 @@ __all__ = [
     "distortion_many",
     "l1_distance",
     "mean_distortion",
-    "pointwise_analysis",
 ]
 
 
@@ -71,39 +71,32 @@ class Density(enum.Enum):
         raise InputError(f"unknown density token {token!r}")
 
 
-@dataclass(frozen=True)
-class DistortionSample:
-    """Pointwise first-order data of a map at one point."""
-
-    point: complex
-    fz: complex
-    fzb: complex
-    mu: complex
-    distortion: float
-    jacobian: float
-    degenerate: bool
-
-
-# Conditioning guard of ``_distortion``: ``c * u`` with ``c = 2**10`` and the
-# unit roundoff ``u = 2**-53``.
+# Conditioning guard of ``distortion_many``: ``c * u`` with ``c = 2**10`` and
+# the unit roundoff ``u = 2**-53``.
 _ILL_CONDITIONED = 2.0**10 * 2.0**-53
 
 
-def _distortion(fz: np.ndarray, fzb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one ``(f_z, f_zbar) -> (K, degenerate)`` rule; see :func:`distortion_many`.
+def distortion_many(
+    family: MapFamily, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized distortion: returns ``(K, degenerate_mask)`` arrays.
 
-    A cell is undefined (``K = NaN``) when ``|f_z|`` or ``|f_zbar|`` is not
-    finite, or when ``abs(|f_z| - |f_zbar|) <= c*u*(|f_z| + |f_zbar|)`` with
-    ``u = 2**-53`` (the unit roundoff) and ``c = 2**10``.  ``K = (|f_z| +
-    |f_zbar|) / (|f_z| - |f_zbar|)`` carries a relative error of about
-    ``u*K`` times the error of the moduli in ulps (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 1.7), so past the ceiling
-    ``K = 1/(c*u) = 2**43`` (about 8.8e12) fewer than three significant digits
-    would remain and even the sign of the difference, that is the
-    orientation, is not certain.  The guard also covers both moduli
-    underflowing to 0.  A reversal with a well-separated difference (the
-    conjugation map, ``f_z = 0``) stays degenerate.
+    ``degenerate_mask`` marks orientation reversal (``|f_zbar| > |f_z|``),
+    where ``K`` is clamped to 1.0.  A reversal with a well-separated
+    difference (the conjugation map, ``f_z = 0``) stays degenerate.
+
+    A cell is undefined (``K = NaN``, not marked degenerate) when ``|f_z|``
+    or ``|f_zbar|`` is not finite, or when ``abs(|f_z| - |f_zbar|) <=
+    c*u*(|f_z| + |f_zbar|)`` with ``u = 2**-53`` (the unit roundoff) and
+    ``c = 2**10``.  ``K = (|f_z| + |f_zbar|) / (|f_z| - |f_zbar|)`` carries a
+    relative error of about ``u*K`` times the error of the moduli in ulps
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 1.7), so past
+    the ceiling ``K = 1/(c*u) = 2**43`` (about 8.8e12) fewer than three
+    significant digits would remain and even the sign of the difference,
+    that is the orientation, is not certain.  The guard also covers both
+    moduli underflowing to 0.
     """
+    fz, fzb = family.wirtinger_many(np.asarray(pts, dtype=np.complex128))
     afz = np.abs(fz)
     afzb = np.abs(fzb)
     den = afz - afzb
@@ -114,45 +107,6 @@ def _distortion(fz: np.ndarray, fzb: np.ndarray) -> tuple[np.ndarray, np.ndarray
     K = np.where(degenerate, 1.0, (afz + afzb) / np.where(degenerate | undefined, 1.0, den))
     K[undefined] = np.nan
     return K, degenerate
-
-
-def pointwise_analysis(family: MapFamily, z: complex) -> DistortionSample:
-    """Evaluate the Wirtinger pair and derived quantities at one point.
-
-    The distortion follows :func:`distortion_many`: ``(|f_z| + |f_zbar|) /
-    (|f_z| - |f_zbar|)`` where the map preserves orientation, 1.0 with the
-    ``degenerate`` flag set where ``|f_zbar| > |f_z|``, and NaN (not
-    degenerate) where it is undefined.
-    """
-    fz, fzb = family.wirtinger(complex(z))
-    K, degenerate = _distortion(np.array([fz]), np.array([fzb]))
-    afz, afzb = abs(fz), abs(fzb)
-    jac = afz * afz - afzb * afzb
-    mu = fzb / fz if fz != 0 else complex("nan")
-    return DistortionSample(
-        point=complex(z),
-        fz=fz,
-        fzb=fzb,
-        mu=mu,
-        distortion=float(K[0]),
-        jacobian=float(jac),
-        degenerate=bool(degenerate[0]),
-    )
-
-
-def distortion_many(
-    family: MapFamily, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized distortion: returns ``(K, degenerate_mask)`` arrays.
-
-    ``degenerate_mask`` marks orientation reversal (``|f_zbar| > |f_z|``),
-    where ``K`` is clamped to 1.0.  Where the distortion is undefined —
-    either modulus is not finite, or the two agree to within rounding (both
-    underflow to 0, or ``K`` would exceed ``2**43``; see the conditioning
-    guard of ``_distortion``) — ``K`` is NaN and the cell is not marked
-    degenerate.
-    """
-    return _distortion(*family.wirtinger_many(np.asarray(pts, dtype=np.complex128)))
 
 
 def _check_breaks_honored(family: MapFamily, grid: QuadratureGrid) -> None:

@@ -5,20 +5,19 @@ distortion.  Each variant carries its *curvature floor* — the largest constant
 ``c`` with ``phi(t) >= phi(s) + phi'(s)(t-s) + (c/2)(t-s)^2`` on the part of
 the domain where that holds — which is what the quadratic stability estimates
 consume.  ``taylor_gap`` measures that inequality directly, and
-``theta_check`` probes the elementary bound ``|z| - Re z >= (Im z)^2 / (2|z|)``
-that underlies it.
+``theta_check_many`` probes the elementary bound
+``|z| - Re z >= (Im z)^2 / (2|z|)`` that underlies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, InputError, require_real
 
-__all__ = ["ConvexGauge", "ThetaReport", "theta_check", "theta_check_many"]
+__all__ = ["ConvexGauge", "theta_check_many"]
 
 
 @dataclass(frozen=True)
@@ -102,12 +101,6 @@ class ConvexGauge:
             return self.p * (self.p - 1.0) if self.p >= 2.0 else 0.0
         return 0.0
 
-    @property
-    def strictly_convex(self) -> bool:
-        if self.name in ("square", "power"):
-            return True
-        return False
-
     # --- evaluation ---------------------------------------------------------
 
     def _check_domain(self, t: np.ndarray) -> None:
@@ -175,20 +168,13 @@ class ConvexGauge:
         return gap
 
 
-class ThetaReport(NamedTuple):
-    """Result of the pointwise angle-defect probe at one point ``z``.
-
-    ``theta = (Im z)^2 / (2|z|)``; ``gap1 = (|z| - Re z) - theta`` (always
-    >= 0); ``gap2 = 2*theta*|z| - (Im z)^2`` (zero up to rounding).
-    """
-
-    theta: float
-    gap1: float
-    gap2: float
-
-
 def theta_check_many(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized ``theta_check``: returns ``(theta, gap1, gap2)`` arrays."""
+    """Probe ``|z| - Re z >= (Im z)^2 / (2|z|)`` at each point of ``z``.
+
+    Returns ``(theta, gap1, gap2)`` arrays: ``theta = (Im z)^2 / (2|z|)``
+    (0 at ``z = 0``); ``gap1 = (|z| - Re z) - theta`` (always >= 0);
+    ``gap2 = 2*theta*|z| - (Im z)^2`` (zero up to rounding).
+    """
     pts = np.asarray(z, dtype=np.complex128)
     mod = np.abs(pts)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -196,9 +182,3 @@ def theta_check_many(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gap1 = (mod - pts.real) - theta
     gap2 = 2.0 * theta * mod - pts.imag**2
     return theta, gap1, gap2
-
-
-def theta_check(z: complex) -> ThetaReport:
-    """Probe the bound ``|z| - Re z >= (Im z)^2 / (2|z|)`` at one point."""
-    theta, gap1, gap2 = theta_check_many(np.asarray([complex(z)]))
-    return ThetaReport(float(theta[0]), float(gap1[0]), float(gap2[0]))

@@ -2,9 +2,10 @@
 
 Every family can evaluate itself and its Wirtinger pair ``(f_z, f_zbar)`` in
 closed form on arrays of points, report the discontinuity sets of its
-derivatives (break radii on annuli, break abscissae on rectangles, a possible
-branch cut on the positive real axis), and — where meaningful — invert itself
-and pull image-side breaks back to the source.
+derivatives (break radii on annuli, break abscissae on rectangles), and —
+where meaningful — pull image-side breaks back to the source.  The inverses
+the paper's comparison maps need are families of their own:
+``InverseSpiralStretch`` and ``InverseLinearStretch``.
 
 Radial families share one core: ``h(w) = A * w * |w|**(s-1) * exp(i*c*log|w|)``
 whose derivatives are ``h_w = (s+1+ic)/2 * h/w`` and
@@ -32,12 +33,10 @@ from .errors import (
 __all__ = [
     "Composition",
     "ConjugationMap",
-    "ExpCoordinates",
     "IdentityMap",
     "InverseLinearStretch",
     "InverseSpiralStretch",
     "LinearStretch",
-    "LogCoordinatesG",
     "MapFamily",
     "PiecewiseLinearStretch",
     "PiecewiseRadialStretch",
@@ -90,12 +89,6 @@ class MapFamily(abc.ABC):
         fz, fzb = self.wirtinger_many(_as_points(z))
         return WirtingerPair(complex(fz[0]), complex(fzb[0]))
 
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        raise UnsupportedVariantError(f"{self.label} does not provide an inverse")
-
-    def invert(self, w: complex) -> complex:
-        return complex(self.invert_many(_as_points(w))[0])
-
     def break_radii(self) -> tuple[float, ...]:
         """Radii where the derivatives jump (annulus families)."""
         return ()
@@ -103,11 +96,6 @@ class MapFamily(abc.ABC):
     def break_abscissae(self) -> tuple[float, ...]:
         """Horizontal coordinates where the derivatives jump (strip families)."""
         return ()
-
-    @property
-    def has_positive_real_cut(self) -> bool:
-        """True if the map has a branch cut on the positive real axis."""
-        return False
 
     @property
     def rotation_equivariant(self) -> bool:
@@ -143,9 +131,9 @@ def _check_annulus(pts: np.ndarray, lo: float, hi: float, label: str) -> np.ndar
     return r
 
 
-def _check_strip(x: np.ndarray, hi: float, label: str, atol: float = _RTOL) -> None:
-    """Refuse abscissae outside ``[-_RTOL, hi * (1 + _RTOL) + atol]``."""
-    bad = (x < -_RTOL) | (x > hi * (1.0 + _RTOL) + atol)
+def _check_strip(x: np.ndarray, hi: float, label: str) -> None:
+    """Refuse abscissae outside ``[-_RTOL, hi * (1 + _RTOL)]``."""
+    bad = (x < -_RTOL) | (x > hi * (1.0 + _RTOL))
     if np.any(bad):
         raise DomainError(
             f"point with Re z = {float(x[np.flatnonzero(bad)[0]])!r} lies "
@@ -289,17 +277,6 @@ class SpiralStretch(MapFamily):
         r = _check_annulus(pts, self.q, 1.0, self.label)
         return self._piece.wirtinger(pts, r)
 
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        if self.winding != 0:
-            raise UnsupportedVariantError(
-                "invert is only provided for the winding = 0 member"
-            )
-        pts = _as_points(w)
-        r_img = _check_annulus(pts, self.image_inner_radius, 1.0, self.label)
-        r = r_img ** (1.0 / self.k)
-        logr = np.log(r)
-        return pts * np.exp((1.0 - self.k) * logr - 1j * self.c * logr)
-
     def pullback_radius(self, radius: float) -> float:
         _check_inside(radius, self.image_inner_radius)
         return radius ** (1.0 / self.k)
@@ -356,9 +333,6 @@ class InverseSpiralStretch(MapFamily):
         pts = _as_points(z)
         r = _check_annulus(pts, self.inner_radius, 1.0, self.label)
         return self._piece.wirtinger(pts, r)
-
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        return SpiralStretch(self.q, self.k, self.theta, 0).eval_many(w)
 
     def pullback_radius(self, radius: float) -> float:
         _check_inside(radius, self.q)
@@ -456,17 +430,6 @@ class PiecewiseRadialStretch(MapFamily):
             return radius ** (1.0 / (self.k + self.root_eps))
         return (radius / self.q**self.root_eps) ** (1.0 / (self.k - self.root_eps))
 
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        pts = _as_points(w)
-        r_img = _check_annulus(pts, self.image_inner_radius, 1.0, self.label)
-        se = self.root_eps
-        r = np.where(
-            r_img >= self.image_break_radius,
-            r_img ** (1.0 / (self.k + se)),
-            (r_img / self.q**se) ** (1.0 / (self.k - se)),
-        )
-        return pts / r_img * r
-
 
 @dataclass(frozen=True)
 class LinearStretch(MapFamily):
@@ -510,11 +473,6 @@ class LinearStretch(MapFamily):
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constant_pair(_as_points(z), self.fz, self.fzb)
 
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        pts = _as_points(w)
-        x = pts.real / self.k
-        return x + 1j * (pts.imag - self.n * x)
-
     def pullback_abscissa(self, abscissa: float) -> float:
         return abscissa / self.k
 
@@ -552,9 +510,6 @@ class InverseLinearStretch(MapFamily):
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constant_pair(_as_points(z), self.fz, self.fzb)
-
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        return LinearStretch(self.k, self.n).eval_many(w)
 
     def pullback_abscissa(self, abscissa: float) -> float:
         return abscissa * self.k
@@ -600,134 +555,18 @@ class PiecewiseLinearStretch(MapFamily):
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         pts = _as_points(z)
         x = pts.real
-        _check_strip(x, 1.0, self.label, atol=0.0)
+        _check_strip(x, 1.0, self.label)
         return self._g(x) + 1j * pts.imag
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = _as_points(z)
         x = pts.real
-        _check_strip(x, 1.0, self.label, atol=0.0)
+        _check_strip(x, 1.0, self.label)
         _check_breaks(x, self.break_abscissae(), _LINE, self.label)
         slope = self._slopes(x)
         fz = (slope + 1.0) / 2.0 + 0.0j
         fzb = (slope - 1.0) / 2.0 + 0.0j
         return fz.astype(np.complex128), fzb.astype(np.complex128)
-
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        pts = _as_points(w)
-        u = pts.real
-        mid = 0.5 * (self.k + self.root_eps)
-        x = np.where(
-            u < mid, u / (self.k + self.root_eps),
-            (u - self.root_eps) / (self.k - self.root_eps),
-        )
-        return x + 1j * pts.imag
-
-
-@dataclass(frozen=True)
-class ExpCoordinates(MapFamily):
-    """Conformal chart ``z -> q * exp(2*pi*z)`` from a rectangle to an annulus.
-
-    The rectangle ``[0, ell] x [0, 1]`` with ``ell = log(1/q)/(2*pi)`` covers
-    the annulus ``[q, 1]`` once; the inverse uses the argument branch
-    ``[0, 2*pi)``.
-    """
-
-    q: float
-
-    def __post_init__(self) -> None:
-        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
-
-    @property
-    def label(self) -> str:
-        return "exp-chart"
-
-    @property
-    def ell(self) -> float:
-        return math.log(1.0 / self.q) / (2.0 * math.pi)
-
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        pts = _as_points(z)
-        _check_strip(pts.real, self.ell, self.label)
-        return self.q * np.exp(2.0 * math.pi * pts)
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        _check_strip(pts.real, self.ell, self.label)
-        h = self.q * np.exp(2.0 * math.pi * pts)
-        return 2.0 * math.pi * h, np.zeros_like(h)
-
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        pts = _as_points(w)
-        r = _check_annulus(pts, self.q, 1.0, self.label)
-        theta = np.mod(np.angle(pts), 2.0 * math.pi)
-        return (np.log(r / self.q) + 1j * theta) / (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class LogCoordinatesG(MapFamily):
-    """Branch of ``(1/(2*pi)) * log(w) + k*ell + i*n*ell`` on an annulus.
-
-    Defined on ``[q**k, 1]`` with the argument branch ``[0, 2*pi)`` (so
-    ``log 1 = 0``) and the cut on the positive real axis, where the map is
-    continuous from above but not differentiable.  With
-    ``ell = log(1/q)/(2*pi)`` the image is the rectangle
-    ``[0, k*ell] x [n*ell, n*ell + 1)``.  The inverse chart is
-    ``ExpCoordinates(q**k)``, ``zeta -> q**k * exp(2*pi*zeta)`` (``invert``
-    evaluates it without the strip check).  Following this map by that chart
-    multiplies ``w`` by ``exp(2*pi*i*n*ell)``, so the round trip returns ``w``,
-    up to rounding, only when ``n*ell`` is an integer.
-    """
-
-    q: float
-    k: float
-    n: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
-        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
-        require_real(self.n, "n must be a finite real number")
-
-    @property
-    def label(self) -> str:
-        return "log-chart"
-
-    @property
-    def ell(self) -> float:
-        return math.log(1.0 / self.q) / (2.0 * math.pi)
-
-    @property
-    def inner_radius(self) -> float:
-        return self.q**self.k
-
-    @property
-    def offset(self) -> complex:
-        return complex(self.k * self.ell, self.n * self.ell)
-
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        pts = _as_points(z)
-        r = _check_annulus(pts, self.inner_radius, 1.0, self.label)
-        theta = np.mod(np.angle(pts), 2.0 * math.pi)
-        return (np.log(r) + 1j * theta) / (2.0 * math.pi) + self.offset
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        _check_annulus(pts, self.inner_radius, 1.0, self.label)
-        on_cut = (np.abs(pts.imag) <= _BREAK_ATOL) & (pts.real > 0.0)
-        if np.any(on_cut):
-            raise BreakSetError(
-                f"derivative of {self.label} requested on its branch cut "
-                "(positive real axis)"
-            )
-        return 1.0 / (2.0 * math.pi * pts), np.zeros_like(pts)
-
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        pts = _as_points(w)
-        return self.inner_radius * np.exp(2.0 * math.pi * pts)
-
-    @property
-    def has_positive_real_cut(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -757,9 +596,6 @@ class Rotation(MapFamily):
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constant_pair(_as_points(z), self.factor, 0.0)
 
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        return _as_points(w) / self.factor
-
     def pullback_radius(self, radius: float) -> float:
         return radius
 
@@ -785,9 +621,6 @@ class IdentityMap(MapFamily):
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constant_pair(_as_points(z), 1.0, 0.0)
 
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        return _as_points(w).copy()
-
     def pullback_radius(self, radius: float) -> float:
         return radius
 
@@ -809,9 +642,6 @@ class ConjugationMap(MapFamily):
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constant_pair(_as_points(z), 0.0, 1.0)
 
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        return np.conj(_as_points(w))
-
     def pullback_radius(self, radius: float) -> float:
         return radius
 
@@ -832,10 +662,6 @@ class Composition(MapFamily):
     _break_abscissae: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.outer.has_positive_real_cut:
-            raise UnsupportedVariantError(
-                "cannot compose through an outer map with a branch cut"
-            )
         radii = list(self.inner.break_radii())
         for b in self.outer.break_radii():
             radii.append(self.inner.pullback_radius(b))
@@ -856,10 +682,6 @@ class Composition(MapFamily):
         return self._break_abscissae
 
     @property
-    def has_positive_real_cut(self) -> bool:
-        return self.inner.has_positive_real_cut
-
-    @property
     def rotation_equivariant(self) -> bool:
         return self.outer.rotation_equivariant and self.inner.rotation_equivariant
 
@@ -875,12 +697,8 @@ class Composition(MapFamily):
         fzb = gw * hzb + gwb * np.conj(hz)
         return fz, fzb
 
-    def invert_many(self, w: np.ndarray) -> np.ndarray:
-        return self.inner.invert_many(self.outer.invert_many(w))
-
     def pullback_radius(self, radius: float) -> float:
         return self.inner.pullback_radius(self.outer.pullback_radius(radius))
 
     def pullback_abscissa(self, abscissa: float) -> float:
         return self.inner.pullback_abscissa(self.outer.pullback_abscissa(abscissa))
-

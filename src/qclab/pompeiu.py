@@ -73,7 +73,6 @@ class TraceComponent:
     """One boundary circle: nodes, map values, and complex ``d(xi)`` weights."""
 
     radius: float
-    orientation: int
     nodes: np.ndarray
     values: np.ndarray
     dweights: np.ndarray
@@ -122,27 +121,16 @@ def annulus_trace(
     unit = np.exp(2j * math.pi * j / n_nodes)
     step = 2.0 * math.pi / n_nodes
     comps = []
-    outer_nodes = unit.copy()
-    comps.append(
-        TraceComponent(
-            radius=1.0,
-            orientation=+1,
-            nodes=outer_nodes,
-            values=np.asarray(family.eval_many(outer_nodes), dtype=np.complex128),
-            dweights=1j * outer_nodes * step,
+    for radius, turn in ((1.0, 1j), (domain.inner_radius, -1j)):
+        nodes = radius * unit
+        comps.append(
+            TraceComponent(
+                radius=radius,
+                nodes=nodes,
+                values=np.asarray(family.eval_many(nodes), dtype=np.complex128),
+                dweights=turn * nodes * step,
+            )
         )
-    )
-    a = domain.inner_radius
-    inner_nodes = a * unit
-    comps.append(
-        TraceComponent(
-            radius=a,
-            orientation=-1,
-            nodes=inner_nodes,
-            values=np.asarray(family.eval_many(inner_nodes), dtype=np.complex128),
-            dweights=-1j * inner_nodes * step,
-        )
-    )
     return BoundaryTrace(domain=domain, components=tuple(comps))
 
 

@@ -586,6 +586,17 @@ class FlatLadderReport:
     metadata: dict
 
 
+def _two_speed_deficit(gauge: ConvexGauge, k: float, root: float) -> float:
+    """Closed-form deficit ``(phi(k+r) + phi(k-r) - 2*phi(k)) / (2*phi(k))``.
+
+    The two-speed map spends half its ``1/|w|^2`` mass at distortion ``k + r``
+    and half at ``k - r`` (``r = sqrt(eps)``).
+    """
+    return (
+        gauge.evaluate(k + root) + gauge.evaluate(k - root) - 2.0 * gauge.evaluate(k)
+    ) / (2.0 * gauge.evaluate(k))
+
+
 def run_flat_gauge_ladder(
     alpha: float,
     q: float = 0.5,
@@ -619,14 +630,8 @@ def run_flat_gauge_ladder(
     for eps in eps_values:
         root = math.sqrt(eps)
         eta = eps ** (1.0 / alpha)
-        flat_deficit = (
-            flat.evaluate(k + root) + flat.evaluate(k - root) - 2.0 * flat.evaluate(k)
-        ) / (2.0 * flat.evaluate(k))
-        square_deficit = (
-            square.evaluate(k + root)
-            + square.evaluate(k - root)
-            - 2.0 * square.evaluate(k)
-        ) / (2.0 * square.evaluate(k))
+        flat_deficit = _two_speed_deficit(flat, k, root)
+        square_deficit = _two_speed_deficit(square, k, root)
         candidate = PiecewiseRadialStretch(q, k, eps)
         l1 = l1_distance(candidate, reference, grid)
         l1_floor = eta**alpha

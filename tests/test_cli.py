@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from qclab.cli import build_parser, main
+
 CMD = [sys.executable, "-m", "qclab"]
 
 
@@ -196,3 +198,39 @@ class TestReconstruct:
                   "--nodes", "1024", "--points", "8", "--format", "json")
         doc = json.loads(res.stdout)
         assert doc["summary"]["max_residual"] < 1e-10
+
+
+class TestInProcess:
+    """Repeated ``main`` calls in one process share one parser."""
+
+    ARGS = ["distortion", "--map", "gstar", "--grid", "16x16", "--format", "json"]
+
+    def test_calls_after_a_usage_error_are_byte_identical(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["distortion", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        first_rc = main(self.ARGS)
+        first = capsys.readouterr()
+        second_rc = main(self.ARGS)
+        second = capsys.readouterr()
+        assert first_rc == second_rc == 0
+        assert first.out == second.out == run(*self.ARGS).stdout
+        assert first.err == second.err == ""
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["distortion", "--map", "gN:1.5"], "map token 'gN:1.5'"),
+            (["distortion", "--map", "geps:x"], "map token 'geps:x'"),
+            (["distortion", "--map", "feps:"], "map token 'feps:'"),
+            (["reconstruct", "--field", "Phi-Eps:x"], "field token 'Phi-Eps:x'"),
+        ],
+        ids=["gN", "geps", "feps", "phi-eps"],
+    )
+    def test_malformed_number_token(self, capsys, argv, token):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: malformed {token}\n"
+        assert captured.out == ""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclab.errors import DomainError, InputError
-from qclab.gauges import ConvexGauge, theta_check, theta_check_many
+from qclab.gauges import ConvexGauge, theta_check_many
 
 
 class TestConstruction:
@@ -35,14 +35,6 @@ class TestConstruction:
         assert ConvexGauge.power(3.0).curvature_floor == 6.0
         assert ConvexGauge.power(1.5).curvature_floor == 0.0  # p < 2: no floor
         assert ConvexGauge.flat().curvature_floor == 0.0
-
-    def test_strict_convexity_flags(self):
-        assert not ConvexGauge.linear().strictly_convex
-        assert ConvexGauge.square().strictly_convex
-        assert ConvexGauge.power(2.5).strictly_convex
-        # the bump's second derivative changes sign above t ~ 1.8, so this
-        # gauge genuinely is not convex on all of [1, inf)
-        assert not ConvexGauge.flat().strictly_convex
 
 
 class TestEvaluate:
@@ -120,27 +112,25 @@ class TestTaylorGap:
 
 class TestTheta:
     def test_at_one(self):
-        rep = theta_check(1.0 + 0j)
-        assert rep.theta == 0.0
-        assert rep.gap1 == 0.0
-        assert rep.gap2 == 0.0
+        theta, gap1, gap2 = theta_check_many([1.0 + 0j])
+        assert theta.tolist() == gap1.tolist() == gap2.tolist() == [0.0]
 
     def test_at_i(self):
-        rep = theta_check(1j)
-        assert rep.theta == pytest.approx(0.5)
+        theta, gap1, gap2 = theta_check_many([1j])
+        assert theta[0] == pytest.approx(0.5)
         # |z| - Re z = 1, theta = 1/2: slack of exactly 1/2
-        assert rep.gap1 == pytest.approx(0.5)
-        assert rep.gap2 == pytest.approx(0.0, abs=1e-15)
+        assert gap1[0] == pytest.approx(0.5)
+        assert gap2[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_three_four_five(self):
-        rep = theta_check(3.0 + 4.0j)
-        assert rep.theta == pytest.approx(1.6)
-        assert rep.gap1 == pytest.approx((5.0 - 3.0) - 1.6)
-        assert rep.gap2 == pytest.approx(0.0, abs=1e-12)
+        theta, gap1, gap2 = theta_check_many([3.0 + 4.0j])
+        assert theta[0] == pytest.approx(1.6)
+        assert gap1[0] == pytest.approx((5.0 - 3.0) - 1.6)
+        assert gap2[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_is_defined(self):
-        rep = theta_check(0j)
-        assert rep.theta == 0.0
+        theta, _, _ = theta_check_many([0j])
+        assert theta.tolist() == [0.0]
 
     def test_bulk_right_half_plane(self):
         rng = np.random.default_rng(7)
@@ -157,5 +147,5 @@ class TestTheta:
         st.floats(min_value=-100.0, max_value=100.0),
     )
     def test_first_inequality_property(self, x, y):
-        rep = theta_check(complex(x, y))
-        assert rep.gap1 >= -1e-9
+        _, gap1, _ = theta_check_many([complex(x, y)])
+        assert gap1[0] >= -1e-9
