@@ -62,6 +62,13 @@ class TestPointwise:
         assert np.allclose(K, 2.0, atol=1e-12)
         assert not degenerate.any()
 
+    def test_conjugation_is_degenerate(self):
+        # f_z = 0 everywhere: every sample is flagged and K is pinned to 1
+        g = polar(0.5, 8, 8)
+        K, degenerate = distortion_many(ConjugationMap(), g.centers)
+        assert degenerate.all()
+        assert (K == 1.0).all()
+
     def test_beltrami_of_reference(self):
         f = LinearStretch(2.0)
         assert f.mu == pytest.approx(1.0 / 3.0)
