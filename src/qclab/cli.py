@@ -175,15 +175,13 @@ def cmd_distortion(args) -> int:
     result = mean_distortion(family, gauge, grid, density)
     result_half = mean_distortion(family, gauge, half, density)
     error_estimate = abs(result.value - result_half.value) / 3.0
-    rows = [
-        {
-            "map": family.label,
-            "gauge": gauge.label,
-            "density": density.value,
-            "value": result.value,
-            "error_estimate": error_estimate,
-        }
-    ]
+    row = {
+        "map": family.label,
+        "gauge": gauge.label,
+        "density": density.value,
+        "value": result.value,
+        "error_estimate": error_estimate,
+    }
     params = {
         "map": args.map,
         "gauge": gauge.label,
@@ -201,7 +199,7 @@ def cmd_distortion(args) -> int:
     }
     if result.warning:
         summary["warning"] = result.warning
-    _emit(args, ["map", "gauge", "density", "value", "error_estimate"], rows, params, summary)
+    _emit(args, list(row), [row], params, summary)
     return 0
 
 
@@ -224,17 +222,7 @@ def cmd_fit(args) -> int:
         n_angular=n_angular,
     )
     report = run_ladder(config)
-    rows = [
-        {
-            "eps": r.eps,
-            "deficit": r.deficit,
-            "l1": r.l1,
-            "dbar_mass": r.dbar_mass,
-            "noise": r.noise,
-            "included": r.included,
-        }
-        for r in report.rows
-    ]
+    rows = [vars(r) for r in report.rows]
     params = {
         "q": config.q,
         "k": config.k,
@@ -247,8 +235,8 @@ def cmd_fit(args) -> int:
         "slope": report.slope,
         "intercept": report.intercept,
         "max_residual": report.max_residual,
-        "rows_total": report.metadata["rows_total"],
-        "rows_used": report.metadata["rows_used"],
+        "rows_total": len(rows),
+        "rows_used": sum(r.included for r in report.rows),
     }
     _emit(args, ["eps", "deficit", "l1", "dbar_mass"], rows, params, summary)
     return 0
@@ -280,17 +268,7 @@ def cmd_audit(args) -> int:
             report = audit_k_mean(family, fstar, gauge, grid)
         else:
             align = audit_alignment(family, fstar, grid)
-            rows = [
-                {
-                    "lemma": "alignment",
-                    "alpha": align.alpha,
-                    "r": align.r,
-                    "real_part_gap": align.real_part_gap,
-                    "imag_part_mass": align.imag_part_mass,
-                    "absdiff_mass": align.absdiff_mass,
-                    "passed": align.passed,
-                }
-            ]
+            row = {"lemma": "alignment", **vars(align)}
             params = {
                 "lemma": "alignment",
                 "map": args.map,
@@ -298,34 +276,12 @@ def cmd_audit(args) -> int:
                 "grid": args.grid,
                 "seed": args.seed,
             }
-            summary = {"passed": align.passed}
-            _emit(
-                args,
-                [
-                    "lemma",
-                    "alpha",
-                    "r",
-                    "real_part_gap",
-                    "imag_part_mass",
-                    "absdiff_mass",
-                    "passed",
-                ],
-                rows,
-                params,
-                summary,
-            )
+            _emit(args, list(row), [row], params, {"passed": align.passed})
             return 0 if align.passed else 4
     else:
         raise InputError(f"unknown lemma {args.lemma!r}")
-    rows = [
-        {
-            "lemma": report.lemma,
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "ratio": report.ratio,
-            "passed": report.passed,
-        }
-    ]
+    header = ["lemma", "lhs", "rhs", "ratio", "passed"]
+    row = {h: getattr(report, h) for h in header}
     params = {
         "lemma": args.lemma,
         "gauge": gauge.label,
@@ -336,7 +292,7 @@ def cmd_audit(args) -> int:
     }
     summary = {f"constant_{k}": v for k, v in sorted(report.constants.items())}
     summary["passed"] = report.passed
-    _emit(args, ["lemma", "lhs", "rhs", "ratio", "passed"], rows, params, summary)
+    _emit(args, header, [row], params, summary)
     return 0 if report.passed else 4
 
 
@@ -392,22 +348,7 @@ def cmd_reconstruct(args) -> int:
         "max_residual": float(np.max(residuals)),
         "n_near_break": int(sum(r.near_break for r in results)),
     }
-    _emit(
-        args,
-        [
-            "target_re",
-            "target_im",
-            "value_re",
-            "value_im",
-            "exact_re",
-            "exact_im",
-            "residual",
-            "near_break",
-        ],
-        rows,
-        params,
-        summary,
-    )
+    _emit(args, list(rows[0]), rows, params, summary)
     return 0
 
 

@@ -33,7 +33,6 @@ from .geometry import (
     RectangleDomain,
     integrate,
     integrate_rings,
-    ring_radii,
 )
 from .maps import (
     LinearStretch,
@@ -127,9 +126,6 @@ class MeanDistortionResult:
     """Value and diagnostics of a gauged mean-distortion integral."""
 
     value: float
-    gauge: ConvexGauge
-    density: Density
-    cell_count: int
     degenerate_cells: int
     warning: str | None
 
@@ -139,14 +135,15 @@ def _sampling(grid: QuadratureGrid, *families: MapFamily):
 
     Returns ``(points, integrator, cells_per_point)``.  On a polar grid where
     every family is rotation-equivariant, the integrand depends only on
-    ``|w|``: it is evaluated once per ring at ``ring_radii(grid) + 0j`` and
-    summed by ``integrate_rings`` (the ring path).  The angular midpoint sum
-    of such an integrand is exact, so this changes the reduction order, not
-    the quadrature.  Every other grid and family is evaluated at each cell
-    center and summed by ``integrate``.
+    ``|w|``: it is evaluated once per ring at the midpoint radius
+    ``grid.primary_mid + 0j`` (not ``|center|``, which rounds differently in
+    the last bits) and summed by ``integrate_rings`` (the ring path).  The
+    angular midpoint sum of such an integrand is exact, so this changes the
+    reduction order, not the quadrature.  Every other grid and family is
+    evaluated at each cell center and summed by ``integrate``.
     """
     if grid.coordinate_kind == "polar" and all(f.rotation_equivariant for f in families):
-        return ring_radii(grid) + 0j, integrate_rings, grid.n_secondary
+        return grid.primary_mid + 0j, integrate_rings, grid.n_secondary
     return grid.centers, integrate, 1
 
 
@@ -189,9 +186,6 @@ def mean_distortion(
         )
     return MeanDistortionResult(
         value=float(value),
-        gauge=gauge,
-        density=density,
-        cell_count=grid.n_cells,
         degenerate_cells=n_deg,
         warning=warning,
     )
@@ -202,8 +196,6 @@ class DeficitResult:
     """Relative gauged excess of a candidate over the reference stretch."""
 
     value: float
-    numerator: float
-    denominator: float
     below_tolerance: bool
 
 
@@ -240,8 +232,6 @@ def _relative_excess(num_cand: float, num_ref: float) -> DeficitResult:
     value = (num_cand - num_ref) / num_ref
     return DeficitResult(
         value=float(value),
-        numerator=float(num_cand - num_ref),
-        denominator=float(num_ref),
         below_tolerance=bool(value < -1e-8),
     )
 

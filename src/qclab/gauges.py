@@ -4,7 +4,8 @@ A gauge is an increasing function ``phi`` on ``[1, inf)`` used to weigh
 distortion.  Each variant carries its *curvature floor* — the largest constant
 ``c`` with ``phi(t) >= phi(s) + phi'(s)(t-s) + (c/2)(t-s)^2`` on the part of
 the domain where that holds — which is what the quadratic stability estimates
-consume.  ``taylor_gap`` measures that inequality directly, and
+consume.  ``taylor_gap`` measures that inequality at a given curvature (the
+one formula ``audit_taylor`` samples), and
 ``theta_check_many`` probes the elementary bound
 ``|z| - Re z >= (Im z)^2 / (2|z|)`` that underlies it.
 """
@@ -149,11 +150,12 @@ class ConvexGauge:
             return float(out)
         return out
 
-    def taylor_gap(self, s, t) -> np.ndarray | float:
-        """``phi(t) - phi(s) - phi'(s)(t-s) - (c/2)(t-s)^2`` at the floor c.
+    def taylor_gap(self, s, t, c: float) -> np.ndarray | float:
+        """``phi(t) - phi(s) - phi'(s)(t-s) - (c/2)(t-s)^2`` at curvature ``c``.
 
-        Non-negative wherever the quadratic lower bound holds; a negative
-        value is a genuine convexity defect of the gauge on ``[s, t]``.
+        Non-negative wherever the quadratic lower bound holds at ``c``; at
+        the curvature floor a negative value is a genuine convexity defect of
+        the gauge on ``[s, t]``.
         """
         s_arr = np.asarray(s, dtype=np.float64)
         t_arr = np.asarray(t, dtype=np.float64)
@@ -161,7 +163,7 @@ class ConvexGauge:
             self.evaluate(t_arr)
             - self.evaluate(s_arr)
             - self.right_derivative(s_arr) * (t_arr - s_arr)
-            - 0.5 * self.curvature_floor * (t_arr - s_arr) ** 2
+            - 0.5 * c * (t_arr - s_arr) ** 2
         )
         if np.isscalar(s) and np.isscalar(t):
             return float(gap)

@@ -14,8 +14,9 @@ The rest is derived on first use.  Cell weights are exact areas,
 per primary line.  Cells are ordered primary-axis slow, secondary-axis fast.
 All reductions use the fixed-order kernels in ``qclab._kernels``, so every
 integral is reproducible to the bit.  ``integrate_rings`` integrates a
-polar-grid integrand given once per ring (at ``ring_radii``), for integrands
-that do not depend on the angle, and reads only the partition.
+polar-grid integrand given once per ring (at the midpoint radii
+``primary_mid``), for integrands that do not depend on the angle, and reads
+only the partition.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "integrate",
     "integrate_complex",
     "integrate_rings",
-    "ring_radii",
 ]
 
 _SNAP_REL = 1e-12
@@ -56,10 +56,6 @@ class AnnulusDomain:
         require_real(
             self.inner_radius, "inner_radius must be in (0, 1)", lambda v: 0.0 < v < 1.0
         )
-
-    @property
-    def outer_radius(self) -> float:
-        return 1.0
 
     @property
     def area(self) -> float:
@@ -120,18 +116,19 @@ class QuadratureGrid:
     ``primary_edges`` partitions the primary axis (breaks spliced in); the
     secondary axis has ``n_secondary`` uniform cells.  The per-line
     ``primary_mid`` and ``line_weights`` and the per-cell ``centers`` and
-    ``weights`` (primary-slow/secondary-fast) are derived on first use.
+    ``weights`` (primary-slow/secondary-fast) are derived on first use.  The
+    domain sets the coordinates: polar on an annulus, cartesian on a
+    rectangle.
     """
 
     domain: AnnulusDomain | RectangleDomain
-    coordinate_kind: str
     primary_edges: np.ndarray
     n_secondary: int
     mandatory_breaks: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.coordinate_kind not in ("polar", "cartesian"):
-            raise InputError("coordinate_kind must be 'polar' or 'cartesian'")
+        if not isinstance(self.domain, (AnnulusDomain, RectangleDomain)):
+            raise InputError("a grid needs an AnnulusDomain or a RectangleDomain")
         if self.n_secondary < 1:
             axis = "angular" if self.coordinate_kind == "polar" else "vertical"
             raise InputError(f"number of {axis} cells must be >= 1")
@@ -142,6 +139,11 @@ class QuadratureGrid:
             raise InputError(
                 f"weights sum to {total!r}, expected domain area {self.domain.area!r}"
             )
+
+    @property
+    def coordinate_kind(self) -> str:
+        """``"polar"`` on an annulus, ``"cartesian"`` on a rectangle."""
+        return "polar" if isinstance(self.domain, AnnulusDomain) else "cartesian"
 
     @property
     def n_primary(self) -> int:
@@ -209,7 +211,7 @@ def build_polar_grid(
         raise InputError("build_polar_grid requires an AnnulusDomain")
     breaks = tuple(sorted(float(b) for b in breaks))
     edges = _partition_with_breaks(domain.inner_radius, 1.0, n_radial, breaks, "radial")
-    return QuadratureGrid(domain, "polar", edges, n_angular, breaks)
+    return QuadratureGrid(domain, edges, n_angular, breaks)
 
 
 def build_cartesian_grid(
@@ -223,7 +225,7 @@ def build_cartesian_grid(
         raise InputError("build_cartesian_grid requires a RectangleDomain")
     breaks = tuple(sorted(float(b) for b in breaks))
     edges = _partition_with_breaks(0.0, domain.width, n_x, breaks, "horizontal")
-    return QuadratureGrid(domain, "cartesian", edges, n_y, breaks)
+    return QuadratureGrid(domain, edges, n_y, breaks)
 
 
 def half_resolution_shape(n_primary: int, n_secondary: int) -> tuple[int, int]:
@@ -283,17 +285,6 @@ def integrate_complex(grid: QuadratureGrid, values: np.ndarray) -> complex:
     re = ordered_dot(grid.weights, np.ascontiguousarray(v.real))
     im = ordered_dot(grid.weights, np.ascontiguousarray(v.imag))
     return complex(re, im)
-
-
-def ring_radii(grid: QuadratureGrid) -> np.ndarray:
-    """Midpoint radius ``r_mid`` of every ring of a polar grid, inner first.
-
-    These are the radii the cell centers are built from (``primary_mid``),
-    not ``|center|``, which rounds differently in the last bits.
-    """
-    if grid.coordinate_kind != "polar":
-        raise InputError("ring radii need a polar grid")
-    return grid.primary_mid
 
 
 def integrate_rings(grid: QuadratureGrid, values: np.ndarray) -> float:

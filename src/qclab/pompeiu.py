@@ -90,21 +90,6 @@ class BoundaryTrace:
     domain: AnnulusDomain
     components: tuple[TraceComponent, ...]
 
-    def winding_number(self, w: complex) -> complex:
-        """Discrete ``(1/(2*pi*i)) * integral d(xi)/(xi - w)``.
-
-        Close to 1 for points inside the annulus, close to 0 outside; a
-        cheap orientation sanity check.
-        """
-        total = 0.0 + 0.0j
-        for comp in self.components:
-            term = comp.dweights / (comp.nodes - complex(w))
-            total += complex(
-                ordered_sum(np.ascontiguousarray(term.real)),
-                ordered_sum(np.ascontiguousarray(term.imag)),
-            )
-        return total / (2j * math.pi)
-
 
 def annulus_trace(
     family: MapFamily, domain: AnnulusDomain, n_nodes: int

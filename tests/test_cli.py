@@ -138,6 +138,18 @@ class TestFitOutput:
         assert len(doc["rows"]) == 3
         assert 0.4 < doc["summary"]["slope"] < 0.6
 
+    def test_json_summary_counts_the_rows(self):
+        # at 16x16 the 1e-6 rung sits in the quadrature noise and is left out
+        res = run("fit", "--grid", "16x16", "--eps", "1e-6,1e-3,1e-2",
+                  "--format", "json")
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        rows, summary = doc["rows"], doc["summary"]
+        assert [r["included"] for r in rows] == [False, True, True]
+        assert summary["rows_total"] == len(rows) == 3
+        assert summary["rows_used"] == sum(r["included"] for r in rows) == 2
+        assert set(rows[0]) == {"eps", "deficit", "l1", "dbar_mass", "noise", "included"}
+
 
 class TestDistortion:
     def test_known_value(self):

@@ -82,21 +82,25 @@ class TestTaylorGap:
     def test_square_gap_vanishes_identically(self):
         g = ConvexGauge.square()
         for s, t in [(1.0, 4.0), (3.0, 2.0), (10.0, 10.0)]:
-            assert g.taylor_gap(s, t) == pytest.approx(0.0, abs=1e-10)
+            assert g.taylor_gap(s, t, g.curvature_floor) == pytest.approx(0.0, abs=1e-10)
 
     def test_linear_gap_vanishes(self):
-        assert ConvexGauge.linear().taylor_gap(2.0, 7.0) == pytest.approx(0.0)
+        g = ConvexGauge.linear()
+        assert g.taylor_gap(2.0, 7.0, g.curvature_floor) == pytest.approx(0.0)
 
     def test_power_gap_positive(self):
-        assert ConvexGauge.power(3.0).taylor_gap(2.0, 5.0) > 0.0
+        g = ConvexGauge.power(3.0)
+        assert g.taylor_gap(2.0, 5.0, g.curvature_floor) > 0.0
 
     def test_flat_gap_small_arguments_positive(self):
-        assert ConvexGauge.flat().taylor_gap(1.5, 2.5) > 0.0
+        g = ConvexGauge.flat()
+        assert g.taylor_gap(1.5, 2.5, g.curvature_floor) > 0.0
 
     def test_flat_gap_goes_negative_at_larger_arguments(self):
         # the bump is concave out here, so even the c=0 bound fails:
         # this gauge does not satisfy a uniform convexity inequality
-        gap = ConvexGauge.flat().taylor_gap(3.0, 5.0)
+        g = ConvexGauge.flat()
+        gap = g.taylor_gap(3.0, 5.0, g.curvature_floor)
         assert gap == pytest.approx(-0.22884, abs=5e-4)
         assert gap < 0.0
 
@@ -106,8 +110,8 @@ class TestTaylorGap:
         st.floats(min_value=1.0, max_value=50.0),
     )
     def test_square_and_power_gaps_never_negative(self, s, t):
-        assert ConvexGauge.square().taylor_gap(s, t) >= -1e-9
-        assert ConvexGauge.power(2.5).taylor_gap(s, t) >= -1e-9
+        for g in (ConvexGauge.square(), ConvexGauge.power(2.5)):
+            assert g.taylor_gap(s, t, g.curvature_floor) >= -1e-9
 
 
 class TestTheta:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import cartesian, polar
 from qclab.errors import InputError, NonFiniteSampleError
-from qclab.functionals import Density, mean_distortion
+from qclab.functionals import Density, _sampling, mean_distortion
 from qclab.gauges import ConvexGauge
 from qclab.geometry import (
     AnnulusDomain,
@@ -19,7 +19,6 @@ from qclab.geometry import (
     integrate,
     integrate_complex,
     integrate_rings,
-    ring_radii,
 )
 from qclab.maps import SpiralStretch
 
@@ -28,7 +27,6 @@ class TestDomains:
     def test_annulus_area(self):
         dom = AnnulusDomain(0.5)
         assert dom.area == pytest.approx(math.pi * 0.75, rel=1e-15)
-        assert dom.outer_radius == 1.0
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, float("nan")])
     def test_annulus_rejects_bad_radius(self, bad):
@@ -161,14 +159,24 @@ class TestGridPartition:
 
     def test_edges_must_span_the_domain(self):
         with pytest.raises(InputError, match="weights sum to"):
-            QuadratureGrid(AnnulusDomain(0.5), "polar", np.linspace(0.5, 0.9, 5), 4, ())
+            QuadratureGrid(AnnulusDomain(0.5), np.linspace(0.5, 0.9, 5), 4, ())
         with pytest.raises(InputError, match="weights sum to"):
-            QuadratureGrid(RectangleDomain(2.0), "cartesian", np.linspace(0.0, 1.0, 3), 4, ())
+            QuadratureGrid(RectangleDomain(2.0), np.linspace(0.0, 1.0, 3), 4, ())
 
     def test_edges_must_increase(self):
         edges = np.array([0.5, 0.8, 0.7, 1.0])
         with pytest.raises(InputError, match="must be positive"):
-            QuadratureGrid(AnnulusDomain(0.5), "polar", edges, 4, ())
+            QuadratureGrid(AnnulusDomain(0.5), edges, 4, ())
+
+    def test_domain_sets_the_coordinate_kind(self):
+        assert polar(0.5, 4, 4).coordinate_kind == "polar"
+        assert cartesian(1.0, 4, 4).coordinate_kind == "cartesian"
+        # radial edges on a rectangle whose area a polar rule would match
+        # are read as abscissae, and their cartesian weights miss the area
+        with pytest.raises(InputError, match="weights sum to"):
+            QuadratureGrid(RectangleDomain(0.75 * math.pi), np.linspace(0.5, 1.0, 5), 4, ())
+        with pytest.raises(InputError, match="AnnulusDomain or a RectangleDomain"):
+            QuadratureGrid(object(), np.linspace(0.0, 1.0, 5), 4, ())
 
     def test_ring_path_allocates_no_per_cell_array(self):
         # a 1024x1024 grid's centers and weights alone are 25 MB
@@ -211,11 +219,14 @@ class TestIntegration:
 
 
 class TestRings:
-    def test_ring_radii_are_the_built_midpoints(self):
+    def test_ring_points_are_the_built_midpoints(self):
         g = polar(0.5, 9, 8, breaks=(math.sqrt(0.5),))
-        r = ring_radii(g)
+        r = g.primary_mid
         edges = g.primary_edges
         assert r.tolist() == (0.5 * (edges[:-1] + edges[1:])).tolist()
+        pts, integrator, cells_per_point = _sampling(g, SpiralStretch(0.5, 2.0))
+        assert pts.tolist() == (r + 0j).tolist()
+        assert integrator is integrate_rings and cells_per_point == g.n_secondary
         np.testing.assert_allclose(
             np.abs(g.centers).reshape(g.n_primary, g.n_secondary),
             np.broadcast_to(r[:, None], (g.n_primary, g.n_secondary)),
@@ -224,7 +235,7 @@ class TestRings:
 
     def test_integrate_rings_matches_broadcast_integrate(self):
         g = polar(0.3, 13, 6, breaks=(0.55,))
-        ring_values = np.cos(ring_radii(g)) + 2.0
+        ring_values = np.cos(g.primary_mid) + 2.0
         want = integrate(g, np.repeat(ring_values, g.n_secondary))
         assert integrate_rings(g, ring_values) == pytest.approx(want, rel=1e-15)
 
@@ -257,8 +268,6 @@ class TestRings:
         assert err.value.center == complex(g.centers[700 * 1024])
 
     def test_rings_need_a_polar_grid_and_one_value_per_ring(self):
-        with pytest.raises(InputError):
-            ring_radii(cartesian(1.0, 4, 4))
         with pytest.raises(InputError):
             integrate_rings(cartesian(1.0, 4, 4), np.ones(4))
         with pytest.raises(InputError):

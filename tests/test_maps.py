@@ -26,18 +26,22 @@ from qclab.maps import (
 from qclab.geometry import RectangleDomain
 from qclab.stability import run_flat_gauge_ladder
 
-RNG = np.random.default_rng(20260815)
+# Each draw seeds its own generator, so a test's points do not depend on
+# which tests ran before it.
+SEED = 20260815
 
 
 def annulus_points(q, n=6, pad=0.05):
-    r = RNG.uniform(q * (1 + pad), 1 - pad, size=n)
-    t = RNG.uniform(0.05, 2 * math.pi - 0.05, size=n)
+    rng = np.random.default_rng(SEED)
+    r = rng.uniform(q * (1 + pad), 1 - pad, size=n)
+    t = rng.uniform(0.05, 2 * math.pi - 0.05, size=n)
     return r * np.exp(1j * t)
 
 
 def square_points(width=1.0, n=6, pad=0.05):
-    x = RNG.uniform(pad, width - pad, size=n)
-    y = RNG.uniform(pad, 1 - pad, size=n)
+    rng = np.random.default_rng(SEED)
+    x = rng.uniform(pad, width - pad, size=n)
+    y = rng.uniform(pad, 1 - pad, size=n)
     return x + 1j * y
 
 
@@ -87,9 +91,10 @@ class TestSpiralStretch:
     def test_boundary_values_fix_the_circles(self):
         g = SpiralStretch(0.5, 2.0, theta=0.7, winding=1)
         # |g| = |w|^k, and the twist keeps both boundary circles invariant
-        w = np.exp(1j * RNG.uniform(0, 2 * math.pi, 8))
+        rng = np.random.default_rng(SEED)
+        w = np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
         assert np.allclose(np.abs(g.eval_many(w)), 1.0, atol=1e-12)
-        wq = 0.5 * np.exp(1j * RNG.uniform(0, 2 * math.pi, 8))
+        wq = 0.5 * np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
         assert np.allclose(np.abs(g.eval_many(wq)), 0.25, atol=1e-12)
 
     @pytest.mark.parametrize(

@@ -49,10 +49,6 @@ TARGETS = np.array([0.7 + 0.0j, -0.3 + 0.45j, 0.31 - 0.52j])
 
 
 class TestBoundaryTransform:
-    def test_winding_number(self):
-        trace = annulus_trace(IdentityMap(), DOM, 256)
-        assert trace.winding_number(0.6) == pytest.approx(1.0, abs=1e-12)
-
     def test_identity_values_reproduce_targets(self):
         trace = annulus_trace(IdentityMap(), DOM, 1024)
         out = cauchy_boundary(trace, TARGETS)

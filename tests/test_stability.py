@@ -287,7 +287,6 @@ class TestFlatLadder:
     @pytest.mark.parametrize("alpha", [0.3, 0.49])
     def test_default_ladder_rows(self, alpha):
         rep = run_flat_gauge_ladder(alpha, n_radial=256, n_angular=128)
-        assert rep.alpha == alpha
         for row in rep.rows:
             assert row.eta == pytest.approx(row.eps ** (1.0 / alpha), rel=1e-12)
             assert row.l1_floor == pytest.approx(row.eta**alpha, rel=1e-12)
