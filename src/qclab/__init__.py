@@ -48,7 +48,6 @@ from .maps import (
     PiecewiseRadialStretch,
     Rotation,
     SpiralStretch,
-    WirtingerPair,
 )
 from .pompeiu import (
     annulus_trace,
@@ -64,7 +63,6 @@ from .pompeiu import (
 )
 from .stability import (
     LadderConfig,
-    alpha_star,
     audit_alignment,
     audit_gn_gap,
     audit_k_l2,
@@ -100,8 +98,6 @@ __all__ = [
     "Rotation",
     "SpiralStretch",
     "UnsupportedVariantError",
-    "WirtingerPair",
-    "alpha_star",
     "annulus_trace",
     "audit_alignment",
     "audit_gn_gap",

@@ -14,9 +14,12 @@ Subcommands:
 Exit codes: 0 success / audit passed; 2 invalid input; 3 degenerate
 experiment; 4 inequality violation (a failed audit).
 
-Output (CSV with a ``#``-prefixed footer of sorted parameters, or JSON with
-``params``/``rows``/``summary``) contains no timestamps or machine state, so
-reruns with equal arguments are byte-identical.
+Output is CSV with a ``#``-prefixed footer of sorted parameters and summary
+values, or JSON with ``params``/``rows``/``summary``.  ``params`` echoes every
+option of the subcommand as parsed (strings as typed, an unset ``--c`` as JSON
+``null`` and an empty CSV value), except the output-routing ones in
+``_ROUTING``, plus ``version``.  The output holds no timestamps or machine
+state, so reruns with equal arguments are byte-identical.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ def _parse_map(token: str, args) -> tuple[MapFamily, str]:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -125,8 +130,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, header: list[str], rows: list[dict], params: dict, summary: dict) -> None:
-    params = dict(params)
+# Namespace entries that route the output rather than describe the run; they
+# are left out of ``params``, so ``--out A`` and ``--out B`` write equal bytes.
+_ROUTING = ("command", "func", "out", "format")
+
+
+def _emit(args, header: list[str], rows: list[dict], summary: dict) -> None:
+    params = {k: v for k, v in vars(args).items() if k not in _ROUTING}
     params["version"] = __version__
     if args.format == "json":
         payload = {"params": params, "rows": rows, "summary": summary}
@@ -182,16 +192,6 @@ def cmd_distortion(args) -> int:
         "value": result.value,
         "error_estimate": error_estimate,
     }
-    params = {
-        "map": args.map,
-        "gauge": gauge.label,
-        "density": density.value,
-        "grid": args.grid,
-        "q": args.q,
-        "k": args.k,
-        "theta": args.theta,
-        "seed": args.seed,
-    }
     summary = {
         "value": result.value,
         "error_estimate": error_estimate,
@@ -199,7 +199,7 @@ def cmd_distortion(args) -> int:
     }
     if result.warning:
         summary["warning"] = result.warning
-    _emit(args, list(row), [row], params, summary)
+    _emit(args, list(row), [row], summary)
     return 0
 
 
@@ -223,14 +223,6 @@ def cmd_fit(args) -> int:
     )
     report = run_ladder(config)
     rows = [vars(r) for r in report.rows]
-    params = {
-        "q": config.q,
-        "k": config.k,
-        "theta": config.theta,
-        "gauge": config.gauge.label,
-        "grid": args.grid,
-        "seed": args.seed,
-    }
     summary = {
         "slope": report.slope,
         "intercept": report.intercept,
@@ -238,7 +230,7 @@ def cmd_fit(args) -> int:
         "rows_total": len(rows),
         "rows_used": sum(r.included for r in report.rows),
     }
-    _emit(args, ["eps", "deficit", "l1", "dbar_mass"], rows, params, summary)
+    _emit(args, ["eps", "deficit", "l1", "dbar_mass"], rows, summary)
     return 0
 
 
@@ -252,7 +244,7 @@ def cmd_audit(args) -> int:
         n_radial, n_angular = _parse_grid(args.grid)
         grid = build_polar_grid(AnnulusDomain(args.q), n_radial, n_angular)
         report = audit_gn_gap(args.q, args.k, args.theta, args.winding, gauge, grid)
-    elif args.lemma in ("k-l2", "k-mean", "alignment"):
+    else:  # k-l2, k-mean or alignment: the parser admits no other lemma
         family, side = _parse_map(args.map, args)
         if side != "square":
             raise InputError(
@@ -267,32 +259,15 @@ def cmd_audit(args) -> int:
         elif args.lemma == "k-mean":
             report = audit_k_mean(family, fstar, gauge, grid)
         else:
-            align = audit_alignment(family, fstar, grid)
-            row = {"lemma": "alignment", **vars(align)}
-            params = {
-                "lemma": "alignment",
-                "map": args.map,
-                "k": args.k,
-                "grid": args.grid,
-                "seed": args.seed,
-            }
-            _emit(args, list(row), [row], params, {"passed": align.passed})
-            return 0 if align.passed else 4
+            report = audit_alignment(family, fstar, grid)
+    if args.lemma == "alignment":
+        row = {"lemma": "alignment", **vars(report)}
+        summary = {"passed": report.passed}
     else:
-        raise InputError(f"unknown lemma {args.lemma!r}")
-    header = ["lemma", "lhs", "rhs", "ratio", "passed"]
-    row = {h: getattr(report, h) for h in header}
-    params = {
-        "lemma": args.lemma,
-        "gauge": gauge.label,
-        "seed": args.seed,
-        "q": args.q,
-        "k": args.k,
-        "theta": args.theta,
-    }
-    summary = {f"constant_{k}": v for k, v in sorted(report.constants.items())}
-    summary["passed"] = report.passed
-    _emit(args, header, [row], params, summary)
+        row = {h: getattr(report, h) for h in ("lemma", "lhs", "rhs", "ratio", "passed")}
+        summary = {f"constant_{k}": v for k, v in sorted(report.constants.items())}
+        summary["passed"] = report.passed
+    _emit(args, list(row), [row], summary)
     return 0 if report.passed else 4
 
 
@@ -333,22 +308,12 @@ def cmd_reconstruct(args) -> int:
         for r in results
     ]
     residuals = np.asarray([r.residual for r in results])
-    params = {
-        "field": args.field,
-        "q": args.q,
-        "k": args.k,
-        "grid": args.grid,
-        "nodes": args.nodes,
-        "points": args.points,
-        "seed": args.seed,
-        "margin": args.margin,
-    }
     summary = {
         "median_residual": float(np.median(residuals)),
         "max_residual": float(np.max(residuals)),
         "n_near_break": int(sum(r.near_break for r in results)),
     }
-    _emit(args, list(rows[0]), rows, params, summary)
+    _emit(args, list(rows[0]), rows, summary)
     return 0
 
 

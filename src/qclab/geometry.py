@@ -61,6 +61,11 @@ class AnnulusDomain:
     def area(self) -> float:
         return math.pi * (1.0 - self.inner_radius**2)
 
+    @property
+    def primary_bounds(self) -> tuple[float, float]:
+        """The radial interval a grid's primary edges must span."""
+        return self.inner_radius, 1.0
+
 
 @dataclass(frozen=True)
 class RectangleDomain:
@@ -80,6 +85,11 @@ class RectangleDomain:
     @property
     def area(self) -> float:
         return self.width * self.height
+
+    @property
+    def primary_bounds(self) -> tuple[float, float]:
+        """The horizontal interval a grid's primary edges must span."""
+        return 0.0, self.width
 
 
 def _partition_with_breaks(
@@ -113,11 +123,11 @@ def _partition_with_breaks(
 class QuadratureGrid:
     """Midpoint tensor-product quadrature rule over a domain, held as its partition.
 
-    ``primary_edges`` partitions the primary axis (breaks spliced in); the
-    secondary axis has ``n_secondary`` uniform cells.  The per-line
-    ``primary_mid`` and ``line_weights`` and the per-cell ``centers`` and
-    ``weights`` (primary-slow/secondary-fast) are derived on first use.  The
-    domain sets the coordinates: polar on an annulus, cartesian on a
+    ``primary_edges`` partitions the domain's ``primary_bounds`` (breaks
+    spliced in); the secondary axis has ``n_secondary`` uniform cells.  The
+    per-line ``primary_mid`` and ``line_weights`` and the per-cell ``centers``
+    and ``weights`` (primary-slow/secondary-fast) are derived on first use.
+    The domain sets the coordinates: polar on an annulus, cartesian on a
     rectangle.
     """
 
@@ -138,6 +148,14 @@ class QuadratureGrid:
         if not math.isclose(total, self.domain.area, rel_tol=1e-12):
             raise InputError(
                 f"weights sum to {total!r}, expected domain area {self.domain.area!r}"
+            )
+        lo, hi = self.domain.primary_bounds
+        first, last = float(self.primary_edges[0]), float(self.primary_edges[-1])
+        tol = _SNAP_REL * (hi - lo)
+        if abs(first - lo) > tol or abs(last - hi) > tol:
+            raise InputError(
+                f"primary edges span [{first!r}, {last!r}], expected the "
+                f"domain's [{lo!r}, {hi!r}]"
             )
 
     @property
@@ -210,7 +228,7 @@ def build_polar_grid(
     if not isinstance(domain, AnnulusDomain):
         raise InputError("build_polar_grid requires an AnnulusDomain")
     breaks = tuple(sorted(float(b) for b in breaks))
-    edges = _partition_with_breaks(domain.inner_radius, 1.0, n_radial, breaks, "radial")
+    edges = _partition_with_breaks(*domain.primary_bounds, n_radial, breaks, "radial")
     return QuadratureGrid(domain, edges, n_angular, breaks)
 
 
@@ -224,7 +242,7 @@ def build_cartesian_grid(
     if not isinstance(domain, RectangleDomain):
         raise InputError("build_cartesian_grid requires a RectangleDomain")
     breaks = tuple(sorted(float(b) for b in breaks))
-    edges = _partition_with_breaks(0.0, domain.width, n_x, breaks, "horizontal")
+    edges = _partition_with_breaks(*domain.primary_bounds, n_x, breaks, "horizontal")
     return QuadratureGrid(domain, edges, n_y, breaks)
 
 

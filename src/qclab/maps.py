@@ -18,7 +18,6 @@ import abc
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,19 +41,11 @@ __all__ = [
     "PiecewiseRadialStretch",
     "Rotation",
     "SpiralStretch",
-    "WirtingerPair",
 ]
 
 _RTOL = 1e-9
 _BREAK_ATOL = 1e-12
 _ZERO_BITS = bytes(16)
-
-
-class WirtingerPair(NamedTuple):
-    """The pair ``(f_z, f_zbar)`` at one point."""
-
-    fz: complex
-    fzb: complex
 
 
 def _as_points(z) -> np.ndarray:
@@ -84,10 +75,6 @@ class MapFamily(abc.ABC):
 
     def eval(self, z: complex) -> complex:
         return complex(self.eval_many(_as_points(z))[0])
-
-    def wirtinger(self, z: complex) -> WirtingerPair:
-        fz, fzb = self.wirtinger_many(_as_points(z))
-        return WirtingerPair(complex(fz[0]), complex(fzb[0]))
 
     def break_radii(self) -> tuple[float, ...]:
         """Radii where the derivatives jump (annulus families)."""

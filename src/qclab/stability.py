@@ -42,14 +42,12 @@ from .pompeiu import phi_dbar_mass
 
 __all__ = [
     "AlignmentReport",
-    "AlphaStar",
     "AuditReport",
     "FitReport",
     "FlatLadderReport",
     "FlatRow",
     "LadderConfig",
     "LadderRow",
-    "alpha_star",
     "audit_alignment",
     "audit_gn_gap",
     "audit_k_l2",
@@ -67,54 +65,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AlphaStar:
-    """Optimal rotation angle of a candidate against its reference."""
-
-    alpha: float
-    r: float
-    degenerate: bool
-
-
-def _alignment_integrand(
-    fz: np.ndarray, fzb: np.ndarray, fstar: LinearStretch
-) -> np.ndarray:
-    mu = fstar.mu
-    if mu == 0:
-        raise InputError(
-            "reference has zero Beltrami coefficient; the alignment direction "
-            "is undefined (use k > 1)"
-        )
-    return mu / abs(mu) * fz + fzb
-
-
-def _alpha_from(integrand: np.ndarray, grid: QuadratureGrid) -> AlphaStar:
-    total = integrate_complex(grid, integrand)
-    r = abs(total)
-    if r < 1e-13 * grid.domain.area:
-        return AlphaStar(alpha=0.0, r=float(r), degenerate=True)
-    alpha = -math.atan2(total.imag, total.real)
-    if alpha <= -math.pi:
-        alpha += 2.0 * math.pi
-    return AlphaStar(alpha=float(alpha), r=float(r), degenerate=False)
-
-
-def alpha_star(f: MapFamily, fstar: LinearStretch, grid: QuadratureGrid) -> AlphaStar:
-    """Solve ``integral (mu*/|mu*| f_z + f_zbar) == R * exp(-i*alpha)``.
-
-    ``alpha`` is the rotation that best aligns the candidate with the
-    reference stretch; it is 0 for the reference itself and ``-beta`` for the
-    reference post-rotated by ``beta``.  Normalized to ``(-pi, pi]``.  When
-    ``R`` vanishes (below ``1e-13 *`` domain area) the angle is meaningless
-    and the result is flagged degenerate.
-    """
-    fz, fzb = f.wirtinger_many(grid.centers)
-    return _alpha_from(_alignment_integrand(fz, fzb, fstar), grid)
-
-
-@dataclass(frozen=True)
 class AlignmentReport:
     """Decomposition of the alignment integrand against the reference.
 
+    ``alpha`` and ``r`` solve ``integral I == r * exp(-i*alpha)`` for the
+    integrand ``I = mu*/|mu*| f_z + f_zbar``: ``alpha`` is the rotation that
+    best aligns the candidate with the reference stretch, 0 for the reference
+    itself and ``-beta`` for the reference post-rotated by ``beta``,
+    normalized to ``(-pi, pi]``.  When ``r`` vanishes (below ``1e-13 *``
+    domain area) the angle is meaningless and ``alpha`` is 0.
     ``real_part_gap = integral (|I| - Re(exp(i*alpha) I))`` is non-negative
     pointwise; ``imag_part_mass = integral |Im(exp(i*alpha) I)|`` measures the
     angular spread; ``absdiff_mass = integral |f_zbar - mu* f_z|`` is the
@@ -132,16 +91,28 @@ class AlignmentReport:
 def audit_alignment(
     f: MapFamily, fstar: LinearStretch, grid: QuadratureGrid
 ) -> AlignmentReport:
+    mu = fstar.mu
+    if mu == 0:
+        raise InputError(
+            "reference has zero Beltrami coefficient; the alignment direction "
+            "is undefined (use k > 1)"
+        )
     fz, fzb = f.wirtinger_many(grid.centers)
-    integrand = _alignment_integrand(fz, fzb, fstar)
-    star = _alpha_from(integrand, grid)
-    rotated = np.exp(1j * star.alpha) * integrand
+    integrand = mu / abs(mu) * fz + fzb
+    total = integrate_complex(grid, integrand)
+    r = abs(total)
+    alpha = 0.0
+    if r >= 1e-13 * grid.domain.area:
+        alpha = -math.atan2(total.imag, total.real)
+        if alpha <= -math.pi:
+            alpha += 2.0 * math.pi
+    rotated = np.exp(1j * alpha) * integrand
     real_part_gap = integrate(grid, np.abs(integrand) - rotated.real)
     imag_part_mass = integrate(grid, np.abs(rotated.imag))
-    absdiff_mass = integrate(grid, np.abs(fzb - fstar.mu * fz))
+    absdiff_mass = integrate(grid, np.abs(fzb - mu * fz))
     return AlignmentReport(
-        alpha=star.alpha,
-        r=star.r,
+        alpha=alpha,
+        r=r,
         real_part_gap=float(real_part_gap),
         imag_part_mass=float(imag_part_mass),
         absdiff_mass=float(absdiff_mass),

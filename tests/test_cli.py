@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, and determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -246,3 +247,77 @@ class TestInProcess:
         captured = capsys.readouterr()
         assert captured.err == f"error: malformed {token}\n"
         assert captured.out == ""
+
+
+def _subparsers(parser):
+    """``{name: subparser}`` of a parser's subcommands."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+ROUTING = {"command", "func", "out", "format"}
+
+
+class TestParamsEcho:
+    """``params`` is every option of the subcommand, as parsed, plus the version."""
+
+    # one cheap run per subcommand, and the alignment audit, whose row and
+    # summary differ from the other lemmas
+    RUNS = {
+        "distortion": ["distortion", "--map", "fstar", "--grid", "16x16"],
+        "fit": ["fit", "--grid", "16x16", "--eps", "1e-3,1e-2"],
+        "audit": ["audit", "--lemma", "theta", "--samples", "100"],
+        "audit-alignment": ["audit", "--lemma", "alignment", "--grid", "16x8"],
+        "reconstruct": ["reconstruct", "--field", "identity", "--grid", "16x16",
+                        "--nodes", "512", "--points", "4"],
+    }
+
+    @staticmethod
+    def doc(capsys, argv):
+        assert main(argv + ["--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["audit", "--lemma", "k-l2", "--grid", "32x8"],
+             ["audit", "--lemma", "k-l2", "--grid", "64x8"]),
+            (["audit", "--lemma", "k-l2", "--grid", "32x8", "--map", "feps:0.01"],
+             ["audit", "--lemma", "k-l2", "--grid", "32x8", "--map", "feps:0.02"]),
+            (["distortion", "--map", "fstar", "--grid", "16x16", "--n", "0.0"],
+             ["distortion", "--map", "fstar", "--grid", "16x16", "--n", "0.3"]),
+        ],
+        ids=["k-l2-grid", "k-l2-map", "distortion-n"],
+    )
+    def test_different_runs_print_different_params(self, capsys, first, second):
+        assert self.doc(capsys, first)["params"] != self.doc(capsys, second)["params"]
+
+    def test_keys_are_the_declared_options(self, capsys):
+        subs = _subparsers(build_parser())
+        assert set(subs) == {argv[0] for argv in self.RUNS.values()}
+        for argv in self.RUNS.values():
+            sub = subs[argv[0]]
+            declared = {a.dest for a in sub._actions if a.default is not argparse.SUPPRESS}
+            declared |= set(sub._defaults)
+            expected = (declared - ROUTING) | {"version"}
+            assert set(self.doc(capsys, argv)["params"]) == expected, argv[0]
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_params_and_summary_share_no_key(self, capsys, name):
+        # the CSV footer merges them into one sorted list
+        doc = self.doc(capsys, self.RUNS[name])
+        assert not set(doc["params"]) & set(doc["summary"])
+
+    def test_values_are_echoed_as_typed(self, capsys):
+        argv = ["audit", "--lemma", "theta", "--samples", "100", "--gauge", "Square"]
+        params = self.doc(capsys, argv)["params"]
+        assert params["gauge"] == "Square" and params["samples"] == 100
+        assert params["c"] is None
+        assert main(argv) == 0
+        footer = capsys.readouterr().out.splitlines()
+        assert "# c=" in footer and "# gauge=Square" in footer
+
+    def test_out_path_is_not_echoed(self, tmp_path):
+        for name in ("a.csv", "b.csv"):
+            assert main(self.RUNS["fit"] + ["--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

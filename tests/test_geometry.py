@@ -163,6 +163,15 @@ class TestGridPartition:
         with pytest.raises(InputError, match="weights sum to"):
             QuadratureGrid(RectangleDomain(2.0), np.linspace(0.0, 1.0, 3), 4, ())
 
+    def test_edges_off_the_domain_are_refused_at_the_right_area(self):
+        # rings from 0.25 to 0.90 cover pi * (0.8125 - 0.0625) = pi * (1 - 0.25),
+        # and abscissae from 0.25 to 1.25 cover 1: each weight sum matches the
+        # area, so only the edge check can refuse them
+        with pytest.raises(InputError, match="primary edges span"):
+            QuadratureGrid(AnnulusDomain(0.5), np.linspace(0.25, math.sqrt(0.8125), 9), 8, ())
+        with pytest.raises(InputError, match="primary edges span"):
+            QuadratureGrid(RectangleDomain(1.0), np.linspace(0.25, 1.25, 5), 4, ())
+
     def test_edges_must_increase(self):
         edges = np.array([0.5, 0.8, 0.7, 1.0])
         with pytest.raises(InputError, match="must be positive"):

@@ -73,8 +73,8 @@ def wirtinger_fd(family, z, h=1e-5):
 
 def assert_fd_agrees(family, pts, h=1e-6, tol=5e-6):
     """Analytic Wirtinger pair vs the 5-point stencil, pointwise."""
-    for z in np.atleast_1d(pts):
-        fz, fzb = family.wirtinger(complex(z))
+    pts = np.atleast_1d(pts)
+    for z, fz, fzb in zip(pts, *family.wirtinger_many(pts)):
         gz, gzb = wirtinger_fd(family, complex(z), h=h)
         scale = max(1.0, abs(fz), abs(fzb))
         assert abs(fz - gz) <= tol * scale, f"{family.label} f_z at {z}"
@@ -233,17 +233,16 @@ class TestPiecewiseRadialStretch:
     def test_wirtinger_on_break_is_refused(self):
         g = PiecewiseRadialStretch(0.5, 2.0, 0.01)
         with pytest.raises(BreakSetError):
-            g.wirtinger(complex(g.break_radius * np.exp(0.5j)))
+            g.wirtinger_many(g.break_radius * np.exp(0.5j))
 
     def test_distortion_by_piece(self):
         eps = 0.04
         g = PiecewiseRadialStretch(0.5, 2.0, eps)
         se = math.sqrt(eps)
-        Kin, _ = g.wirtinger(complex(0.6 * np.exp(1j)))
-        fz, fzb = g.wirtinger(complex(0.6 * np.exp(1j)))
+        (fz,), (fzb,) = g.wirtinger_many(0.6 * np.exp(1j))
         K_inner = (abs(fz) + abs(fzb)) / (abs(fz) - abs(fzb))
         assert K_inner == pytest.approx(2.0 - se, rel=1e-12)
-        fz, fzb = g.wirtinger(complex(0.9 * np.exp(1j)))
+        (fz,), (fzb,) = g.wirtinger_many(0.9 * np.exp(1j))
         K_outer = (abs(fz) + abs(fzb)) / (abs(fz) - abs(fzb))
         assert K_outer == pytest.approx(2.0 + se, rel=1e-12)
 
@@ -287,7 +286,7 @@ class TestLinearFamilies:
     def test_piecewise_linear_break_guard(self):
         f = PiecewiseLinearStretch(2.0, 0.01)
         with pytest.raises(BreakSetError):
-            f.wirtinger(0.5 + 0.25j)
+            f.wirtinger_many(0.5 + 0.25j)
 
     def test_strip_domain_guard(self):
         # the affine reference map is global; only the piecewise family
@@ -317,13 +316,13 @@ def test_strip_accepts_its_closed_interval_with_tolerance(family, top):
 class TestSmallMaps:
     def test_identity(self):
         m = IdentityMap()
-        fz, fzb = m.wirtinger(0.3 + 0.2j)
+        (fz,), (fzb,) = m.wirtinger_many(0.3 + 0.2j)
         assert (fz, fzb) == (1.0 + 0j, 0.0 + 0j)
         assert m.eval(0.3 + 0.2j) == 0.3 + 0.2j
 
     def test_conjugation(self):
         m = ConjugationMap()
-        fz, fzb = m.wirtinger(0.3 + 0.2j)
+        (fz,), (fzb,) = m.wirtinger_many(0.3 + 0.2j)
         assert (fz, fzb) == (0.0 + 0j, 1.0 + 0j)
         assert m.eval(1j) == -1j
 

@@ -12,6 +12,7 @@ from qclab.gauges import ConvexGauge
 from qclab.maps import (
     Composition,
     LinearStretch,
+    MapFamily,
     PiecewiseLinearStretch,
     PiecewiseRadialStretch,
     Rotation,
@@ -19,7 +20,6 @@ from qclab.maps import (
 )
 from qclab.stability import (
     LadderConfig,
-    alpha_star,
     audit_alignment,
     audit_gn_gap,
     audit_k_l2,
@@ -41,15 +41,18 @@ def strip_grid(n=128, breaks=()):
 
 
 class TestAlphaStar:
+    """The optimal rotation angle alpha*, as ``audit_alignment`` reports it."""
+
     def test_reference_map_aligns_at_zero(self):
-        rep = alpha_star(FSTAR, FSTAR, strip_grid())
+        grid = strip_grid()
+        rep = audit_alignment(FSTAR, FSTAR, grid)
         assert abs(rep.alpha) < 1e-12
         assert rep.r == pytest.approx(2.0, rel=1e-12)
-        assert not rep.degenerate
+        assert rep.r >= 1e-13 * grid.domain.area  # the angle is defined
 
     def test_piecewise_perturbation_keeps_zero_angle(self):
         f = PiecewiseLinearStretch(2.0, 1e-2)
-        rep = alpha_star(f, FSTAR, strip_grid(breaks=(0.5,)))
+        rep = audit_alignment(f, FSTAR, strip_grid(breaks=(0.5,)))
         assert abs(rep.alpha) < 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
@@ -57,14 +60,29 @@ class TestAlphaStar:
         rng = np.random.default_rng(seed)
         beta = float(rng.uniform(-math.pi, math.pi))
         rotated = Composition(Rotation(beta), FSTAR)
-        rep = alpha_star(rotated, FSTAR, strip_grid())
+        rep = audit_alignment(rotated, FSTAR, strip_grid())
         gap = (rep.alpha + beta + math.pi) % (2 * math.pi) - math.pi
         assert abs(gap) < 1e-10
 
     def test_unstretched_reference_is_degenerate(self):
         flat_ref = LinearStretch(1.0)
         with pytest.raises(InputError):
-            alpha_star(flat_ref, flat_ref, strip_grid())
+            audit_alignment(flat_ref, flat_ref, strip_grid())
+
+    def test_vanishing_integral_aligns_at_zero(self):
+        # f(z) = z - conj(z): f_z = 1 and f_zbar = -1 cancel in the integrand
+        # mu*/|mu*| f_z + f_zbar, so r is 0 and the angle is left at 0
+        class Collapse(MapFamily):
+            label = "collapse"
+
+            def eval_many(self, z):
+                return z - np.conj(z)
+
+            def wirtinger_many(self, z):
+                return np.ones_like(z), -np.ones_like(z)
+
+        rep = audit_alignment(Collapse(), FSTAR, strip_grid())
+        assert rep.r < 1e-13 and rep.alpha == 0.0
 
 
 class TestAlignment:
