@@ -234,7 +234,32 @@ def cmd_fit(args) -> int:
     return 0
 
 
+# The options each lemma reads, beside ``--lemma`` and the common ``--out``,
+# ``--format`` and ``--seed``.  ``audit`` refuses any other option set away
+# from its default, so ``params`` never echoes an option that shaped nothing.
+_AUDIT_READS = {
+    "taylor": ("gauge", "c", "samples"),
+    "theta": ("samples",),
+    "gn-gap": ("gauge", "q", "k", "theta", "winding", "grid"),
+    "k-l2": ("gauge", "map", "k", "grid"),
+    "k-mean": ("gauge", "map", "k", "grid"),
+    "alignment": ("map", "k", "grid"),
+}
+
+
 def cmd_audit(args) -> int:
+    defaults = build_parser().parse_args(["audit", "--lemma", args.lemma])
+    reads = _AUDIT_READS[args.lemma]
+    unread = [
+        f"--{name}"
+        for name in sorted(set().union(*_AUDIT_READS.values()) - set(reads))
+        if getattr(args, name) != getattr(defaults, name)
+    ]
+    if unread:
+        raise InputError(
+            f"the {args.lemma} audit does not read {', '.join(unread)}; it reads "
+            f"only {', '.join('--' + name for name in reads)}"
+        )
     gauge = ConvexGauge.parse(args.gauge)
     if args.lemma == "taylor":
         report = audit_taylor(gauge, n_pairs=args.samples, seed=args.seed, c=args.c)
@@ -403,7 +428,3 @@ def main(argv=None) -> int:
     except QclabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,6 +7,18 @@ the CLI can map exceptions to exit codes without string matching.
 import math
 import numbers
 
+__all__ = [
+    "AccuracyError",
+    "BreakSetError",
+    "DegenerateExperimentError",
+    "DomainError",
+    "InputError",
+    "NonFiniteSampleError",
+    "QclabError",
+    "UnsupportedVariantError",
+    "require_real",
+]
+
 
 class QclabError(Exception):
     """Base class for all qclab-specific errors."""

@@ -101,8 +101,9 @@ def _partition_with_breaks(
     that edge; otherwise it is inserted.  Breaks must lie strictly inside the
     interval.
     """
-    if n < 1:
-        raise InputError(f"number of {axis} cells must be >= 1")
+    require_real(
+        n, f"number of {axis} cells must be an integer >= 1", lambda v: v >= 1, integer=True
+    )
     edges = np.linspace(lo, hi, n + 1)
     tol = _SNAP_REL * (hi - lo)
     for b in breaks:
@@ -139,9 +140,9 @@ class QuadratureGrid:
     def __post_init__(self) -> None:
         if not isinstance(self.domain, (AnnulusDomain, RectangleDomain)):
             raise InputError("a grid needs an AnnulusDomain or a RectangleDomain")
-        if self.n_secondary < 1:
-            axis = "angular" if self.coordinate_kind == "polar" else "vertical"
-            raise InputError(f"number of {axis} cells must be >= 1")
+        axis = "angular" if self.coordinate_kind == "polar" else "vertical"
+        message = f"number of {axis} cells must be an integer >= 1"
+        require_real(self.n_secondary, message, lambda v: v >= 1, integer=True)
         if np.any(self.line_weights <= 0.0):
             raise InputError("all quadrature weights must be positive")
         total = ordered_sum(self.line_weights) * self.n_secondary

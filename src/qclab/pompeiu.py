@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import ordered_sum, ordered_sums, pompeiu_sum_many
-from .errors import AccuracyError, InputError, UnsupportedVariantError
+from .errors import AccuracyError, InputError, UnsupportedVariantError, require_real
 from .functionals import _sampling
 from .geometry import (
     AnnulusDomain,
@@ -100,8 +100,7 @@ def annulus_trace(
     counterclockwise, the inner circle clockwise, so together they bound the
     annulus positively.
     """
-    if n_nodes < 8:
-        raise InputError("n_nodes must be >= 8")
+    require_real(n_nodes, "n_nodes must be an integer >= 8", lambda v: v >= 8, integer=True)
     j = np.arange(n_nodes)
     unit = np.exp(2j * math.pi * j / n_nodes)
     step = 2.0 * math.pi / n_nodes
@@ -320,8 +319,7 @@ def offset_targets(
     the primary-axis boundary are eligible; the choice is seeded and
     reproducible.
     """
-    if count < 1:
-        raise InputError("count must be >= 1")
+    require_real(count, "count must be an integer >= 1", lambda v: v >= 1, integer=True)
     if not (0.0 <= margin < 0.5):
         raise InputError("margin must be in [0, 0.5)")
     edges = grid.primary_edges

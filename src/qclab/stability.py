@@ -11,6 +11,7 @@ sharp stability exponent rests on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,18 +248,16 @@ def audit_taylor(
     ``c`` defaults to the gauge's own floor and may be lowered but never
     raised above it.
     """
-    if n_pairs < 1:
-        raise InputError("n_pairs must be >= 1")
+    require_real(n_pairs, "n_pairs must be an integer >= 1", lambda v: v >= 1, integer=True)
     floor = gauge.curvature_floor
-    if c is None:
-        c_used = floor
-    elif c > floor + 1e-15:
+    c_used = floor if c is None else c
+    if isinstance(c_used, numbers.Real) and c_used > floor + 1e-15:  # +inf included
         raise InputError(
             f"declared curvature c = {c!r} exceeds the floor {floor!r} of "
             f"gauge {gauge.label!r}"
         )
-    else:
-        c_used = float(c)
+    require_real(c_used, f"declared curvature c must be a finite number, got {c!r}")
+    c_used = float(c_used)
     rng = np.random.default_rng(seed)
     s = rng.uniform(1.0, 50.0, size=n_pairs)
     t = rng.uniform(1.0, 50.0, size=n_pairs)
@@ -288,8 +287,9 @@ def audit_theta(n_samples: int = 10000, seed: int = 0) -> AuditReport:
     Checks ``(|z| - Re z) - theta(z) >= -1e-12`` on every sample and that the
     definitional identity ``2*theta*|z| - (Im z)^2`` vanishes to rounding.
     """
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
+    require_real(
+        n_samples, "n_samples must be an integer >= 1", lambda v: v >= 1, integer=True
+    )
     rng = np.random.default_rng(seed)
     z = 10.0 * (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
     _, gap1, gap2 = theta_check_many(z)

@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, output formats, and determinism."""
 
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from qclab.cli import build_parser, main
+from qclab.cli import _AUDIT_READS, build_parser, main
 
 CMD = [sys.executable, "-m", "qclab"]
 
@@ -309,7 +311,7 @@ class TestParamsEcho:
         assert not set(doc["params"]) & set(doc["summary"])
 
     def test_values_are_echoed_as_typed(self, capsys):
-        argv = ["audit", "--lemma", "theta", "--samples", "100", "--gauge", "Square"]
+        argv = ["audit", "--lemma", "taylor", "--samples", "100", "--gauge", "Square"]
         params = self.doc(capsys, argv)["params"]
         assert params["gauge"] == "Square" and params["samples"] == 100
         assert params["c"] is None
@@ -321,3 +323,50 @@ class TestParamsEcho:
         for name in ("a.csv", "b.csv"):
             assert main(self.RUNS["fit"] + ["--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestAuditOptions:
+    """``audit`` refuses the options its lemma does not read, and a non-finite ``--c``."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--lemma", "theta", "--samples", "200", "--c", "5", "--map", "gstar",
+              "--grid", "1x1"], "theta audit does not read --c, --grid, --map;"),
+            (["--lemma", "k-l2", "--c", "5"], "k-l2 audit does not read --c;"),
+            (["--lemma", "k-l2", "--q", "0.3", "--theta", "5", "--winding", "7"],
+             "k-l2 audit does not read --q, --theta, --winding;"),
+            (["--lemma", "alignment", "--gauge", "flat"],
+             "alignment audit does not read --gauge;"),
+            (["--lemma", "taylor", "--c=-inf"], "curvature c must be a finite number"),
+            (["--lemma", "taylor", "--c=nan"], "curvature c must be a finite number"),
+        ],
+        ids=["theta", "k-l2-c", "k-l2-annulus", "alignment", "c-minus-inf", "c-nan"],
+    )
+    def test_is_usage_error(self, capsys, argv, message):
+        assert main(["audit"] + argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_every_declared_option_is_read(self):
+        audit = _subparsers(build_parser())["audit"]
+        (lemma,) = [a for a in audit._actions if a.dest == "lemma"]
+        assert set(_AUDIT_READS) == set(lemma.choices)
+        declared = {a.dest for a in audit._actions if a.default is not argparse.SUPPRESS}
+        read = set().union(*_AUDIT_READS.values())
+        assert read == declared - {"lemma", "out", "format", "seed"}
+
+    def test_benchmark_sweep_sets_only_read_options(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        op = next(workloads.op_stream("sweep", 0))
+        audits = [call.argv[1:] for call in op.calls if call.argv[0] == "audit"]
+        assert audits
+        for argv in audits:
+            args = build_parser().parse_args(["audit", *argv])
+            given = {tok[2:] for tok in argv if tok.startswith("--")}
+            assert given - {"lemma", "seed"} <= set(_AUDIT_READS[args.lemma]), argv

@@ -1,7 +1,9 @@
-"""The public surface: every exported name exists, and none is listed twice."""
+"""The public surface: every exported name exists, none is listed twice, and
+the package root re-exports nothing but the kernel lane."""
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -19,3 +21,13 @@ def test_all_names_resolve_once(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ repeats a name"
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == [], f"{name}.__all__ names missing attributes"
+
+
+def test_root_holds_only_the_kernel_lane():
+    # every other name is imported from its own module
+    public = {
+        name
+        for name, value in vars(qclab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {"backend_name"}

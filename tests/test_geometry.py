@@ -20,7 +20,9 @@ from qclab.geometry import (
     integrate_complex,
     integrate_rings,
 )
-from qclab.maps import SpiralStretch
+from qclab.maps import IdentityMap, SpiralStretch
+from qclab.pompeiu import annulus_trace, offset_targets
+from qclab.stability import audit_taylor, audit_theta
 
 
 class TestDomains:
@@ -339,3 +341,27 @@ class TestBuilderValidation:
     def test_positive_cell_counts(self, n_r, n_t):
         with pytest.raises(InputError):
             build_polar_grid(AnnulusDomain(0.5), n_r, n_t)
+
+
+# Each entry point that takes a count, called with that count.
+COUNTED = {
+    "radial cells": lambda n: build_polar_grid(AnnulusDomain(0.5), n, 4),
+    "horizontal cells": lambda n: build_cartesian_grid(RectangleDomain(1.0), n, 4),
+    "angular cells": lambda n: build_polar_grid(AnnulusDomain(0.5), 4, n),
+    "vertical cells": lambda n: build_cartesian_grid(RectangleDomain(1.0), 4, n),
+    "n_nodes": lambda n: annulus_trace(IdentityMap(), AnnulusDomain(0.25), n),
+    "count": lambda n: offset_targets(polar(0.5, 8, 8), n, 0),
+    "n_pairs": lambda n: audit_taylor(ConvexGauge.parse("square"), n_pairs=n),
+    "n_samples": lambda n: audit_theta(n_samples=n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_counts_must_be_integers(name):
+    # a float count once built a grid with a fractional cell count, or a trace
+    # with one node more than asked for, without an error
+    call = COUNTED[name]
+    call(np.int64(8))  # numpy integers are counts too
+    for bad in (8.0, 8.5, True, math.nan):
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            call(bad)
