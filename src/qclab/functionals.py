@@ -161,6 +161,8 @@ def mean_distortion(
     polar grid take the ring path (see ``_sampling``); counts are in cells
     either way.
     """
+    if not isinstance(density, Density):
+        raise InputError(f"density {density!r} is not a Density; use Density.parse")
     if density is Density.INVERSE_SQUARE and grid.coordinate_kind != "polar":
         raise InputError("inverse-square density requires a polar grid")
     _check_breaks_honored(family, grid)

@@ -282,9 +282,8 @@ def _check_finite(grid: QuadratureGrid, values: np.ndarray, stride: int = 1) -> 
         )
 
 
-def _cell_samples(grid: QuadratureGrid, values: np.ndarray, dtype) -> np.ndarray:
-    """``values`` as ``dtype``, after checking it holds one finite sample per cell."""
-    v = np.asarray(values, dtype=dtype)
+def _cell_samples(grid: QuadratureGrid, v: np.ndarray) -> np.ndarray:
+    """``v``, after checking it holds one finite sample per cell."""
     if v.shape != (grid.n_cells,):
         raise InputError(
             f"expected {grid.n_cells} samples, got array of shape {v.shape}"
@@ -293,14 +292,22 @@ def _cell_samples(grid: QuadratureGrid, values: np.ndarray, dtype) -> np.ndarray
     return v
 
 
+def _real(values) -> np.ndarray:
+    """``values`` as float64; complex ones are refused, not cut to real parts."""
+    v = np.asarray(values)
+    if np.iscomplexobj(v):
+        raise InputError("complex samples in a real integral; use integrate_complex")
+    return v.astype(np.float64, copy=False)
+
+
 def integrate(grid: QuadratureGrid, values: np.ndarray) -> float:
     """Deterministic ``sum(weights * values)`` for real samples."""
-    return ordered_dot(grid.weights, _cell_samples(grid, values, np.float64))
+    return ordered_dot(grid.weights, _cell_samples(grid, _real(values)))
 
 
 def integrate_complex(grid: QuadratureGrid, values: np.ndarray) -> complex:
     """Deterministic ``sum(weights * values)`` for complex samples."""
-    v = _cell_samples(grid, values, np.complex128)
+    v = _cell_samples(grid, np.asarray(values, dtype=np.complex128))
     re = ordered_dot(grid.weights, np.ascontiguousarray(v.real))
     im = ordered_dot(grid.weights, np.ascontiguousarray(v.imag))
     return complex(re, im)
@@ -316,7 +323,7 @@ def integrate_rings(grid: QuadratureGrid, values: np.ndarray) -> float:
     grid's partition.  A non-finite value is reported at the first cell of
     its ring.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = _real(values)
     if grid.coordinate_kind != "polar" or v.shape != (grid.n_primary,):
         raise InputError(
             f"expected {grid.n_primary} ring samples on a polar grid, got array "

@@ -3,9 +3,9 @@
 Every family can evaluate itself and its Wirtinger pair ``(f_z, f_zbar)`` in
 closed form on arrays of points, report the discontinuity sets of its
 derivatives (break radii on annuli, break abscissae on rectangles), and —
-where meaningful — pull image-side breaks back to the source.  The inverses
-the paper's comparison maps need are families of their own:
-``InverseSpiralStretch`` and ``InverseLinearStretch``.
+where a ``Composition`` needs it — pull an image break radius back to the
+source.  ``InverseSpiralStretch`` is the one inverse family: ``Phi`` is built
+from it, while the strip map ``Psi`` is never built (see ``qclab.pompeiu``).
 
 Radial families share one core: ``h(w) = A * w * |w|**(s-1) * exp(i*c*log|w|)``
 whose derivatives are ``h_w = (s+1+ic)/2 * h/w`` and
@@ -33,7 +33,6 @@ __all__ = [
     "Composition",
     "ConjugationMap",
     "IdentityMap",
-    "InverseLinearStretch",
     "InverseSpiralStretch",
     "LinearStretch",
     "MapFamily",
@@ -100,12 +99,6 @@ class MapFamily(abc.ABC):
             f"{self.label} cannot pull back image radii"
         )
 
-    def pullback_abscissa(self, abscissa: float) -> float:
-        """Source abscissa mapping onto the given image abscissa."""
-        raise UnsupportedVariantError(
-            f"{self.label} cannot pull back image abscissae"
-        )
-
 
 def _check_annulus(pts: np.ndarray, lo: float, hi: float, label: str) -> np.ndarray:
     r = np.abs(pts)
@@ -141,14 +134,6 @@ def _check_breaks(
             raise BreakSetError(
                 f"derivative of {label} requested on its break {noun} = {b!r}"
             )
-
-
-def _check_inside(radius: float, lo: float) -> None:
-    """``pullback_radius`` contract: the image radius lies strictly in ``(lo, 1)``."""
-    if not (lo < radius < 1.0):
-        raise InputError(
-            f"image radius {radius!r} is not strictly inside [{lo!r}, 1]"
-        )
 
 
 def _constant_pair(pts: np.ndarray, fz: complex, fzb: complex):
@@ -247,10 +232,6 @@ class SpiralStretch(MapFamily):
         return True
 
     @property
-    def image_inner_radius(self) -> float:
-        return self.q**self.k
-
-    @property
     def distortion(self) -> float:
         return self._piece.distortion
 
@@ -263,10 +244,6 @@ class SpiralStretch(MapFamily):
         pts = _as_points(z)
         r = _check_annulus(pts, self.q, 1.0, self.label)
         return self._piece.wirtinger(pts, r)
-
-    def pullback_radius(self, radius: float) -> float:
-        _check_inside(radius, self.image_inner_radius)
-        return radius ** (1.0 / self.k)
 
 
 @dataclass(frozen=True)
@@ -322,7 +299,11 @@ class InverseSpiralStretch(MapFamily):
         return self._piece.wirtinger(pts, r)
 
     def pullback_radius(self, radius: float) -> float:
-        _check_inside(radius, self.q)
+        """``radius**k``, for an image radius strictly inside ``(q, 1)``."""
+        if not (self.q < radius < 1.0):
+            raise InputError(
+                f"image radius {radius!r} is not strictly inside [{self.q!r}, 1]"
+            )
         return radius**self.k
 
 
@@ -360,14 +341,6 @@ class PiecewiseRadialStretch(MapFamily):
     @property
     def break_radius(self) -> float:
         return math.sqrt(self.q)
-
-    @property
-    def image_break_radius(self) -> float:
-        return self.q ** (0.5 * (self.k + self.root_eps))
-
-    @property
-    def image_inner_radius(self) -> float:
-        return self.q**self.k
 
     @property
     def _inner(self) -> _PowerPiece:
@@ -411,18 +384,13 @@ class PiecewiseRadialStretch(MapFamily):
             fz[inner], fzb[inner] = self._inner.wirtinger(pts[inner], r[inner])
         return fz, fzb
 
-    def pullback_radius(self, radius: float) -> float:
-        _check_inside(radius, self.image_inner_radius)
-        if radius >= self.image_break_radius:
-            return radius ** (1.0 / (self.k + self.root_eps))
-        return (radius / self.q**self.root_eps) ** (1.0 / (self.k - self.root_eps))
-
 
 @dataclass(frozen=True)
 class LinearStretch(MapFamily):
     """Affine shear-stretch ``x + iy -> k*x + i*(n*x + y)``.
 
-    Constant Wirtinger pair ``((k+1+in)/2, (k-1+in)/2)`` and Jacobian ``k``.
+    Constant Wirtinger pair ``((k+1+in)/2, (k-1+in)/2)``, so the Jacobian
+    ``|f_z|^2 - |f_zbar|^2`` is ``k``.
     """
 
     k: float
@@ -448,10 +416,6 @@ class LinearStretch(MapFamily):
     def mu(self) -> complex:
         return self.fzb / self.fz
 
-    @property
-    def jacobian(self) -> float:
-        return float(self.k)
-
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         pts = _as_points(z)
         x, y = pts.real, pts.imag
@@ -459,47 +423,6 @@ class LinearStretch(MapFamily):
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constant_pair(_as_points(z), self.fz, self.fzb)
-
-    def pullback_abscissa(self, abscissa: float) -> float:
-        return abscissa / self.k
-
-
-@dataclass(frozen=True)
-class InverseLinearStretch(MapFamily):
-    """Analytic inverse of ``LinearStretch(k, n)``.
-
-    Constant Wirtinger pair ``((k+1-in)/(2k), -(k-1+in)/(2k))``.
-    """
-
-    k: float
-    n: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
-        require_real(self.n, "n must be a finite real number")
-
-    @property
-    def label(self) -> str:
-        return "fstar-inverse"
-
-    @property
-    def fz(self) -> complex:
-        return complex(self.k + 1.0, -self.n) / (2.0 * self.k)
-
-    @property
-    def fzb(self) -> complex:
-        return -complex(self.k - 1.0, self.n) / (2.0 * self.k)
-
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        pts = _as_points(z)
-        x = pts.real / self.k
-        return x + 1j * (pts.imag - self.n * x)
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _constant_pair(_as_points(z), self.fz, self.fzb)
-
-    def pullback_abscissa(self, abscissa: float) -> float:
-        return abscissa * self.k
 
 
 @dataclass(frozen=True)
@@ -586,9 +509,6 @@ class Rotation(MapFamily):
     def pullback_radius(self, radius: float) -> float:
         return radius
 
-    def pullback_abscissa(self, abscissa: float) -> float:
-        raise UnsupportedVariantError("rotation does not preserve abscissa lines")
-
 
 @dataclass(frozen=True)
 class IdentityMap(MapFamily):
@@ -608,12 +528,6 @@ class IdentityMap(MapFamily):
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constant_pair(_as_points(z), 1.0, 0.0)
 
-    def pullback_radius(self, radius: float) -> float:
-        return radius
-
-    def pullback_abscissa(self, abscissa: float) -> float:
-        return abscissa
-
 
 @dataclass(frozen=True)
 class ConjugationMap(MapFamily):
@@ -629,34 +543,32 @@ class ConjugationMap(MapFamily):
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constant_pair(_as_points(z), 0.0, 1.0)
 
-    def pullback_radius(self, radius: float) -> float:
-        return radius
-
 
 @dataclass(frozen=True)
 class Composition(MapFamily):
     """Composite map ``outer after inner`` with chain-rule derivatives.
 
     Break circles of the outer map are pulled back through the inner map's
-    radial profile (and abscissa break lines through its horizontal profile);
-    if the inner map cannot pull them back, the composition is refused rather
-    than silently mislocating the discontinuity set.
+    radial profile; if the inner map cannot pull them back, the composition
+    is refused rather than silently mislocating the discontinuity set.  Break
+    lines (abscissae) are kept only from the inner map: an outer map with
+    break lines is refused, since no family pulls abscissae back.
     """
 
     outer: MapFamily
     inner: MapFamily
     _break_radii: tuple[float, ...] = field(init=False, repr=False)
-    _break_abscissae: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.outer.break_abscissae():
+            raise UnsupportedVariantError(
+                f"{self.inner.label} cannot pull back the break lines of "
+                f"{self.outer.label}"
+            )
         radii = list(self.inner.break_radii())
         for b in self.outer.break_radii():
             radii.append(self.inner.pullback_radius(b))
-        abscissae = list(self.inner.break_abscissae())
-        for a in self.outer.break_abscissae():
-            abscissae.append(self.inner.pullback_abscissa(a))
         object.__setattr__(self, "_break_radii", tuple(sorted(set(radii))))
-        object.__setattr__(self, "_break_abscissae", tuple(sorted(set(abscissae))))
 
     @property
     def label(self) -> str:
@@ -666,7 +578,7 @@ class Composition(MapFamily):
         return self._break_radii
 
     def break_abscissae(self) -> tuple[float, ...]:
-        return self._break_abscissae
+        return self.inner.break_abscissae()
 
     @property
     def rotation_equivariant(self) -> bool:
@@ -683,9 +595,3 @@ class Composition(MapFamily):
         fz = gw * hz + gwb * np.conj(hzb)
         fzb = gw * hzb + gwb * np.conj(hz)
         return fz, fzb
-
-    def pullback_radius(self, radius: float) -> float:
-        return self.inner.pullback_radius(self.outer.pullback_radius(radius))
-
-    def pullback_abscissa(self, abscissa: float) -> float:
-        return self.inner.pullback_abscissa(self.outer.pullback_abscissa(abscissa))

@@ -19,8 +19,9 @@ target's excluded patch (as at most a few cell indices), then makes one
 same bits whichever entry point computed them.
 
 ``psi_dbar_mass`` and ``phi_dbar_mass`` are the scalar ``dbar`` functionals of
-a candidate map measured against its reference stretch, on the rectangle and
-annulus sides respectively.
+a candidate map measured against its reference stretch: ``Psi`` by the
+chain rule on the source square, ``Phi`` as a composition on the image
+annulus.  A non-finite target point is an ``InputError`` that names it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .geometry import (
 )
 from .maps import (
     Composition,
-    InverseLinearStretch,
     InverseSpiralStretch,
     LinearStretch,
     MapFamily,
@@ -118,6 +118,15 @@ def annulus_trace(
     return BoundaryTrace(domain=domain, components=tuple(comps))
 
 
+def _targets(targets) -> np.ndarray:
+    """Target points as a 1-d complex array; a non-finite one is an ``InputError``."""
+    pts = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
+    bad = ~np.isfinite(pts)
+    if np.any(bad):
+        raise InputError(f"target {complex(pts[np.argmax(bad)])!r} is not finite")
+    return pts
+
+
 # Targets per pass of cauchy_boundary: its scratch is (step, n_nodes) complex,
 # so memory stays fixed however many targets are asked for.
 _CAUCHY_STEP = 64
@@ -132,7 +141,7 @@ def cauchy_boundary(trace: BoundaryTrace, targets) -> np.ndarray:
     The circles are checked in order and, within a circle, the targets in
     order; the first offending pair is reported.
     """
-    pts = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
+    pts = _targets(targets)
     out = np.zeros(pts.shape, dtype=np.complex128)
     for comp in trace.components:
         guard = 2.0 * comp.spacing
@@ -215,8 +224,9 @@ def _exclusion_cells(grid: QuadratureGrid, w: complex) -> np.ndarray:
     return (rows[:, None] * nsec + cols[None, :]).ravel()
 
 
-def _area_many(field: DbarField, pts: np.ndarray) -> list[complex]:
-    """``pompeiu_area`` at every target in ``pts``, in one kernel call."""
+def _area_many(field: DbarField, targets) -> list[complex]:
+    """``pompeiu_area`` at every target, in one kernel call."""
+    pts = _targets(targets)
     grid = field.grid
     v = np.asarray(field.values, dtype=np.complex128)
     re, im = pompeiu_sum_many(
@@ -234,7 +244,7 @@ def _area_many(field: DbarField, pts: np.ndarray) -> list[complex]:
 
 def pompeiu_area(field: DbarField, w: complex) -> complex:
     """``(1/pi) * sum f_zbar * weight / (center - w)`` off the 3x3 patch."""
-    return _area_many(field, np.array([w], dtype=np.complex128))[0]
+    return _area_many(field, w)[0]
 
 
 @dataclass(frozen=True)
@@ -272,7 +282,7 @@ def reconstruct_many(
     trace: BoundaryTrace, field: DbarField, targets
 ) -> list[ReconstructionResult]:
     """``reconstruct`` at every target, with the sums batched across targets."""
-    pts = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
+    pts = _targets(targets)
     boundary = cauchy_boundary(trace, pts)
     area = _area_many(field, pts)
     results = []
@@ -299,7 +309,8 @@ def kernel_mass(grid: QuadratureGrid, xi: complex) -> float:
     independently of the grid resolution, so its stability across refinements
     is a direct check that the singular kernel is being integrated sanely.
     """
-    d = np.abs(grid.centers - complex(xi))
+    (xi,) = _targets(xi)
+    d = np.abs(grid.centers - xi)
     if np.any(d == 0.0):
         raise InputError(f"kernel target {xi!r} coincides with a cell center")
     return ordered_sum(grid.weights / d)
@@ -346,28 +357,22 @@ def psi_dbar_mass(
     n_x: int = 256,
     n_y: int = 256,
 ) -> float:
-    """Source-normalized ``dbar`` mass of ``Psi = f after fstar^{-1}``.
+    """``dbar`` mass of ``Psi = f after fstar^{-1}``, over the source square.
 
-    ``Psi`` compares a candidate square map with its reference stretch on the
-    image rectangle ``[0, k] x [0, 1]``.  The mass is the integral of
-    ``|Psi_wbar|`` over that rectangle divided by the constant Jacobian ``k``
-    of the reference — equivalently, the integral of ``|Psi_wbar(fstar(z))|``
-    over the source square, which is the quantity the stability estimates
-    control.  Requires an unsheared reference (``n = 0``), so that the image
-    is an axis-aligned rectangle.
+    The integral of ``|Psi_wbar(fstar(z))|`` over the unit square (equal to
+    that of ``|Psi_wbar|`` over the image, over the Jacobian ``k``).  With
+    ``(a, b) = (fstar.fz, fstar.fzb)`` the inverse has ``h_w = conj(a)/k``
+    and ``h_wbar = -b/k``, so the chain rule gives ``Psi_wbar(fstar(z)) =
+    (a*f_zbar(z) - b*f_z(z)) / k`` for any shear, and ``Psi`` is never built.
+    The grid honours ``f``'s break lines.
     """
     if not isinstance(fstar, LinearStretch):
         raise InputError("fstar must be a LinearStretch")
-    if fstar.n != 0.0:
-        raise UnsupportedVariantError(
-            "psi_dbar_mass requires an unsheared reference (n = 0); a sheared "
-            "image parallelogram has no rectangle grid"
-        )
-    psi = Composition(f, InverseLinearStretch(fstar.k, fstar.n))
-    domain = RectangleDomain(width=float(fstar.k), height=1.0)
-    grid = build_cartesian_grid(domain, n_x, n_y, breaks=psi.break_abscissae())
-    _, fzb = psi.wirtinger_many(grid.centers)
-    return integrate(grid, np.abs(fzb)) / fstar.jacobian
+    grid = build_cartesian_grid(
+        RectangleDomain(width=1.0), n_x, n_y, breaks=f.break_abscissae()
+    )
+    fz, fzb = f.wirtinger_many(grid.centers)
+    return integrate(grid, np.abs(fstar.fz * fzb - fstar.fzb * fz)) / fstar.k
 
 
 def phi_dbar_mass(

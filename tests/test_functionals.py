@@ -72,7 +72,10 @@ class TestPointwise:
     def test_beltrami_of_reference(self):
         f = LinearStretch(2.0)
         assert f.mu == pytest.approx(1.0 / 3.0)
-        assert f.jacobian == pytest.approx(2.0)
+        # psi_dbar_mass divides by k as the Jacobian |f_z|^2 - |f_zbar|^2
+        for n in (0.0, 0.7):
+            g = LinearStretch(2.0, n)
+            assert abs(g.fz) ** 2 - abs(g.fzb) ** 2 == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize(
         "family, z, want_K, want_degenerate",
@@ -163,6 +166,17 @@ class TestMeanDistortion:
                 g,
                 density=Density.INVERSE_SQUARE,
             )
+
+    def test_density_must_be_a_member(self):
+        # the token "invsq" is not Density.INVERSE_SQUARE: it used to be
+        # integrated as the uniform density (4.712 instead of 8.710)
+        g = polar(0.5, 32, 32)
+        with pytest.raises(InputError, match="Density.parse"):
+            mean_distortion(SpiralStretch(0.5, 2.0), ConvexGauge.linear(), g, "invsq")
+        res = mean_distortion(
+            SpiralStretch(0.5, 2.0), ConvexGauge.linear(), g, Density.parse("invsq")
+        )
+        assert res.value == pytest.approx(FOUR_PI_LOG2, rel=1e-3)
 
     def test_grid_must_honor_breaks(self):
         g = polar(0.5, 64, 64)  # no break at sqrt(q)

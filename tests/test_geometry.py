@@ -215,6 +215,12 @@ class TestIntegration:
         out = integrate_complex(g, vals)
         assert out == pytest.approx(1.0 + 2.0j, rel=1e-12)
 
+    def test_integrate_refuses_complex_samples(self):
+        # numpy would keep only the real parts (area 0.75*pi -> 2.356)
+        g = polar(0.5, 32, 32)
+        with pytest.raises(InputError, match="integrate_complex"):
+            integrate(g, np.full(g.n_cells, 1.0 + 2.0j))
+
     def test_integrate_shape_mismatch(self):
         g = polar(0.5, 4, 4)
         with pytest.raises(InputError):
@@ -277,6 +283,11 @@ class TestRings:
         assert err.value.cell_index == 700 * 1024
         assert "centers" not in g.__dict__
         assert err.value.center == complex(g.centers[700 * 1024])
+
+    def test_integrate_rings_refuses_complex_samples(self):
+        g = polar(0.5, 32, 32)
+        with pytest.raises(InputError, match="integrate_complex"):
+            integrate_rings(g, np.full(g.n_primary, 1.0 + 2.0j))
 
     def test_rings_need_a_polar_grid_and_one_value_per_ring(self):
         with pytest.raises(InputError):

@@ -12,9 +12,12 @@ single circle is, for an annulus target w with R < |w| < 1 (outer) or
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import cartesian, polar
 from qclab.errors import AccuracyError, InputError, UnsupportedVariantError
@@ -29,6 +32,7 @@ from qclab.maps import (
     PiecewiseRadialStretch,
     SpiralStretch,
 )
+from qclab.stability import audit_alignment
 from qclab.pompeiu import (
     BoundaryTrace,
     annulus_trace,
@@ -252,6 +256,27 @@ class TestKernelMass:
             kernel_mass(g, complex(g.centers[40]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.inf)])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda w: kernel_mass(polar(0.25, 16, 16), w),
+        lambda w: cauchy_boundary(annulus_trace(IdentityMap(), DOM, 64), [0.5, w]),
+        lambda w: pompeiu_area(dbar_field(ConjugationMap(), polar(0.25, 16, 16)), w),
+        lambda w: reconstruct_many(
+            annulus_trace(ConjugationMap(), DOM, 64),
+            dbar_field(ConjugationMap(), polar(0.25, 16, 16)),
+            [0.5, w],
+        ),
+    ],
+    ids=["kernel_mass", "cauchy_boundary", "pompeiu_area", "reconstruct_many"],
+)
+def test_nonfinite_target_is_refused_by_name(entry, bad):
+    message = re.escape(f"target {complex(bad)!r} is not finite")
+    with pytest.raises(InputError, match=message):
+        entry(bad)
+
+
 class TestOffsetTargets:
     def test_deterministic(self):
         g = polar(0.25, 64, 64)
@@ -297,11 +322,30 @@ class TestDbarMasses:
         )
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_psi_mass_rejects_shear(self):
-        with pytest.raises(UnsupportedVariantError):
-            psi_dbar_mass(
-                PiecewiseLinearStretch(2.0, 0.01), LinearStretch(2.0, n=0.5), 32, 8
-            )
+    @pytest.mark.parametrize(
+        "k, n, eps",
+        [(2.0, 0.5, 0.01), (3.0, -1.3, 1e-4), (1.5, 0.0, 0.04), (4.0, 2.0, 0.5)],
+    )
+    def test_psi_mass_closed_form_with_shear(self, k, n, eps):
+        # Psi_wbar = (a*f_zbar - b*f_z)/k = (s - k - i*n)/(2k) on the piece of
+        # slope s = k -/+ sqrt(eps), so |Psi_wbar| = sqrt(eps + n^2)/(2k)
+        got = psi_dbar_mass(PiecewiseLinearStretch(k, eps), LinearStretch(k, n), 16, 4)
+        assert got == pytest.approx(math.sqrt(eps + n * n) / (2.0 * k), abs=1e-12)
+
+    @given(
+        k=st.floats(1.2, 4.0),
+        n=st.floats(-2.0, 2.0),
+        depth=st.floats(0.05, 3.0),
+    )
+    def test_psi_mass_is_the_scaled_alignment_mass(self, k, n, depth):
+        # |a*f_zbar - b*f_z| = |a| * |f_zbar - mu*f_z| with mu = b/a: the
+        # same integrand as audit_alignment's absdiff_mass, scaled by |a|/k
+        eps = (k - 1.0) ** 2 * 10.0**-depth
+        f, fstar = PiecewiseLinearStretch(k, eps), LinearStretch(k, n)
+        got = psi_dbar_mass(f, fstar, 16, 4)
+        aligned = audit_alignment(f, fstar, cartesian(1.0, 16, 4, (0.5,)))
+        want = abs(fstar.fz) / k * aligned.absdiff_mass
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_phi_mass_vanishes_for_reference(self):
         got = phi_dbar_mass(
