@@ -187,7 +187,9 @@ def _pompeiu_columns(cols, wr, wi, dead, n):
 
     ``cols`` are the block columns of the centers and of ``v * wt``.  Each
     yielded array has shape ``(k, 2, nb)``: real and imaginary terms of each
-    of the ``k`` targets.  Past-the-end and dead cells hold exactly 0.0.
+    of the ``k`` targets.  Past-the-end and dead cells hold exactly 0.0.  A
+    dead cell may divide by zero before it is zeroed, so the caller consumes
+    the terms with ``divide`` and ``invalid`` errors ignored.
     """
     ccr, cci, cnr, cni = cols
     k, nb = wr.shape[0], ccr.shape[-1]
@@ -202,20 +204,19 @@ def _pompeiu_columns(cols, wr, wi, dead, n):
     cells = np.concatenate(dead)
     slot, block = cells % BLOCK, cells // BLOCK
     for j in range(BLOCK):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.subtract(ccr[j], wr, out=dr)
-            np.subtract(cci[j], wi, out=di)
-            np.multiply(dr, dr, out=den)
-            np.multiply(di, di, out=tmp)
-            den += tmp
-            np.multiply(cnr[j], dr, out=re)
-            np.multiply(cni[j], di, out=tmp)
-            re += tmp
-            re /= den
-            np.multiply(cni[j], dr, out=im)
-            np.multiply(cnr[j], di, out=tmp)
-            im -= tmp
-            im /= den
+        np.subtract(ccr[j], wr, out=dr)
+        np.subtract(cci[j], wi, out=di)
+        np.multiply(dr, dr, out=den)
+        np.multiply(di, di, out=tmp)
+        den += tmp
+        np.multiply(cnr[j], dr, out=re)
+        np.multiply(cni[j], di, out=tmp)
+        re += tmp
+        re /= den
+        np.multiply(cni[j], dr, out=im)
+        np.multiply(cnr[j], di, out=tmp)
+        im -= tmp
+        im /= den
         if rem and j >= rem:
             term[..., -1] = 0.0
         hit = slot == j
@@ -261,12 +262,13 @@ def pompeiu_sum_many(
         return re, im
     cols = (_columns(cr), _columns(ci), _columns(vr, wt), _columns(vi, wt))
     nb = cols[0].shape[-1]
-    for lo in range(0, n_targets, _TARGET_STEP):
-        hi = min(lo + _TARGET_STEP, n_targets)
-        terms = _pompeiu_columns(cols, wr[lo:hi], wi[lo:hi], dead[lo:hi], n)
-        sums = _tree(_across(terms, (hi - lo, 2, nb)))
-        re[lo:hi] = sums[:, 0]
-        im[lo:hi] = sums[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, n_targets, _TARGET_STEP):
+            hi = min(lo + _TARGET_STEP, n_targets)
+            terms = _pompeiu_columns(cols, wr[lo:hi], wi[lo:hi], dead[lo:hi], n)
+            sums = _tree(_across(terms, (hi - lo, 2, nb)))
+            re[lo:hi] = sums[:, 0]
+            im[lo:hi] = sums[:, 1]
     return re, im
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import BLOCK
 from .errors import DegenerateExperimentError, InputError, UnsupportedVariantError
 from .gauges import ConvexGauge
 from .geometry import (
@@ -130,6 +131,41 @@ class MeanDistortionResult:
     warning: str | None
 
 
+# Points per step of ``_in_steps``: whole ``BLOCK``s, so a step's scratch is
+# fixed however many cells a grid has.  ``dbar_field`` on the 512x512
+# ``phi-eps`` field, median of 15 (2-core x86-64 VM, numpy 2.4): 0.087 s at
+# 1,024 points, 0.049 at 4,096, 0.045 at 8,192, 0.048 at 16,384 and 0.069 at
+# 65,536, against 0.114 s in one call; its traced peak is 5.9 MB at 8,192,
+# of which 4.2 MB is the result.
+_CELL_STEP = 128 * BLOCK
+
+
+def _in_steps(fn, pts: np.ndarray):
+    """``fn(pts)``, evaluated ``_CELL_STEP`` points at a time.
+
+    ``fn`` maps a vector of points to an array, or a tuple of arrays, with
+    one value per point.  Each step's values are written into one
+    preallocated output per array, so beside the outputs at most one step's
+    scratch is live.  Map values do not depend on how many points share a
+    call, so the outputs have the bits of ``fn(pts)``.  Each step runs the
+    families' own domain and break checks; the first offending point of the
+    first offending step is reported.  Up to ``_CELL_STEP`` points (the ring
+    path's one point per ring) pass through as a single call.
+    """
+    n = pts.shape[0]
+    if n <= _CELL_STEP:
+        return fn(pts)
+    outs = None
+    for lo in range(0, n, _CELL_STEP):
+        got = fn(pts[lo : lo + _CELL_STEP])
+        parts = (got,) if isinstance(got, np.ndarray) else got
+        if outs is None:
+            outs = tuple(np.empty(n, dtype=part.dtype) for part in parts)
+        for out, part in zip(outs, parts):
+            out[lo : lo + _CELL_STEP] = part
+    return outs[0] if isinstance(got, np.ndarray) else outs
+
+
 def _sampling(grid: QuadratureGrid, *families: MapFamily):
     """Where to evaluate an integrand built from ``families``, and how to sum it.
 
@@ -167,7 +203,7 @@ def mean_distortion(
         raise InputError("inverse-square density requires a polar grid")
     _check_breaks_honored(family, grid)
     pts, integrator, cells_per_point = _sampling(grid, family)
-    K, degenerate = distortion_many(family, pts)
+    K, degenerate = _in_steps(lambda p: distortion_many(family, p), pts)
     n_undefined = int(np.count_nonzero(np.isnan(K))) * cells_per_point
     if n_undefined:
         raise DegenerateExperimentError(
@@ -245,7 +281,8 @@ def l1_distance(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> float:
     ``_sampling``).
     """
     pts, integrator, _ = _sampling(grid, a, b)
-    return integrator(grid, np.abs(a.eval_many(pts) - b.eval_many(pts)))
+    values = _in_steps(lambda p: np.abs(a.eval_many(p) - b.eval_many(p)), pts)
+    return integrator(grid, values)
 
 
 @dataclass(frozen=True)

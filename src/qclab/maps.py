@@ -592,6 +592,10 @@ class Composition(MapFamily):
         hz, hzb = self.inner.wirtinger_many(pts)
         w = self.inner.eval_many(pts)
         gw, gwb = self.outer.wirtinger_many(w)
-        fz = gw * hz + gwb * np.conj(hzb)
-        fzb = gw * hzb + gwb * np.conj(hz)
+        # np.multiply, not ``*``: on operands of 256 KiB or more numpy would
+        # multiply into the ``np.conj`` temporary in place, with a complex
+        # loop whose last bits differ, so a value would depend on how many
+        # points share the call.
+        fz = np.multiply(gw, hz) + np.multiply(gwb, np.conj(hzb))
+        fzb = np.multiply(gw, hzb) + np.multiply(gwb, np.conj(hz))
         return fz, fzb

@@ -7,9 +7,12 @@ For a map ``f`` smooth off a break set, the representation
 
 recovers interior values from the boundary trace and the ``dbar`` field.  The
 boundary trace uses trapezoid nodes on both circles (spectrally accurate for
-smooth data); the area term uses the midpoint grid with a 3x3 cell patch
-around the target excluded, which keeps the singular kernel integrable at the
-cost of an O(h log 1/h) hole error.
+smooth data); the area term uses the midpoint grid with a patch of cells
+around the target excluded, which keeps the singular kernel integrable.  The
+patch is symmetric about a target on a cell corner (see ``offset_targets``),
+so the leading term of the hole error cancels and the error is second order:
+at each doubling of a ``conj`` grid from 64x64 to 256x256 the median residual
+falls about fourfold.
 
 Both terms are batched across targets: ``reconstruct_many`` finds every
 target's excluded patch (as at most a few cell indices), then makes one
@@ -33,7 +36,7 @@ import numpy as np
 
 from ._kernels import ordered_sum, ordered_sums, pompeiu_sum_many
 from .errors import AccuracyError, InputError, UnsupportedVariantError, require_real
-from .functionals import _sampling
+from .functionals import _in_steps, _sampling
 from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
@@ -177,8 +180,8 @@ class DbarField:
 
 def dbar_field(family: MapFamily, grid: QuadratureGrid) -> DbarField:
     """Sample the ``dbar`` derivative of a map on all grid cells."""
-    _, fzb = family.wirtinger_many(grid.centers)
-    return DbarField(family=family, grid=grid, values=np.asarray(fzb))
+    values = _in_steps(lambda p: family.wirtinger_many(p)[1], grid.centers)
+    return DbarField(family=family, grid=grid, values=values)
 
 
 _SNAP_CELLS = 1e-9
@@ -258,17 +261,18 @@ class ReconstructionResult:
     near_break: bool
 
 
-def _near_break(field: DbarField, w: complex) -> bool:
+def _near_breaks(field: DbarField, targets: list[complex]) -> list[bool]:
+    """Whether each target lies within two primary cell widths of a break."""
     grid = field.grid
     h = float(np.max(np.diff(grid.primary_edges)))
     breaks = set(grid.mandatory_breaks)
     if grid.coordinate_kind == "polar":
         breaks.update(field.family.break_radii())
-        coord = abs(w)
+        coords = [abs(w) for w in targets]
     else:
         breaks.update(field.family.break_abscissae())
-        coord = complex(w).real
-    return any(abs(coord - b) <= 2.0 * h for b in breaks)
+        coords = [w.real for w in targets]
+    return [any(abs(c - b) <= 2.0 * h for b in breaks) for c in coords]
 
 
 def reconstruct(
@@ -283,23 +287,20 @@ def reconstruct_many(
 ) -> list[ReconstructionResult]:
     """``reconstruct`` at every target, with the sums batched across targets."""
     pts = _targets(targets)
-    boundary = cauchy_boundary(trace, pts)
+    boundary = cauchy_boundary(trace, pts).tolist()
     area = _area_many(field, pts)
-    results = []
-    for w, b, a in zip(pts, boundary, area):
-        w = complex(w)
-        value = complex(b) - a
-        exact = field.family.eval(w)
-        results.append(
-            ReconstructionResult(
-                target=w,
-                value=value,
-                exact=exact,
-                residual=abs(value - exact),
-                near_break=_near_break(field, w),
-            )
+    exact = field.family.eval_many(pts).tolist()
+    ws = pts.tolist()
+    return [
+        ReconstructionResult(
+            target=w,
+            value=b - a,
+            exact=e,
+            residual=abs(b - a - e),
+            near_break=near,
         )
-    return results
+        for w, b, a, e, near in zip(ws, boundary, area, exact, _near_breaks(field, ws))
+    ]
 
 
 def kernel_mass(grid: QuadratureGrid, xi: complex) -> float:
@@ -371,8 +372,12 @@ def psi_dbar_mass(
     grid = build_cartesian_grid(
         RectangleDomain(width=1.0), n_x, n_y, breaks=f.break_abscissae()
     )
-    fz, fzb = f.wirtinger_many(grid.centers)
-    return integrate(grid, np.abs(fstar.fz * fzb - fstar.fzb * fz)) / fstar.k
+
+    def mass(p):
+        fz, fzb = f.wirtinger_many(p)
+        return np.abs(fstar.fz * fzb - fstar.fzb * fz)
+
+    return integrate(grid, _in_steps(mass, grid.centers)) / fstar.k
 
 
 def phi_dbar_mass(
@@ -398,5 +403,4 @@ def phi_dbar_mass(
     domain = AnnulusDomain(inner_radius=gstar.q**gstar.k)
     grid = build_polar_grid(domain, n_radial, n_angular, breaks=phi.break_radii())
     pts, integrator, _ = _sampling(grid, phi)
-    _, fzb = phi.wirtinger_many(pts)
-    return integrator(grid, np.abs(fzb))
+    return integrator(grid, _in_steps(lambda p: np.abs(phi.wirtinger_many(p)[1]), pts))

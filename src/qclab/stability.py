@@ -33,6 +33,7 @@ from .geometry import (
 )
 from .functionals import (
     Density,
+    _in_steps,
     _relative_excess,
     distortion_many,
     l1_distance,
@@ -98,7 +99,7 @@ def audit_alignment(
             "reference has zero Beltrami coefficient; the alignment direction "
             "is undefined (use k > 1)"
         )
-    fz, fzb = f.wirtinger_many(grid.centers)
+    fz, fzb = _in_steps(f.wirtinger_many, grid.centers)
     integrand = mu / abs(mu) * fz + fzb
     total = integrate_complex(grid, integrand)
     r = abs(total)
@@ -147,7 +148,7 @@ def _safe_ratio(lhs: float, rhs: float) -> float:
 def _constant_reference_distortion(
     fstar: MapFamily, grid: QuadratureGrid
 ) -> float:
-    k_star, _ = distortion_many(fstar, grid.centers)
+    k_star, _ = _in_steps(lambda p: distortion_many(fstar, p), grid.centers)
     spread = float(np.max(k_star) - np.min(k_star))
     if spread > 1e-12:
         raise InputError(
@@ -176,7 +177,7 @@ def audit_k_l2(
             "audit needs a strictly convex gauge"
         )
     k_star_val = _constant_reference_distortion(fstar, grid)
-    K, _ = distortion_many(f, grid.centers)
+    K, _ = _in_steps(lambda p: distortion_many(f, p), grid.centers)
     lhs = integrate(grid, (K - k_star_val) ** 2)
     i_phi = integrate(grid, np.asarray(gauge.evaluate(K), dtype=np.float64))
     i_star = integrate(grid, np.full(grid.n_cells, gauge.evaluate(k_star_val)))
@@ -211,7 +212,7 @@ def audit_k_mean(
         raise UnsupportedVariantError(
             f"gauge {gauge.label!r} has non-increasing phi at K*; audit undefined"
         )
-    K, _ = distortion_many(f, grid.centers)
+    K, _ = _in_steps(lambda p: distortion_many(f, p), grid.centers)
     lhs = integrate(grid, K)
     i_k_star = integrate(grid, np.full(grid.n_cells, k_star_val))
     i_phi = integrate(grid, np.asarray(gauge.evaluate(K), dtype=np.float64))

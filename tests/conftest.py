@@ -2,8 +2,10 @@
 
 Property tests run under a derandomized hypothesis profile: every run draws
 the same examples, and no example fails for being slow on a busy machine.
+``traced_peak`` measures the memory a call allocates.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -46,3 +48,24 @@ def unit_square():
 def unit_square_split():
     """Unit square with the mid-line break the piecewise stretches need."""
     return cartesian(1.0, 128, 128, breaks=(0.5,))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the result and the call's peak traced bytes.
+
+    The peak counts what the call allocated above what was traced when it
+    began, numpy's array data included; it is measured by ``tracemalloc``,
+    which is started for the call unless it is already tracing.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base

@@ -23,6 +23,7 @@ from qclab.maps import (
     Rotation,
     SpiralStretch,
 )
+from qclab.functionals import distortion_many
 from qclab.geometry import RectangleDomain
 from qclab.stability import run_flat_gauge_ladder
 
@@ -488,6 +489,28 @@ def test_every_exported_family_is_pinned():
         and name != "MapFamily"
     }
     assert families <= pinned
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_values_do_not_depend_on_batch_length(name):
+    """One call on 20,480 points has the bits of the same points in 1,000-point calls.
+
+    The points jitter the golden ones by at most 3% in modulus, which keeps
+    them inside each family's domain and off its breaks.  Operands this long
+    are where numpy may compute a product in place in a temporary.
+    """
+    family, golden = GOLDEN_CASES[name]
+    rng = np.random.default_rng(SEED)
+    jitter = 1.0 + 0.02 * (rng.uniform(-1, 1, 20_480) + 1j * rng.uniform(-1, 1, 20_480))
+    pts = np.resize(np.asarray(golden, dtype=np.complex128), jitter.size) * jitter
+
+    def outputs(z):
+        return (family.eval_many(z), *family.wirtinger_many(z), *distortion_many(family, z))
+
+    whole = outputs(pts)
+    sliced = [outputs(pts[lo : lo + 1000]) for lo in range(0, pts.size, 1000)]
+    for i, got in enumerate(whole):
+        assert got.tobytes() == np.concatenate([s[i] for s in sliced]).tobytes(), i
 
 
 ROTATION_EQUIVARIANT = {

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cartesian, polar
+from conftest import cartesian, polar, traced_peak
 from qclab.errors import AccuracyError, InputError, UnsupportedVariantError
-from qclab.geometry import AnnulusDomain
+from qclab.geometry import AnnulusDomain, build_polar_grid
 from qclab.maps import (
     Composition,
     ConjugationMap,
@@ -197,6 +197,21 @@ class TestReconstruction:
         med = float(np.median([r.residual for r in results]))
         assert med < 1e-4
 
+    def test_corner_target_residual_is_second_order(self):
+        # ``qclab reconstruct --field conj`` at its defaults but the grid: the
+        # patch around a corner target is symmetric, so the hole error falls
+        # like h**2 (measured ratios 3.96 and 4.00), not like h*log(1/h).
+        trace = annulus_trace(ConjugationMap(), DOM, 1024)
+        medians = []
+        for n in (64, 128, 256):
+            g = polar(0.25, n, n)
+            results = reconstruct_many(
+                trace, dbar_field(ConjugationMap(), g), offset_targets(g, 32, seed=0)
+            )
+            medians.append(float(np.median([r.residual for r in results])))
+        for coarse, fine in zip(medians, medians[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
     def test_exact_value_is_reported(self):
         g = polar(0.25, 64, 64)
         trace = annulus_trace(ConjugationMap(), DOM, 512)
@@ -235,6 +250,28 @@ class TestReconstruction:
         results = reconstruct_many(trace, field, offset_targets(g, 32, seed=5))
         med = float(np.median([r.residual for r in results]))
         assert med < 1e-2  # comfortably: measured ~3e-6
+
+
+class TestDbarField:
+    # The fields of ``qclab reconstruct`` at its defaults (q = 0.5, k = 2).
+    FIELDS = {
+        "identity": IdentityMap(),
+        "conj": ConjugationMap(),
+        "phi-eps": Composition(
+            PiecewiseRadialStretch(0.5, 2.0, 1e-3), InverseSpiralStretch(0.5, 2.0, 0.0)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_default_grid_is_evaluated_in_steps(self, name):
+        # The CLI's 512x512 grid; phi-eps splices its break circle in, so its
+        # 262,656 cells end in a ragged step.
+        family = self.FIELDS[name]
+        grid = build_polar_grid(DOM, 512, 512, breaks=family.break_radii())
+        grid.centers  # the input, built before the measurement
+        field, peak = traced_peak(dbar_field, family, grid)
+        assert peak <= field.values.nbytes + 8 * 2**20
+        assert field.values.tobytes() == family.wirtinger_many(grid.centers)[1].tobytes()
 
 
 class TestKernelMass:
