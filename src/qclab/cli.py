@@ -39,8 +39,8 @@ from .gauges import ConvexGauge
 from .geometry import (
     AnnulusDomain,
     RectangleDomain,
-    build_cartesian_grid,
     build_polar_grid,
+    grid_for,
     half_resolution_shape,
 )
 from .maps import (
@@ -94,25 +94,26 @@ def _token_number(tok: str, convert, noun: str, token: str):
         raise InputError(f"malformed {noun} token {token!r}") from None
 
 
-def _parse_map(token: str, args) -> tuple[MapFamily, str]:
-    """Build a map family from a token; returns (family, side).
+def _parse_map(token: str, args) -> tuple[MapFamily, AnnulusDomain | RectangleDomain]:
+    """Build a map family from a token; returns ``(family, domain)``.
 
-    ``side`` is "annulus" for the g-families and "square" for the f-families.
+    The g-families live on the annulus ``AnnulusDomain(q)``, the f-families
+    on the unit square.
     """
     tok = token.strip().lower()
     if tok == "gstar":
-        return SpiralStretch(args.q, args.k, args.theta, 0), "annulus"
+        return SpiralStretch(args.q, args.k, args.theta, 0), AnnulusDomain(args.q)
     if tok.startswith("gn:"):
         winding = _token_number(tok, int, "map", token)
-        return SpiralStretch(args.q, args.k, args.theta, winding), "annulus"
+        return SpiralStretch(args.q, args.k, args.theta, winding), AnnulusDomain(args.q)
     if tok.startswith("geps:"):
         eps = _token_number(tok, float, "map", token)
-        return PiecewiseRadialStretch(args.q, args.k, eps), "annulus"
+        return PiecewiseRadialStretch(args.q, args.k, eps), AnnulusDomain(args.q)
     if tok == "fstar":
-        return LinearStretch(args.k, getattr(args, "n", 0.0)), "square"
+        return LinearStretch(args.k, getattr(args, "n", 0.0)), RectangleDomain(1.0)
     if tok.startswith("feps:"):
         eps = _token_number(tok, float, "map", token)
-        return PiecewiseLinearStretch(args.k, eps), "square"
+        return PiecewiseLinearStretch(args.k, eps), RectangleDomain(1.0)
     raise InputError(
         f"unknown map token {token!r}; expected gstar|gN:N|geps:eps|fstar|feps:eps"
     )
@@ -155,33 +156,19 @@ def _emit(args, header: list[str], rows: list[dict], summary: dict) -> None:
         Path(args.out).write_text(text)
 
 
-def _annulus_grid_for(family: MapFamily, q: float, n_radial: int, n_angular: int):
-    domain = AnnulusDomain(q)
-    return build_polar_grid(domain, n_radial, n_angular, breaks=family.break_radii())
-
-
-def _square_grid_for(family: MapFamily, n_x: int, n_y: int):
-    domain = RectangleDomain(width=1.0, height=1.0)
-    return build_cartesian_grid(domain, n_x, n_y, breaks=family.break_abscissae())
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 
 def cmd_distortion(args) -> int:
-    family, side = _parse_map(args.map, args)
+    family, domain = _parse_map(args.map, args)
     gauge = ConvexGauge.parse(args.gauge)
     density = Density.parse(args.density)
     n_a, n_b = _parse_grid(args.grid)
     half_a, half_b = half_resolution_shape(n_a, n_b)
-    if side == "annulus":
-        grid = _annulus_grid_for(family, args.q, n_a, n_b)
-        half = _annulus_grid_for(family, args.q, half_a, half_b)
-    else:
-        grid = _square_grid_for(family, n_a, n_b)
-        half = _square_grid_for(family, half_a, half_b)
+    grid = grid_for(family, domain, n_a, n_b)
+    half = grid_for(family, domain, half_a, half_b)
     result = mean_distortion(family, gauge, grid, density)
     result_half = mean_distortion(family, gauge, half, density)
     error_estimate = abs(result.value - result_half.value) / 3.0
@@ -262,22 +249,22 @@ def cmd_audit(args) -> int:
         )
     gauge = ConvexGauge.parse(args.gauge)
     if args.lemma == "taylor":
-        report = audit_taylor(gauge, n_pairs=args.samples, seed=args.seed, c=args.c)
+        report = audit_taylor(gauge, samples=args.samples, seed=args.seed, c=args.c)
     elif args.lemma == "theta":
-        report = audit_theta(n_samples=args.samples, seed=args.seed)
+        report = audit_theta(samples=args.samples, seed=args.seed)
     elif args.lemma == "gn-gap":
         n_radial, n_angular = _parse_grid(args.grid)
         grid = build_polar_grid(AnnulusDomain(args.q), n_radial, n_angular)
         report = audit_gn_gap(args.q, args.k, args.theta, args.winding, gauge, grid)
     else:  # k-l2, k-mean or alignment: the parser admits no other lemma
-        family, side = _parse_map(args.map, args)
-        if side != "square":
+        family, domain = _parse_map(args.map, args)
+        if not isinstance(domain, RectangleDomain):
             raise InputError(
                 f"the {args.lemma} audit requires a square-side map "
                 "(fstar or feps:eps)"
             )
         n_x, n_y = _parse_grid(args.grid)
-        grid = _square_grid_for(family, n_x, n_y)
+        grid = grid_for(family, domain, n_x, n_y)
         fstar = LinearStretch(args.k, 0.0)
         if args.lemma == "k-l2":
             report = audit_k_l2(family, fstar, gauge, grid)
@@ -314,7 +301,7 @@ def cmd_reconstruct(args) -> int:
             f"unknown field token {args.field!r}; expected identity|conj|phi-eps:eps"
         )
     n_radial, n_angular = _parse_grid(args.grid)
-    grid = build_polar_grid(domain, n_radial, n_angular, breaks=family.break_radii())
+    grid = grid_for(family, domain, n_radial, n_angular)
     trace = annulus_trace(family, domain, args.nodes)
     fld = dbar_field(family, grid)
     targets = offset_targets(grid, args.points, args.seed, margin=args.margin)

@@ -110,11 +110,7 @@ def distortion_many(
 
 
 def _check_breaks_honored(family: MapFamily, grid: QuadratureGrid) -> None:
-    if grid.coordinate_kind == "polar":
-        breaks = family.break_radii()
-    else:
-        breaks = family.break_abscissae()
-    for b in breaks:
+    for b in grid.breaks_of(family):
         if np.min(np.abs(grid.primary_edges - b)) > 1e-12:
             raise InputError(
                 f"grid does not honor the mandatory break at {b!r}; rebuild it "

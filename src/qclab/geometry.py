@@ -7,6 +7,12 @@ allowed to be non-smooth — are spliced into the partition, so no cell ever
 straddles a break.  The secondary axis (angle, vertical coordinate) is always
 uniform.
 
+The domain picks the chart, polar on an annulus and cartesian on a
+rectangle, and callers never do: ``grid_for`` builds a map's grid on a
+domain, and a grid's ``point``, ``chart`` and ``breaks_of`` convert points and
+pick a map's break set.  ``coordinate_kind`` is left for maths that holds on
+one chart only (the ring path, the ``1/|w|^2`` density, the periodic angle).
+
 A grid is its partition: the primary edges and the secondary cell count.
 The rest is derived on first use.  Cell weights are exact areas,
 ``r_mid * dr * dtheta`` on polar grids (exact for any radial partition, since
@@ -37,6 +43,7 @@ __all__ = [
     "RectangleDomain",
     "build_cartesian_grid",
     "build_polar_grid",
+    "grid_for",
     "half_resolution_shape",
     "integrate",
     "integrate_complex",
@@ -195,23 +202,43 @@ class QuadratureGrid:
             width = self.primary_mid * width
         return width * self.secondary_step
 
-    def _centers(self, lines: slice, cells: np.ndarray) -> np.ndarray:
-        """Complex midpoints of secondary ``cells`` on primary ``lines``, one row per line."""
-        sec = (cells + 0.5) * self.secondary_step
-        mid = self.primary_mid[lines, None]
+    def point(self, primary, secondary) -> np.ndarray:
+        """Complex points at chart coordinates ``(primary, secondary)``, broadcast.
+
+        ``primary * exp(i * secondary)`` on polar grids, ``primary + i *
+        secondary`` on cartesian ones.
+        """
         if self.coordinate_kind == "polar":
-            return mid * np.exp(1j * sec)[None, :]
-        return mid + 1j * sec[None, :]
+            return primary * np.exp(1j * secondary)
+        return primary + 1j * secondary
+
+    def chart(self, w: complex) -> tuple[float, float]:
+        """Chart coordinates of the point ``w``: the inverse of ``point``.
+
+        ``(|w|, arg w mod 2*pi)`` on polar grids, ``(Re w, Im w)`` on
+        cartesian ones.
+        """
+        w = complex(w)
+        if self.coordinate_kind == "polar":
+            return abs(w), math.atan2(w.imag, w.real) % (2.0 * math.pi)
+        return w.real, w.imag
+
+    def breaks_of(self, family) -> tuple[float, ...]:
+        """``family``'s break set on this grid's primary axis: radii or abscissae."""
+        if self.coordinate_kind == "polar":
+            return family.break_radii()
+        return family.break_abscissae()
 
     @cached_property
     def centers(self) -> np.ndarray:
         """Complex midpoint of every cell."""
-        return self._centers(slice(None), np.arange(self.n_secondary)).ravel()
+        sec = (np.arange(self.n_secondary) + 0.5) * self.secondary_step
+        return self.point(self.primary_mid[:, None], sec[None, :]).ravel()
 
     def center(self, index: int) -> complex:
         """Complex midpoint of cell ``index``: ``centers[index]``, without building ``centers``."""
         i, j = divmod(index, self.n_secondary)
-        return complex(self._centers(slice(i, i + 1), np.arange(j, j + 1))[0, 0])
+        return complex(self.point(self.primary_mid[i], (j + 0.5) * self.secondary_step))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -245,6 +272,20 @@ def build_cartesian_grid(
     breaks = tuple(sorted(float(b) for b in breaks))
     edges = _partition_with_breaks(*domain.primary_bounds, n_x, breaks, "horizontal")
     return QuadratureGrid(domain, edges, n_y, breaks)
+
+
+def grid_for(
+    family, domain: AnnulusDomain | RectangleDomain, n_primary: int, n_secondary: int
+) -> QuadratureGrid:
+    """Midpoint grid on ``domain`` with ``family``'s breaks spliced in.
+
+    Polar on an annulus, honouring ``family.break_radii()``; cartesian on a
+    rectangle, honouring ``family.break_abscissae()``.
+    """
+    if isinstance(domain, AnnulusDomain):
+        return build_polar_grid(domain, n_primary, n_secondary, family.break_radii())
+    breaks = family.break_abscissae()
+    return build_cartesian_grid(domain, n_primary, n_secondary, breaks)
 
 
 def half_resolution_shape(n_primary: int, n_secondary: int) -> tuple[int, int]:

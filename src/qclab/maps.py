@@ -44,7 +44,6 @@ __all__ = [
 
 _RTOL = 1e-9
 _BREAK_ATOL = 1e-12
-_ZERO_BITS = bytes(16)
 
 
 def _as_points(z) -> np.ndarray:
@@ -71,9 +70,6 @@ class MapFamily(abc.ABC):
     @abc.abstractmethod
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(f_z, f_zbar)`` arrays on a vector of points."""
-
-    def eval(self, z: complex) -> complex:
-        return complex(self.eval_many(_as_points(z))[0])
 
     def break_radii(self) -> tuple[float, ...]:
         """Radii where the derivatives jump (annulus families)."""
@@ -137,17 +133,8 @@ def _check_breaks(
 
 
 def _constant_pair(pts: np.ndarray, fz: complex, fzb: complex):
-    """The Wirtinger pair of an affine map: ``(fz, fzb)`` at every point.
-
-    A ``+0`` constant (all bits clear) comes from ``np.zeros``, whose
-    untouched pages read faster than written ones.
-    """
-    return tuple(
-        np.zeros(pts.shape, dtype=np.complex128)
-        if np.complex128(v).tobytes() == _ZERO_BITS
-        else np.full(pts.shape, v, dtype=np.complex128)
-        for v in (fz, fzb)
-    )
+    """The Wirtinger pair of an affine map: ``(fz, fzb)`` at every point."""
+    return tuple(np.full(pts.shape, v, dtype=np.complex128) for v in (fz, fzb))
 
 
 def _check_two_speed(k: float, eps: float) -> None:

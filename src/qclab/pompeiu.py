@@ -41,8 +41,7 @@ from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
     RectangleDomain,
-    build_cartesian_grid,
-    build_polar_grid,
+    grid_for,
     integrate,
 )
 from .maps import (
@@ -95,27 +94,27 @@ class BoundaryTrace:
 
 
 def annulus_trace(
-    family: MapFamily, domain: AnnulusDomain, n_nodes: int
+    family: MapFamily, domain: AnnulusDomain, nodes: int
 ) -> BoundaryTrace:
     """Sample a map on the oriented boundary of an annulus.
 
-    ``n_nodes`` trapezoid nodes per circle; the outer unit circle runs
+    ``nodes`` trapezoid nodes per circle; the outer unit circle runs
     counterclockwise, the inner circle clockwise, so together they bound the
     annulus positively.
     """
-    require_real(n_nodes, "n_nodes must be an integer >= 8", lambda v: v >= 8, integer=True)
-    j = np.arange(n_nodes)
-    unit = np.exp(2j * math.pi * j / n_nodes)
-    step = 2.0 * math.pi / n_nodes
+    require_real(nodes, "nodes must be an integer >= 8", lambda v: v >= 8, integer=True)
+    j = np.arange(nodes)
+    unit = np.exp(2j * math.pi * j / nodes)
+    step = 2.0 * math.pi / nodes
     comps = []
     for radius, turn in ((1.0, 1j), (domain.inner_radius, -1j)):
-        nodes = radius * unit
+        circle = radius * unit
         comps.append(
             TraceComponent(
                 radius=radius,
-                nodes=nodes,
-                values=np.asarray(family.eval_many(nodes), dtype=np.complex128),
-                dweights=turn * nodes * step,
+                nodes=circle,
+                values=np.asarray(family.eval_many(circle), dtype=np.complex128),
+                dweights=turn * circle * step,
             )
         )
     return BoundaryTrace(domain=domain, components=tuple(comps))
@@ -130,7 +129,7 @@ def _targets(targets) -> np.ndarray:
     return pts
 
 
-# Targets per pass of cauchy_boundary: its scratch is (step, n_nodes) complex,
+# Targets per pass of cauchy_boundary: its scratch is (step, nodes) complex,
 # so memory stays fixed however many targets are asked for.
 _CAUCHY_STEP = 64
 
@@ -201,15 +200,9 @@ def _exclusion_cells(grid: QuadratureGrid, w: complex) -> np.ndarray:
     wraps on polar grids (angle is periodic) and clamps on cartesian grids;
     the primary axis always clamps.
     """
-    wc = complex(w)
     edges = grid.primary_edges
     nsec = grid.n_secondary
-    if grid.coordinate_kind == "polar":
-        prim = abs(wc)
-        sec = math.atan2(wc.imag, wc.real) % (2.0 * math.pi)
-    else:
-        prim = wc.real
-        sec = wc.imag
+    prim, sec = grid.chart(w)
     u = float(np.interp(prim, edges, np.arange(edges.size, dtype=np.float64)))
     s = sec / grid.secondary_step
     if abs(u - round(u)) <= _SNAP_CELLS:
@@ -265,13 +258,8 @@ def _near_breaks(field: DbarField, targets: list[complex]) -> list[bool]:
     """Whether each target lies within two primary cell widths of a break."""
     grid = field.grid
     h = float(np.max(np.diff(grid.primary_edges)))
-    breaks = set(grid.mandatory_breaks)
-    if grid.coordinate_kind == "polar":
-        breaks.update(field.family.break_radii())
-        coords = [abs(w) for w in targets]
-    else:
-        breaks.update(field.family.break_abscissae())
-        coords = [w.real for w in targets]
+    breaks = set(grid.mandatory_breaks) | set(grid.breaks_of(field.family))
+    coords = [grid.chart(w)[0] for w in targets]
     return [any(abs(c - b) <= 2.0 * h for b in breaks) for c in coords]
 
 
@@ -319,7 +307,7 @@ def kernel_mass(grid: QuadratureGrid, xi: complex) -> float:
 
 def offset_targets(
     grid: QuadratureGrid,
-    count: int,
+    points: int,
     seed: int,
     margin: float = 0.1,
 ) -> np.ndarray:
@@ -331,24 +319,21 @@ def offset_targets(
     the primary-axis boundary are eligible; the choice is seeded and
     reproducible.
     """
-    require_real(count, "count must be an integer >= 1", lambda v: v >= 1, integer=True)
+    require_real(points, "points must be an integer >= 1", lambda v: v >= 1, integer=True)
     if not (0.0 <= margin < 0.5):
         raise InputError("margin must be in [0, 0.5)")
     edges = grid.primary_edges
     lo, hi = float(edges[0]), float(edges[-1])
     pad = margin * (hi - lo)
     inner = edges[(edges >= lo + pad) & (edges <= hi - pad)]
-    sec = (np.arange(grid.n_secondary)) * grid.secondary_step
-    if grid.coordinate_kind == "polar":
-        corners = (inner[:, None] * np.exp(1j * sec)[None, :]).ravel()
-    else:
-        corners = (inner[:, None] + 1j * sec[None, :]).ravel()
-    if corners.size < count:
+    sec = np.arange(grid.n_secondary) * grid.secondary_step
+    corners = grid.point(inner[:, None], sec[None, :]).ravel()
+    if corners.size < points:
         raise InputError(
-            f"only {corners.size} eligible corner targets, fewer than {count}"
+            f"only {corners.size} eligible corner targets, fewer than {points}"
         )
     rng = np.random.default_rng(seed)
-    pick = rng.choice(corners.size, size=count, replace=False)
+    pick = rng.choice(corners.size, size=points, replace=False)
     return corners[np.sort(pick)]
 
 
@@ -369,9 +354,7 @@ def psi_dbar_mass(
     """
     if not isinstance(fstar, LinearStretch):
         raise InputError("fstar must be a LinearStretch")
-    grid = build_cartesian_grid(
-        RectangleDomain(width=1.0), n_x, n_y, breaks=f.break_abscissae()
-    )
+    grid = grid_for(f, RectangleDomain(width=1.0), n_x, n_y)
 
     def mass(p):
         fz, fzb = f.wirtinger_many(p)
@@ -401,6 +384,6 @@ def phi_dbar_mass(
         )
     phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
     domain = AnnulusDomain(inner_radius=gstar.q**gstar.k)
-    grid = build_polar_grid(domain, n_radial, n_angular, breaks=phi.break_radii())
+    grid = grid_for(phi, domain, n_radial, n_angular)
     pts, integrator, _ = _sampling(grid, phi)
     return integrator(grid, _in_steps(lambda p: np.abs(phi.wirtinger_many(p)[1]), pts))

@@ -26,7 +26,7 @@ from .gauges import ConvexGauge, theta_check_many
 from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
-    build_polar_grid,
+    grid_for,
     half_resolution_shape,
     integrate,
     integrate_complex,
@@ -237,19 +237,19 @@ def audit_k_mean(
 
 def audit_taylor(
     gauge: ConvexGauge,
-    n_pairs: int = 10000,
+    samples: int = 10000,
     seed: int = 0,
     c: float | None = None,
 ) -> AuditReport:
     """Sample the quadratic Taylor gap of a gauge on random pairs.
 
-    Draws ``(s, t)`` uniformly from ``[1, 50]^2`` and reports the most
-    negative ``gauge.taylor_gap(s, t, c)``.  Passing means the gauge really
-    does dominate its quadratic model at curvature ``c`` on the sampled box.
-    ``c`` defaults to the gauge's own floor and may be lowered but never
-    raised above it.
+    Draws ``samples`` pairs ``(s, t)`` uniformly from ``[1, 50]^2`` and
+    reports the most negative ``gauge.taylor_gap(s, t, c)``.  Passing means
+    the gauge really does dominate its quadratic model at curvature ``c`` on
+    the sampled box.  ``c`` defaults to the gauge's own floor and may be
+    lowered but never raised above it.
     """
-    require_real(n_pairs, "n_pairs must be an integer >= 1", lambda v: v >= 1, integer=True)
+    require_real(samples, "samples must be an integer >= 1", lambda v: v >= 1, integer=True)
     floor = gauge.curvature_floor
     c_used = floor if c is None else c
     if isinstance(c_used, numbers.Real) and c_used > floor + 1e-15:  # +inf included
@@ -260,8 +260,8 @@ def audit_taylor(
     require_real(c_used, f"declared curvature c must be a finite number, got {c!r}")
     c_used = float(c_used)
     rng = np.random.default_rng(seed)
-    s = rng.uniform(1.0, 50.0, size=n_pairs)
-    t = rng.uniform(1.0, 50.0, size=n_pairs)
+    s = rng.uniform(1.0, 50.0, size=samples)
+    t = rng.uniform(1.0, 50.0, size=samples)
     gaps = gauge.taylor_gap(s, t, c_used)
     min_gap = float(np.min(gaps))
     worst = int(np.argmin(gaps))
@@ -272,7 +272,7 @@ def audit_taylor(
         ratio=_safe_ratio(min_gap, -1e-12),
         constants={
             "c": c_used,
-            "n_pairs": float(n_pairs),
+            "n_pairs": float(samples),
             "seed": float(seed),
             "worst_s": float(s[worst]),
             "worst_t": float(t[worst]),
@@ -281,18 +281,17 @@ def audit_taylor(
     )
 
 
-def audit_theta(n_samples: int = 10000, seed: int = 0) -> AuditReport:
+def audit_theta(samples: int = 10000, seed: int = 0) -> AuditReport:
     """Sample the pointwise angle-defect inequalities on random points.
 
-    The points are ``10 * (x + iy)`` with ``x`` and ``y`` standard normal.
-    Checks ``(|z| - Re z) - theta(z) >= -1e-12`` on every sample and that the
-    definitional identity ``2*theta*|z| - (Im z)^2`` vanishes to rounding.
+    The ``samples`` points are ``10 * (x + iy)`` with ``x`` and ``y``
+    standard normal.  Checks ``(|z| - Re z) - theta(z) >= -1e-12`` on every
+    sample and that the definitional identity ``2*theta*|z| - (Im z)^2``
+    vanishes to rounding.
     """
-    require_real(
-        n_samples, "n_samples must be an integer >= 1", lambda v: v >= 1, integer=True
-    )
+    require_real(samples, "samples must be an integer >= 1", lambda v: v >= 1, integer=True)
     rng = np.random.default_rng(seed)
-    z = 10.0 * (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
+    z = 10.0 * (rng.standard_normal(samples) + 1j * rng.standard_normal(samples))
     _, gap1, gap2 = theta_check_many(z)
     min_gap1 = float(np.min(gap1))
     max_identity = float(np.max(np.abs(gap2) / (1.0 + z.imag**2)))
@@ -303,7 +302,7 @@ def audit_theta(n_samples: int = 10000, seed: int = 0) -> AuditReport:
         rhs=-1e-12,
         ratio=_safe_ratio(min_gap1, -1e-12),
         constants={
-            "n_samples": float(n_samples),
+            "n_samples": float(samples),
             "seed": float(seed),
             "scale": 10.0,
             "max_identity_defect": max_identity,
@@ -445,13 +444,12 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     _check_ladder_eps(config.eps_values, config.k)
 
     domain = AnnulusDomain(config.q)
-    break_radius = math.sqrt(config.q)
-    grid = build_polar_grid(
-        domain, config.n_radial, config.n_angular, breaks=[break_radius]
-    )
-    half_shape = half_resolution_shape(config.n_radial, config.n_angular)
-    half_grid = build_polar_grid(domain, *half_shape, breaks=[break_radius])
     reference = SpiralStretch(config.q, config.k, config.theta, 0)
+    # Every rung breaks where its two-speed base does, whatever its eps.
+    base = PiecewiseRadialStretch(config.q, config.k, config.eps_values[0])
+    grid = grid_for(base, domain, config.n_radial, config.n_angular)
+    half_shape = half_resolution_shape(config.n_radial, config.n_angular)
+    half_grid = grid_for(base, domain, *half_shape)
     mass_n_radial, mass_n_angular = config.mass_n_radial, config.mass_n_angular
     if mass_n_radial is None:
         mass_n_radial = config.n_radial
@@ -567,8 +565,10 @@ def run_flat_gauge_ladder(
     flat = ConvexGauge.flat()
     square = ConvexGauge.square()
     domain = AnnulusDomain(q)
-    grid = build_polar_grid(domain, n_radial, n_angular, breaks=[math.sqrt(q)])
     reference = SpiralStretch(q, k, 0.0, 0)
+    # Every rung breaks where the first does, whatever its eps.
+    first = PiecewiseRadialStretch(q, k, eps_values[0])
+    grid = grid_for(first, domain, n_radial, n_angular)
 
     rows = []
     for eps in eps_values:

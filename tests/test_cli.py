@@ -9,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from qclab.cli import _AUDIT_READS, build_parser, main
+from qclab import cli
+from qclab.cli import _AUDIT_READS, _parse_map, build_parser, main
+from qclab.functionals import mean_distortion
+from qclab.gauges import ConvexGauge
+from qclab.geometry import AnnulusDomain, RectangleDomain, grid_for
 
 CMD = [sys.executable, "-m", "qclab"]
 
@@ -249,6 +253,71 @@ class TestInProcess:
         captured = capsys.readouterr()
         assert captured.err == f"error: malformed {token}\n"
         assert captured.out == ""
+
+
+class TestCountMessages:
+    """A refused count names the option that set it."""
+
+    @pytest.mark.parametrize(
+        "argv, option, least",
+        [
+            (["audit", "--lemma", "taylor", "--samples", "0"], "samples", 1),
+            (["audit", "--lemma", "theta", "--samples", "0"], "samples", 1),
+            (["reconstruct", "--field", "conj", "--nodes", "4"], "nodes", 8),
+            (["reconstruct", "--field", "conj", "--points", "0"], "points", 1),
+        ],
+        ids=["taylor-samples", "theta-samples", "nodes", "points"],
+    )
+    def test_is_usage_error(self, capsys, argv, option, least):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {option} must be an integer >= {least}\n"
+        assert captured.out == ""
+
+
+def _assert_grid_honours(family, domain, grid):
+    """``grid`` splices in ``family``'s breaks, and the functionals accept it."""
+    assert grid.domain is domain
+    assert grid.mandatory_breaks == grid.breaks_of(family)
+    mean_distortion(family, ConvexGauge.parse("linear"), grid)  # checks the breaks
+
+
+class TestMapDomains:
+    """Each map comes with its domain, and ``grid_for`` builds a grid honouring it."""
+
+    @pytest.mark.parametrize(
+        "token, kind",
+        [
+            ("gstar", AnnulusDomain),
+            ("gn:2", AnnulusDomain),
+            ("geps:0.01", AnnulusDomain),
+            ("fstar", RectangleDomain),
+            ("feps:0.01", RectangleDomain),
+        ],
+    )
+    def test_map_tokens(self, token, kind):
+        args = build_parser().parse_args(["distortion", "--map", token])
+        family, domain = _parse_map(args.map, args)
+        assert type(domain) is kind
+        _assert_grid_honours(family, domain, grid_for(family, domain, 16, 8))
+
+    @pytest.mark.parametrize("field", ["identity", "conj", "phi-eps:1e-3"])
+    def test_reconstruct_fields(self, monkeypatch, capsys, field):
+        built = []
+
+        def recording(family, domain, n_primary, n_secondary):
+            grid = grid_for(family, domain, n_primary, n_secondary)
+            built.append((family, domain, grid))
+            return grid
+
+        monkeypatch.setattr(cli, "grid_for", recording)
+        argv = ["reconstruct", "--field", field, "--grid", "16x16", "--nodes", "512",
+                "--points", "4"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        ((family, domain, grid),) = built
+        assert type(domain) is AnnulusDomain
+        _assert_grid_honours(family, domain, grid)
 
 
 def _subparsers(parser):

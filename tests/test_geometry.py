@@ -354,16 +354,18 @@ class TestBuilderValidation:
             build_polar_grid(AnnulusDomain(0.5), n_r, n_t)
 
 
-# Each entry point that takes a count, called with that count.
+# Each entry point that takes a count, called with that count, keyed by the
+# name its refusal gives the count (the CLI option that sets it, where one
+# does) and, in brackets, the entry point when two share that name.
 COUNTED = {
     "radial cells": lambda n: build_polar_grid(AnnulusDomain(0.5), n, 4),
     "horizontal cells": lambda n: build_cartesian_grid(RectangleDomain(1.0), n, 4),
     "angular cells": lambda n: build_polar_grid(AnnulusDomain(0.5), 4, n),
     "vertical cells": lambda n: build_cartesian_grid(RectangleDomain(1.0), 4, n),
-    "n_nodes": lambda n: annulus_trace(IdentityMap(), AnnulusDomain(0.25), n),
-    "count": lambda n: offset_targets(polar(0.5, 8, 8), n, 0),
-    "n_pairs": lambda n: audit_taylor(ConvexGauge.parse("square"), n_pairs=n),
-    "n_samples": lambda n: audit_theta(n_samples=n),
+    "nodes": lambda n: annulus_trace(IdentityMap(), AnnulusDomain(0.25), n),
+    "points": lambda n: offset_targets(polar(0.5, 8, 8), n, 0),
+    "samples (taylor)": lambda n: audit_taylor(ConvexGauge.parse("square"), samples=n),
+    "samples (theta)": lambda n: audit_theta(samples=n),
 }
 
 
@@ -372,7 +374,25 @@ def test_counts_must_be_integers(name):
     # a float count once built a grid with a fractional cell count, or a trace
     # with one node more than asked for, without an error
     call = COUNTED[name]
+    noun = name.split(" (")[0]
     call(np.int64(8))  # numpy integers are counts too
     for bad in (8.0, 8.5, True, math.nan):
-        with pytest.raises(InputError, match=f"{name} must be an integer"):
+        with pytest.raises(InputError, match=rf"\b{noun} must be an integer"):
             call(bad)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        build_polar_grid(AnnulusDomain(0.5), 6, 8, breaks=[0.7]),
+        build_cartesian_grid(RectangleDomain(1.0, 2.0), 6, 8, breaks=[0.3]),
+    ],
+    ids=["polar", "cartesian"],
+)
+def test_chart_inverts_point(grid):
+    # the patch ``pompeiu._exclusion_cells`` finds rests on this round trip
+    for i, w in enumerate(grid.centers):
+        primary, secondary = grid.chart(w)
+        line, cell = divmod(i, grid.n_secondary)
+        assert primary == pytest.approx(grid.primary_mid[line], rel=1e-12)
+        assert secondary == pytest.approx((cell + 0.5) * grid.secondary_step, rel=1e-12)

@@ -192,7 +192,7 @@ class TestTaylor:
     @pytest.mark.parametrize("c", [-math.inf, math.nan, "1.0"])
     def test_declared_curvature_must_be_a_finite_number(self, c):
         with pytest.raises(InputError, match="curvature c must be a finite number"):
-            audit_taylor(SQUARE, n_pairs=10, c=c)
+            audit_taylor(SQUARE, samples=10, c=c)
 
     def test_smaller_declared_curvature_weakens_the_bound(self):
         strict = audit_taylor(SQUARE)
