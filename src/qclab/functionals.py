@@ -15,7 +15,11 @@ inside a cell is refused rather than silently degraded.
 On a polar grid the integrands of rotation-equivariant maps depend only on
 ``|w|``, so ``mean_distortion``, ``l1_distance`` and ``phi_dbar_mass``
 evaluate them once per ring rather than once per cell (the ring path, chosen
-by ``_sampling``; nothing a caller sets selects it).
+by ``_sampling``; nothing a caller sets selects it).  Their evaluators,
+``_mean_distortions``, ``_l1_distances`` and ``pompeiu._phi_dbar_masses``,
+also take a family with a leading rung axis, as the epsilon ladder builds
+it, and return one value per rung; the public functions are their one-rung
+case.
 """
 
 from __future__ import annotations
@@ -140,13 +144,14 @@ def _in_steps(fn, pts: np.ndarray):
     """``fn(pts)``, evaluated ``_CELL_STEP`` points at a time.
 
     ``fn`` maps a vector of points to an array, or a tuple of arrays, with
-    one value per point.  Each step's values are written into one
-    preallocated output per array, so beside the outputs at most one step's
-    scratch is live.  Map values do not depend on how many points share a
-    call, so the outputs have the bits of ``fn(pts)``.  Each step runs the
-    families' own domain and break checks; the first offending point of the
-    first offending step is reported.  Up to ``_CELL_STEP`` points (the ring
-    path's one point per ring) pass through as a single call.
+    one value per point on the last axis (a rung axis may lead).  Each
+    step's values are written into one preallocated output per array, so
+    beside the outputs at most one step's scratch is live.  Map values do
+    not depend on how many points share a call, so the outputs have the bits
+    of ``fn(pts)``.  Each step runs the families' own domain and break
+    checks; the first offending point of the first offending step is
+    reported.  Up to ``_CELL_STEP`` points (the ring path's one point per
+    ring) pass through as a single call.
     """
     n = pts.shape[0]
     if n <= _CELL_STEP:
@@ -156,9 +161,9 @@ def _in_steps(fn, pts: np.ndarray):
         got = fn(pts[lo : lo + _CELL_STEP])
         parts = (got,) if isinstance(got, np.ndarray) else got
         if outs is None:
-            outs = tuple(np.empty(n, dtype=part.dtype) for part in parts)
+            outs = tuple(np.empty((*p.shape[:-1], n), dtype=p.dtype) for p in parts)
         for out, part in zip(outs, parts):
-            out[lo : lo + _CELL_STEP] = part
+            out[..., lo : lo + _CELL_STEP] = part
     return outs[0] if isinstance(got, np.ndarray) else outs
 
 
@@ -179,6 +184,59 @@ def _sampling(grid: QuadratureGrid, *families: MapFamily):
     return grid.centers, integrate, 1
 
 
+def _one_rung(values):
+    """The one value of a one-rung evaluation; a family of several rungs is refused."""
+    if len(values) != 1:
+        raise InputError(
+            f"expected a one-rung family, got {len(values)} rungs; a ladder "
+            "of rungs is evaluated by run_ladder"
+        )
+    return values[0]
+
+
+def _mean_distortions(
+    family: MapFamily, gauge: ConvexGauge, grid: QuadratureGrid, density: Density
+) -> list[MeanDistortionResult]:
+    """``mean_distortion`` of every rung of ``family``, in rung order.
+
+    A family with a rung axis (a ``PiecewiseRadialStretch`` with a tuple of
+    ``eps``, or a ``Composition`` over one) is evaluated once for all its
+    rungs, and its integrals are one row reduction; a plain family is the
+    one-rung case.  Each rung is checked as a plain family would be, and the
+    first offending rung is reported.
+    """
+    if not isinstance(density, Density):
+        raise InputError(f"density {density!r} is not a Density; use Density.parse")
+    if density is Density.INVERSE_SQUARE and grid.coordinate_kind != "polar":
+        raise InputError("inverse-square density requires a polar grid")
+    _check_breaks_honored(family, grid)
+    pts, integrator, cells_per_point = _sampling(grid, family)
+    K, degenerate = _in_steps(lambda p: distortion_many(family, p), pts)
+    for n_undefined in np.atleast_1d(np.count_nonzero(np.isnan(K), axis=-1)):
+        if n_undefined:
+            raise DegenerateExperimentError(
+                f"{n_undefined * cells_per_point} of {grid.n_cells} cells have no "
+                "defined distortion: f_z or f_zbar is not finite, or |f_z| and "
+                "|f_zbar| agree to within rounding (both underflow to 0, or K "
+                "exceeds 2**43)"
+            )
+    values = np.asarray(gauge.evaluate(K), dtype=np.float64)
+    if density is Density.INVERSE_SQUARE:
+        values = values / np.abs(pts) ** 2
+    totals = np.atleast_1d(integrator(grid, values))
+    n_degenerate = np.atleast_1d(np.count_nonzero(degenerate, axis=-1))
+    results = []
+    for value, n_deg in zip(totals, n_degenerate * cells_per_point):
+        warning = None
+        if n_deg > 0.01 * grid.n_cells:
+            warning = (
+                f"{n_deg} of {grid.n_cells} cells are orientation-degenerate; "
+                "the mean distortion there was clamped to the identity value"
+            )
+        results.append(MeanDistortionResult(float(value), int(n_deg), warning))
+    return results
+
+
 def mean_distortion(
     family: MapFamily,
     gauge: ConvexGauge,
@@ -193,36 +251,7 @@ def mean_distortion(
     polar grid take the ring path (see ``_sampling``); counts are in cells
     either way.
     """
-    if not isinstance(density, Density):
-        raise InputError(f"density {density!r} is not a Density; use Density.parse")
-    if density is Density.INVERSE_SQUARE and grid.coordinate_kind != "polar":
-        raise InputError("inverse-square density requires a polar grid")
-    _check_breaks_honored(family, grid)
-    pts, integrator, cells_per_point = _sampling(grid, family)
-    K, degenerate = _in_steps(lambda p: distortion_many(family, p), pts)
-    n_undefined = int(np.count_nonzero(np.isnan(K))) * cells_per_point
-    if n_undefined:
-        raise DegenerateExperimentError(
-            f"{n_undefined} of {grid.n_cells} cells have no defined distortion: "
-            "f_z or f_zbar is not finite, or |f_z| and |f_zbar| agree to within "
-            "rounding (both underflow to 0, or K exceeds 2**43)"
-        )
-    values = np.asarray(gauge.evaluate(K), dtype=np.float64)
-    if density is Density.INVERSE_SQUARE:
-        values = values / np.abs(pts) ** 2
-    value = integrator(grid, values)
-    n_deg = int(np.count_nonzero(degenerate)) * cells_per_point
-    warning = None
-    if n_deg > 0.01 * grid.n_cells:
-        warning = (
-            f"{n_deg} of {grid.n_cells} cells are orientation-degenerate; "
-            "the mean distortion there was clamped to the identity value"
-        )
-    return MeanDistortionResult(
-        value=float(value),
-        degenerate_cells=n_deg,
-        warning=warning,
-    )
+    return _one_rung(_mean_distortions(family, gauge, grid, density))
 
 
 @dataclass(frozen=True)
@@ -270,15 +299,24 @@ def _relative_excess(num_cand: float, num_ref: float) -> DeficitResult:
     )
 
 
+def _l1_distances(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> np.ndarray:
+    """``l1_distance`` of every rung of ``a`` from ``b``, in rung order.
+
+    ``a`` and ``b`` are each evaluated once, whatever the number of rungs
+    (see ``_mean_distortions``).
+    """
+    pts, integrator, _ = _sampling(grid, a, b)
+    values = _in_steps(lambda p: np.abs(a.eval_many(p) - b.eval_many(p)), pts)
+    return np.atleast_1d(integrator(grid, values))
+
+
 def l1_distance(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> float:
     """``integral |a - b|`` over the grid (uniform density).
 
     Two rotation-equivariant maps on a polar grid take the ring path (see
     ``_sampling``).
     """
-    pts, integrator, _ = _sampling(grid, a, b)
-    values = _in_steps(lambda p: np.abs(a.eval_many(p) - b.eval_many(p)), pts)
-    return integrator(grid, values)
+    return float(_one_rung(_l1_distances(a, b, grid)))
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ class ConvexGauge:
     # --- evaluation ---------------------------------------------------------
 
     def _check_domain(self, t: np.ndarray) -> None:
-        flat = np.atleast_1d(t)
+        flat = np.ravel(t)
         low = flat < 1.0 - 1e-12
         if np.any(low):
             bad = float(flat[np.flatnonzero(low)[0]])

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import ordered_dot, ordered_sum
+from ._kernels import ordered_dot, ordered_sum, ordered_sums
 from .errors import InputError, NonFiniteSampleError, require_real
 
 __all__ = [
@@ -354,21 +354,25 @@ def integrate_complex(grid: QuadratureGrid, values: np.ndarray) -> complex:
     return complex(re, im)
 
 
-def integrate_rings(grid: QuadratureGrid, values: np.ndarray) -> float:
+def integrate_rings(grid: QuadratureGrid, values: np.ndarray) -> float | np.ndarray:
     """``integrate`` for a polar-grid integrand that is constant on each ring.
 
-    ``values[i]`` is the integrand on ring ``i``; it is weighted by the ring's
-    area, ``n_secondary`` times its cell weight.  The midpoint rule in angle
-    integrates such an integrand exactly, so this equals ``integrate`` on the
-    broadcast values up to the order of the reduction.  It reads only the
-    grid's partition.  A non-finite value is reported at the first cell of
-    its ring.
+    ``values[..., i]`` is the integrand on ring ``i``; it is weighted by the
+    ring's area, ``n_secondary`` times its cell weight.  The midpoint rule in
+    angle integrates such an integrand exactly, so this equals ``integrate``
+    on the broadcast values up to the order of the reduction.  It reads only
+    the grid's partition.  A leading rung axis, ``(R, n_primary)`` values,
+    gives one integral per rung from one row reduction, each with the bits
+    of its own one-rung call.  A non-finite value is reported at the first
+    cell of its ring, for the first rung that has one.
     """
     v = _real(values)
-    if grid.coordinate_kind != "polar" or v.shape != (grid.n_primary,):
+    if grid.coordinate_kind != "polar" or v.shape[-1:] != (grid.n_primary,):
         raise InputError(
             f"expected {grid.n_primary} ring samples on a polar grid, got array "
             f"of shape {v.shape}"
         )
-    _check_finite(grid, v, grid.n_secondary)
-    return ordered_dot(grid.line_weights * grid.n_secondary, v)
+    for rung in v.reshape(-1, grid.n_primary):
+        _check_finite(grid, rung, grid.n_secondary)
+    sums = ordered_sums(np.multiply(grid.line_weights * grid.n_secondary, v))
+    return float(sums) if v.ndim == 1 else sums

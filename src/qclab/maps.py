@@ -47,9 +47,8 @@ _BREAK_ATOL = 1e-12
 
 
 def _as_points(z) -> np.ndarray:
-    pts = np.asarray(z, dtype=np.complex128)
-    if pts.ndim != 1:
-        pts = np.atleast_1d(pts).ravel()
+    """``z`` as a complex array of at least one dimension; its shape is kept."""
+    pts = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if not np.all(np.isfinite(pts.real) & np.isfinite(pts.imag)):
         raise DomainError("evaluation points must be finite")
     return pts
@@ -100,7 +99,7 @@ def _check_annulus(pts: np.ndarray, lo: float, hi: float, label: str) -> np.ndar
     r = np.abs(pts)
     bad = (r < lo * (1.0 - _RTOL)) | (r > hi * (1.0 + _RTOL))
     if np.any(bad):
-        w = complex(pts[np.flatnonzero(bad)[0]])
+        w = complex(pts.flat[np.flatnonzero(bad)[0]])
         raise DomainError(
             f"point {w!r} lies outside the domain annulus [{lo!r}, {hi!r}] of {label}"
         )
@@ -112,7 +111,7 @@ def _check_strip(x: np.ndarray, hi: float, label: str) -> None:
     bad = (x < -_RTOL) | (x > hi * (1.0 + _RTOL))
     if np.any(bad):
         raise DomainError(
-            f"point with Re z = {float(x[np.flatnonzero(bad)[0]])!r} lies "
+            f"point with Re z = {float(x.flat[np.flatnonzero(bad)[0]])!r} lies "
             f"outside the strip 0 <= Re z <= {hi!r} of {label}"
         )
 
@@ -145,24 +144,46 @@ def _check_two_speed(k: float, eps: float) -> None:
         raise InputError("eps must be < (k-1)^2")
 
 
+def _per_rung(fn, value):
+    """``fn(value)``, or ``fn`` of each rung when ``value`` is a tuple of rungs."""
+    if isinstance(value, tuple):
+        return tuple(fn(v) for v in value)
+    return fn(value)
+
+
 @dataclass(frozen=True)
 class _PowerPiece:
-    """One smooth radial piece ``h(w) = amp * w * |w|**(s-1) * exp(i*c*log|w|)``."""
+    """One smooth radial piece ``h(w) = amp * w * |w|**(s-1) * exp(i*c*log|w|)``.
 
-    amp: complex
-    s: float
+    ``amp`` and ``s`` are scalars, or equal-length tuples with one entry per
+    rung: then each value gains a leading rung axis, ``(R, m)`` for ``m``
+    points.  The constants of a rung are Python scalars either way and enter
+    as an ``(R, 1)`` column, so each product's loop sees the strides of the
+    one-rung call, and every rung has the bits of its own piece.
+    """
+
+    amp: complex | tuple[complex, ...]
+    s: float | tuple[float, ...]
     c: float
+
+    def _constant(self, fn):
+        """``fn(amp, s)``: a scalar, or an ``(R, 1)`` column of one per rung."""
+        if not isinstance(self.s, tuple):
+            return fn(self.amp, self.s)
+        return np.array([fn(a, s) for a, s in zip(self.amp, self.s)])[:, None]
 
     def eval(self, w: np.ndarray, r: np.ndarray) -> np.ndarray:
         logr = np.log(r)
-        return self.amp * w * np.exp((self.s - 1.0) * logr + 1j * self.c * logr)
+        amp = self._constant(lambda a, s: a)
+        expo = self._constant(lambda a, s: s - 1.0) * logr + 1j * self.c * logr
+        return amp * w * np.exp(expo)
 
     def wirtinger(
         self, w: np.ndarray, r: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         h = self.eval(w, r)
-        beta = 0.5 * (self.s + 1.0 + 1j * self.c)
-        gamma = 0.5 * (self.s - 1.0 + 1j * self.c)
+        beta = self._constant(lambda a, s: 0.5 * (s + 1.0 + 1j * self.c))
+        gamma = self._constant(lambda a, s: 0.5 * (s - 1.0 + 1j * self.c))
         return beta * h / w, gamma * h / np.conj(w)
 
     @property
@@ -303,15 +324,22 @@ class PiecewiseRadialStretch(MapFamily):
     anchored at ``q**k``); above it the exponent is ``k + sqrt(eps)``.  The
     two pieces agree on the break circle, and the distortion is the constant
     ``k -/+ sqrt(eps)`` on the inner/outer piece.
+
+    ``eps`` may also be a tuple of rungs, as the epsilon ladder uses it: then
+    every value gains a leading rung axis, ``(R, *z.shape)``, and row ``i``
+    has the bits of ``PiecewiseRadialStretch(q, k, eps[i])``.  The break
+    circle does not depend on ``eps``, so the rungs share their checks.
     """
 
     q: float
     k: float
-    eps: float
+    eps: float | tuple[float, ...]
 
     def __post_init__(self) -> None:
         require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
-        _check_two_speed(self.k, self.eps)
+        if isinstance(self.eps, tuple) and not self.eps:
+            raise InputError("eps must hold at least one rung")
+        _per_rung(lambda eps: _check_two_speed(self.k, eps), self.eps)
 
     @property
     def label(self) -> str:
@@ -322,8 +350,8 @@ class PiecewiseRadialStretch(MapFamily):
         return True
 
     @property
-    def root_eps(self) -> float:
-        return math.sqrt(self.eps)
+    def root_eps(self) -> float | tuple[float, ...]:
+        return _per_rung(math.sqrt, self.eps)
 
     @property
     def break_radius(self) -> float:
@@ -332,43 +360,55 @@ class PiecewiseRadialStretch(MapFamily):
     @property
     def _inner(self) -> _PowerPiece:
         return _PowerPiece(
-            amp=complex(self.q**self.root_eps), s=self.k - self.root_eps, c=0.0
+            amp=_per_rung(lambda root: complex(self.q**root), self.root_eps),
+            s=_per_rung(lambda root: self.k - root, self.root_eps),
+            c=0.0,
         )
 
     @property
     def _outer(self) -> _PowerPiece:
-        return _PowerPiece(amp=1.0 + 0.0j, s=self.k + self.root_eps, c=0.0)
+        return _PowerPiece(
+            amp=_per_rung(lambda root: 1.0 + 0.0j, self.root_eps),
+            s=_per_rung(lambda root: self.k + root, self.root_eps),
+            c=0.0,
+        )
 
     def break_radii(self) -> tuple[float, ...]:
         return (self.break_radius,)
 
-    def _pieces(self, r: np.ndarray) -> np.ndarray:
-        return r >= self.break_radius
+    def _split(self, z: np.ndarray, breaks: bool):
+        """``(pts, r, shape, pieces)`` for an evaluation at ``z``.
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
+        ``pts`` and ``r`` are the checked points and their radii, ``shape``
+        the shape of each output, and ``pieces`` holds ``(piece, on, at)``
+        for each piece with points: its points ``pts[on]`` fill ``out[at]``.
+        """
         pts = _as_points(z)
         r = _check_annulus(pts, self.q, 1.0, self.label)
-        outer = self._pieces(r)
-        out = np.empty_like(pts)
-        if np.any(outer):
-            out[outer] = self._outer.eval(pts[outer], r[outer])
-        if not np.all(outer):
-            inner = ~outer
-            out[inner] = self._inner.eval(pts[inner], r[inner])
+        if breaks:
+            _check_breaks(r, self.break_radii(), _CIRCLE, self.label)
+        stacked = isinstance(self.eps, tuple)
+        outer = r >= self.break_radius
+        pieces = [
+            (piece, on, (slice(None), on) if stacked else on)
+            for piece, on in ((self._outer, outer), (self._inner, ~outer))
+            if np.any(on)
+        ]
+        shape = ((len(self.eps),) if stacked else ()) + pts.shape
+        return pts, r, shape, pieces
+
+    def eval_many(self, z: np.ndarray) -> np.ndarray:
+        pts, r, shape, pieces = self._split(z, breaks=False)
+        out = np.empty(shape, dtype=np.complex128)
+        for piece, on, at in pieces:
+            out[at] = piece.eval(pts[on], r[on])
         return out
 
     def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        r = _check_annulus(pts, self.q, 1.0, self.label)
-        _check_breaks(r, self.break_radii(), _CIRCLE, self.label)
-        outer = self._pieces(r)
-        fz = np.empty_like(pts)
-        fzb = np.empty_like(pts)
-        if np.any(outer):
-            fz[outer], fzb[outer] = self._outer.wirtinger(pts[outer], r[outer])
-        if not np.all(outer):
-            inner = ~outer
-            fz[inner], fzb[inner] = self._inner.wirtinger(pts[inner], r[inner])
+        pts, r, shape, pieces = self._split(z, breaks=True)
+        fz, fzb = (np.empty(shape, dtype=np.complex128) for _ in range(2))
+        for piece, on, at in pieces:
+            fz[at], fzb[at] = piece.wirtinger(pts[on], r[on])
         return fz, fzb
 
 

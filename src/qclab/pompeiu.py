@@ -36,7 +36,7 @@ import numpy as np
 
 from ._kernels import ordered_sum, ordered_sums, pompeiu_sum_many
 from .errors import AccuracyError, InputError, UnsupportedVariantError, require_real
-from .functionals import _in_steps, _sampling
+from .functionals import _in_steps, _one_rung, _sampling
 from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
@@ -363,6 +363,29 @@ def psi_dbar_mass(
     return integrate(grid, _in_steps(mass, grid.centers)) / fstar.k
 
 
+def _phi_dbar_masses(
+    g: MapFamily, gstar: SpiralStretch, n_radial: int, n_angular: int
+) -> np.ndarray:
+    """``phi_dbar_mass`` of every rung of ``g``, in rung order.
+
+    The grid's break is the pullback of ``g``'s break circle, which no rung
+    moves, so one grid and one evaluation of the inverse reference serve
+    every rung (see ``functionals._mean_distortions``).
+    """
+    if not isinstance(gstar, SpiralStretch):
+        raise InputError("gstar must be a SpiralStretch")
+    if gstar.winding != 0:
+        raise UnsupportedVariantError(
+            "phi_dbar_mass requires a winding = 0 reference"
+        )
+    phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
+    domain = AnnulusDomain(inner_radius=gstar.q**gstar.k)
+    grid = grid_for(phi, domain, n_radial, n_angular)
+    pts, integrator, _ = _sampling(grid, phi)
+    values = _in_steps(lambda p: np.abs(phi.wirtinger_many(p)[1]), pts)
+    return np.atleast_1d(integrator(grid, values))
+
+
 def phi_dbar_mass(
     g: MapFamily,
     gstar: SpiralStretch,
@@ -376,14 +399,4 @@ def phi_dbar_mass(
     ``|Phi_wbar|`` there.  Exactly zero when ``g`` is the reference itself.
     A rotation-equivariant ``g`` takes the ring path of ``mean_distortion``.
     """
-    if not isinstance(gstar, SpiralStretch):
-        raise InputError("gstar must be a SpiralStretch")
-    if gstar.winding != 0:
-        raise UnsupportedVariantError(
-            "phi_dbar_mass requires a winding = 0 reference"
-        )
-    phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
-    domain = AnnulusDomain(inner_radius=gstar.q**gstar.k)
-    grid = grid_for(phi, domain, n_radial, n_angular)
-    pts, integrator, _ = _sampling(grid, phi)
-    return integrator(grid, _in_steps(lambda p: np.abs(phi.wirtinger_many(p)[1]), pts))
+    return float(_one_rung(_phi_dbar_masses(g, gstar, n_radial, n_angular)))

@@ -34,13 +34,14 @@ from .geometry import (
 from .functionals import (
     Density,
     _in_steps,
+    _l1_distances,
+    _mean_distortions,
     _relative_excess,
     distortion_many,
-    l1_distance,
     mean_distortion,
 )
 from .maps import Composition, LinearStretch, MapFamily, PiecewiseRadialStretch, SpiralStretch
-from .pompeiu import phi_dbar_mass
+from .pompeiu import _phi_dbar_masses
 
 __all__ = [
     "AlignmentReport",
@@ -418,8 +419,8 @@ def _check_ladder_eps(eps_values: tuple[float, ...], k: float) -> None:
         raise InputError(f"eps values must be distinct, got {list(eps_values)!r}")
 
 
-def _ladder_candidate(config: LadderConfig, eps: float) -> MapFamily:
-    base = PiecewiseRadialStretch(config.q, config.k, eps)
+def _twisted(config: LadderConfig, base: MapFamily) -> MapFamily:
+    """The ladder's candidate: ``base``, twisted by ``theta`` when nonzero."""
     if config.theta == 0.0:
         return base
     twist = SpiralStretch(config.q**config.k, 1.0, config.theta, 0)
@@ -436,6 +437,11 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     noise floor are excluded from the fit, which needs two distinct deficits.
     Needs a strictly convex gauge — with a linear one every deficit vanishes
     identically and the experiment is vacuous.
+
+    The rungs are one family with a leading rung axis, so each quantity is
+    one evaluation and one row reduction per grid, whatever the number of
+    rungs; every row has the bits of its own one-rung ``deficit``,
+    ``l1_distance`` and ``phi_dbar_mass`` calls.
     """
     if config.gauge.curvature_floor <= 0.0:
         raise DegenerateExperimentError(
@@ -445,8 +451,8 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
 
     domain = AnnulusDomain(config.q)
     reference = SpiralStretch(config.q, config.k, config.theta, 0)
-    # Every rung breaks where its two-speed base does, whatever its eps.
-    base = PiecewiseRadialStretch(config.q, config.k, config.eps_values[0])
+    # Every rung breaks where the two-speed base does, whatever its eps.
+    base = PiecewiseRadialStretch(config.q, config.k, tuple(config.eps_values))
     grid = grid_for(base, domain, config.n_radial, config.n_angular)
     half_shape = half_resolution_shape(config.n_radial, config.n_angular)
     half_grid = grid_for(base, domain, *half_shape)
@@ -456,34 +462,28 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     if mass_n_angular is None:
         mass_n_angular = max(1, config.n_angular // 2)
 
-    def weighted(family: MapFamily, on: QuadratureGrid) -> float:
-        return mean_distortion(family, config.gauge, on, Density.INVERSE_SQUARE).value
+    def weighted(family: MapFamily, on: QuadratureGrid) -> list[float]:
+        results = _mean_distortions(family, config.gauge, on, Density.INVERSE_SQUARE)
+        return [r.value for r in results]
 
     # The reference is the same on every rung: integrate it once per grid.
-    ref_full = weighted(reference, grid)
-    ref_half = weighted(reference, half_grid)
+    (ref_full,), (ref_half,) = weighted(reference, grid), weighted(reference, half_grid)
+    rungs = _twisted(config, base)
+    d_full = [_relative_excess(v, ref_full).value for v in weighted(rungs, grid)]
+    d_half = [_relative_excess(v, ref_half).value for v in weighted(rungs, half_grid)]
+    l1 = _l1_distances(rungs, reference, grid)
+    mass = _phi_dbar_masses(rungs, reference, mass_n_radial, mass_n_angular)
     rows = []
-    for eps in config.eps_values:
-        candidate = _ladder_candidate(config, eps)
-        d_full = _relative_excess(weighted(candidate, grid), ref_full).value
-        d_half = _relative_excess(weighted(candidate, half_grid), ref_half).value
-        noise = abs(d_full - d_half) / 3.0
-        l1 = l1_distance(candidate, reference, grid)
-        mass = phi_dbar_mass(
-            candidate,
-            reference,
-            n_radial=mass_n_radial,
-            n_angular=mass_n_angular,
-        )
-        included = d_full > 0.0 and d_full > 10.0 * noise
+    for eps, full, half, dist, dbar in zip(config.eps_values, d_full, d_half, l1, mass):
+        noise = abs(full - half) / 3.0
         rows.append(
             LadderRow(
                 eps=float(eps),
-                deficit=float(d_full),
-                l1=float(l1),
-                dbar_mass=float(mass),
+                deficit=float(full),
+                l1=float(dist),
+                dbar_mass=float(dbar),
                 noise=float(noise),
-                included=bool(included),
+                included=bool(full > 0.0 and full > 10.0 * noise),
             )
         )
 
@@ -566,18 +566,16 @@ def run_flat_gauge_ladder(
     square = ConvexGauge.square()
     domain = AnnulusDomain(q)
     reference = SpiralStretch(q, k, 0.0, 0)
-    # Every rung breaks where the first does, whatever its eps.
-    first = PiecewiseRadialStretch(q, k, eps_values[0])
-    grid = grid_for(first, domain, n_radial, n_angular)
+    rungs = PiecewiseRadialStretch(q, k, tuple(eps_values))
+    grid = grid_for(rungs, domain, n_radial, n_angular)
+    l1 = _l1_distances(rungs, reference, grid)
 
     rows = []
-    for eps in eps_values:
+    for eps, dist in zip(eps_values, l1):
         root = math.sqrt(eps)
         eta = eps ** (1.0 / alpha)
         flat_deficit = _two_speed_deficit(flat, k, root)
         square_deficit = _two_speed_deficit(square, k, root)
-        candidate = PiecewiseRadialStretch(q, k, eps)
-        l1 = l1_distance(candidate, reference, grid)
         l1_floor = eta**alpha
         rows.append(
             FlatRow(
@@ -585,9 +583,9 @@ def run_flat_gauge_ladder(
                 eta=float(eta),
                 flat_deficit=float(flat_deficit),
                 square_deficit=float(square_deficit),
-                l1=float(l1),
+                l1=float(dist),
                 l1_floor=float(l1_floor),
-                l1_exceeds=bool(l1 > l1_floor),
+                l1_exceeds=bool(dist > l1_floor),
                 regime_ok=bool(flat_deficit <= eta),
             )
         )

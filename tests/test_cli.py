@@ -218,6 +218,22 @@ class TestReconstruct:
         doc = json.loads(res.stdout)
         assert doc["summary"]["max_residual"] < 1e-10
 
+    # --k is checked as a stretch exponent before the image annulus [q**k, 1]
+    # is built, so no refusal names the inner radius the user never typed
+    @pytest.mark.parametrize("k", ["-1", "0.5"])
+    def test_exponent_below_one_is_usage_error(self, capsys, k):
+        assert main(["reconstruct", "--field", "conj", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: k must be >= 1\n"
+        assert captured.out == ""
+
+    def test_underflowing_inner_radius_names_the_options(self, capsys):
+        assert main(["reconstruct", "--field", "conj", "--k", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert "underflows at --q 0.5 --k 2000.0" in captured.err
+        assert "inner_radius" not in captured.err
+        assert captured.out == ""
+
 
 class TestInProcess:
     """Repeated ``main`` calls in one process share one parser."""

@@ -28,6 +28,8 @@ from qclab.errors import (
 )
 from qclab.functionals import (
     Density,
+    _l1_distances,
+    _mean_distortions,
     conformal_transfer_check,
     deficit,
     distortion_many,
@@ -419,6 +421,51 @@ class TestRingPath:
         assert res.degenerate_cells == 128
         assert l1_distance(family, g, grid).hex() == "0x1.ec5ec72417a07p+0"
         assert phi_dbar_mass(family, g, 16, 8).hex() == "0x1.81b7af5b547fbp+1"
+
+
+class TestRungAxis:
+    """A family with a rung axis: one evaluation, each rung checked alone."""
+
+    def test_one_rung_functionals_refuse_a_stacked_family(self):
+        stacked = PiecewiseRadialStretch(0.5, 2.0, (1e-3, 1e-2))
+        reference = SpiralStretch(0.5, 2.0)
+        grid = polar(0.5, 16, 4, breaks=stacked.break_radii())
+        calls = (
+            lambda: mean_distortion(stacked, ConvexGauge.square(), grid),
+            lambda: l1_distance(stacked, reference, grid),
+            lambda: phi_dbar_mass(stacked, reference, 16, 4),
+        )
+        for call in calls:
+            with pytest.raises(InputError, match="one-rung family, got 2 rungs"):
+                call()
+
+    def test_rings_past_one_step_keep_their_bits(self):
+        # 9,001 rings reach _in_steps' outputs in two steps, under the rung axis
+        eps = (1e-3, 1e-2)
+        gauge, density = ConvexGauge.square(), Density.INVERSE_SQUARE
+        stacked = PiecewiseRadialStretch(0.5, 2.0, eps)
+        reference = SpiralStretch(0.5, 2.0)
+        grid = polar(0.5, 9000, 1, breaks=stacked.break_radii())
+        l1 = _l1_distances(stacked, reference, grid)
+        means = _mean_distortions(stacked, gauge, grid, density)
+        for i, e in enumerate(eps):
+            one = PiecewiseRadialStretch(0.5, 2.0, e)
+            assert l1[i].hex() == l1_distance(one, reference, grid).hex()
+            assert means[i] == mean_distortion(one, gauge, grid, density)
+
+    @pytest.mark.parametrize("eps", [(9e4, 1.0), (1.0, 9e4)])
+    def test_undefined_cells_are_counted_for_the_first_offending_rung(self, eps):
+        # at k = 1500 both rungs underflow on some rings, 72 and 56 cells of
+        # 260: the stacked refusal is the first rung's own
+        gauge, density = ConvexGauge.square(), Density.INVERSE_SQUARE
+        stacked = PiecewiseRadialStretch(0.5, 1500.0, eps)
+        grid = polar(0.5, 64, 4, breaks=stacked.break_radii())
+        with pytest.raises(DegenerateExperimentError) as first:
+            mean_distortion(PiecewiseRadialStretch(0.5, 1500.0, eps[0]), gauge, grid, density)
+        with pytest.raises(DegenerateExperimentError) as got:
+            _mean_distortions(stacked, gauge, grid, density)
+        assert str(got.value) == str(first.value)
+        assert str(got.value).startswith(("72 of 260", "56 of 260")[eps[0] == 1.0])
 
 
 class TestConformalTransfer:

@@ -66,6 +66,11 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             ConvexGauge.flat().evaluate(np.array([2.0, 0.99]))
 
+    def test_domain_guard_names_the_first_value_in_rung_order(self):
+        t = np.array([[2.0, 0.5], [0.25, 2.0]])
+        with pytest.raises(DomainError, match="gauge argument 0.5 is below 1"):
+            ConvexGauge.square().evaluate(t)
+
     def test_right_derivative(self):
         assert ConvexGauge.square().right_derivative(3.0) == pytest.approx(6.0)
         assert ConvexGauge.linear().right_derivative(9.0) == 1.0

@@ -284,6 +284,24 @@ class TestRings:
         assert "centers" not in g.__dict__
         assert err.value.center == complex(g.centers[700 * 1024])
 
+    def test_rung_rows_have_their_one_rung_bits(self):
+        g = polar(0.3, 13, 6, breaks=(0.55,))
+        rng = np.random.default_rng(7)
+        rows = rng.uniform(0.5, 2.0, size=(5, g.n_primary))
+        got = integrate_rings(g, rows)
+        assert got.shape == (5,)
+        assert [v.hex() for v in got.tolist()] == [integrate_rings(g, r).hex() for r in rows]
+
+    def test_nonfinite_ring_is_reported_for_the_first_offending_rung(self):
+        g = polar(0.5, 4, 8)
+        vals = np.ones((3, g.n_primary))
+        vals[1, 3] = np.nan
+        vals[2, 0] = np.inf
+        with pytest.raises(NonFiniteSampleError) as err:
+            integrate_rings(g, vals)
+        assert err.value.cell_index == 3 * 8
+        assert "nan" in str(err.value)
+
     def test_integrate_rings_refuses_complex_samples(self):
         g = polar(0.5, 32, 32)
         with pytest.raises(InputError, match="integrate_complex"):

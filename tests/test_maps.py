@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qclab.errors import (
     BreakSetError,
@@ -24,7 +26,7 @@ from qclab.maps import (
     SpiralStretch,
 )
 from qclab.functionals import distortion_many
-from qclab.geometry import RectangleDomain
+from qclab.geometry import AnnulusDomain, RectangleDomain, build_polar_grid
 from qclab.stability import run_flat_gauge_ladder
 
 # Each draw seeds its own generator, so a test's points do not depend on
@@ -244,6 +246,50 @@ class TestPiecewiseRadialStretch:
         K_outer = (abs(fz) + abs(fzb)) / (abs(fz) - abs(fzb))
         assert K_outer == pytest.approx(2.0 + se, rel=1e-12)
 
+
+    def test_annulus_check_names_the_first_point_in_rung_order(self):
+        pts = np.array([[0.5, 0.1], [0.05, 0.5]], dtype=complex)
+        with pytest.raises(DomainError, match=r"point \(0\.1\+0j\) lies outside"):
+            SpiralStretch(0.25, 1.0).eval_many(pts)
+
+    def test_rung_tuple_validation(self):
+        with pytest.raises(InputError, match="at least one rung"):
+            PiecewiseRadialStretch(0.5, 2.0, ())
+        with pytest.raises(InputError, match="eps must be > 0"):
+            PiecewiseRadialStretch(0.5, 2.0, (0.01, 0.0))
+
+    @settings(max_examples=40)
+    @given(
+        st.floats(0.1, 0.9),
+        st.floats(1.1, 4.0),
+        st.lists(st.floats(0.01, 0.99), min_size=2, max_size=8, unique=True),
+        st.sampled_from([0.0, 0.7]),
+    )
+    def test_stacked_rungs_have_the_bits_of_one_rung_maps(self, q, k, fracs, theta):
+        # the ladder evaluates its candidates on the ring radii of the source
+        # annulus, and (inside Phi) on the inverse reference's image of the
+        # ring radii of the image annulus
+        eps = tuple(f * min(0.1, (k - 1.0) ** 2) for f in fracs)
+        assume(len(set(eps)) == len(eps))
+
+        def candidate(e):
+            base = PiecewiseRadialStretch(q, k, e)
+            if theta == 0.0:
+                return base
+            return Composition(SpiralStretch(q**k, 1.0, theta, 0), base)
+
+        stacked = candidate(eps)
+        inverse = InverseSpiralStretch(q, k, theta)
+        rings = build_polar_grid(AnnulusDomain(q), 64, 1, stacked.break_radii())
+        image = build_polar_grid(AnnulusDomain(q**k), 64, 1, (math.sqrt(q) ** k,))
+        for pts in (rings.primary_mid + 0j, inverse.eval_many(image.primary_mid + 0j)):
+            got = (stacked.eval_many(pts), *stacked.wirtinger_many(pts))
+            assert all(v.shape == (len(eps), pts.size) for v in got)
+            for i, e in enumerate(eps):
+                one = candidate(e)
+                want = (one.eval_many(pts), *one.wirtinger_many(pts))
+                for g, w in zip(got, want):
+                    assert g[i].tobytes() == w.tobytes(), (i, e)
 
 
 class TestLinearFamilies:

@@ -1,16 +1,19 @@
 """Alignment functionals, lemma audits, and the two perturbation ladders."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 from conftest import cartesian, polar
+from qclab import functionals, geometry
 from qclab.errors import DegenerateExperimentError, InputError, UnsupportedVariantError
 from qclab.functionals import deficit
 from qclab.gauges import ConvexGauge
 from qclab.maps import (
     Composition,
+    InverseSpiralStretch,
     LinearStretch,
     MapFamily,
     PiecewiseLinearStretch,
@@ -299,6 +302,103 @@ class TestLadder:
             run_ladder(LadderConfig(eps_values=(1e-4, 1e-3, 1e-2, 0.1, 0.9)))
         with pytest.raises(InputError):
             run_ladder(LadderConfig(eps_values=(0.0, 1e-3)))
+
+
+def _row_hex(row):
+    return tuple(getattr(row, f).hex() for f in ("eps", "deficit", "l1", "dbar_mass", "noise"))
+
+
+class TestLadderRungs:
+    """The rungs are evaluated together; every row keeps its one-rung bits."""
+
+    # float.hex of the default 512x512 FitReport: (eps, deficit, l1,
+    # dbar_mass, noise) per row, then (slope, intercept, max_residual);
+    # computed while run_ladder still evaluated one rung at a time
+    PINS = {
+        0.0: (
+            (
+                ("0x1.a36e2eb1c432dp-14", "0x1.a370a539ca479p-16", "0x1.2137105c1728fp-9",
+                 "0x1.e1d35a21e8793p-8", "0x1.3b484d5ad8000p-31"),
+                ("0x1.4b96be9c2da2cp-12", "0x1.4b97d6ece5e9ep-14", "0x1.00ef7fc60c77bp-8",
+                 "0x1.abe9301b6d5d0p-7", "0x1.185485907aaabp-30"),
+                ("0x1.0624dd2f1a9fcp-10", "0x1.062559cdbecd2p-12", "0x1.c837cc8fc7ed5p-8",
+                 "0x1.7baf5105f0f08p-6", "0x1.f2816031c0000p-30"),
+                ("0x1.9e7c6e43390b7p-9", "0x1.9e7cdd1120e74p-11", "0x1.948fc298b270ap-7",
+                 "0x1.505a3f23a9d66p-5", "0x1.bb3dac1a40000p-29"),
+                ("0x1.47ae147ae147bp-7", "0x1.47ae45bd81dc1p-9", "0x1.6603929aa304dp-6",
+                 "0x1.291e22fff223ap-4", "0x1.8a1a63ca80000p-28"),
+            ),
+            ("0x1.fde60a61ab421p-2", "-0x1.ad60af7372a71p-1", "0x1.7570024ea1000p-10"),
+        ),
+        0.7: (
+            (
+                ("0x1.a36e2eb1c432dp-14", "0x1.98218355bc9f2p-16", "0x1.43fe82482e3b2p-9",
+                 "0x1.0de22554b42d7p-7", "0x1.19b871fc8d555p-31"),
+                ("0x1.4b96be9c2da2cp-12", "0x1.42a7d4aee68e1p-14", "0x1.1fd536acc325dp-8",
+                 "0x1.df5e5ec51f028p-7", "0x1.f4f9ec1e4aaabp-31"),
+                ("0x1.0624dd2f1a9fcp-10", "0x1.fe2ca4843a945p-13", "0x1.ff1455c7b55cbp-8",
+                 "0x1.a957dd9b31b08p-6", "0x1.bd6eff72c0000p-30"),
+                ("0x1.9e7c6e43390b7p-9", "0x1.935c8c4122949p-11", "0x1.c535ec69a4d23p-7",
+                 "0x1.78ccd0faa517fp-5", "0x1.8c0a6ac1c0000p-29"),
+                ("0x1.47ae147ae147bp-7", "0x1.3ef8a26c6d5d1p-9", "0x1.9110644a4acffp-6",
+                 "0x1.4cd8de31c9771p-4", "0x1.6019fe8055555p-28"),
+            ),
+            ("0x1.fddb86cd3dea1p-2", "-0x1.6c783449eb1b4p-1", "0x1.8302ce7098000p-10"),
+        ),
+    }
+
+    @pytest.mark.parametrize("theta", sorted(PINS))
+    def test_default_report_bits_are_pinned(self, theta):
+        rows, fit = self.PINS[theta]
+        rep = run_ladder(LadderConfig(theta=theta))
+        assert tuple(_row_hex(r) for r in rep.rows) == rows
+        assert all(r.included for r in rep.rows)
+        assert (rep.slope.hex(), rep.intercept.hex(), rep.max_residual.hex()) == fit
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_row_bits_do_not_depend_on_the_number_of_rungs(self, theta):
+        # 40 rungs over 1,025 rings make stacked complex arrays of 656 KB,
+        # past the 256 KiB at which numpy would compute a product of
+        # temporaries in place, with other last bits
+        eps = tuple(np.geomspace(1e-5, 5e-2, 40).tolist())
+        shape = dict(theta=theta, n_radial=1024, n_angular=8,
+                     mass_n_radial=1024, mass_n_angular=4)
+        many = run_ladder(LadderConfig(eps_values=eps, **shape))
+        for i in range(len(eps) - 1):
+            two = run_ladder(LadderConfig(eps_values=(eps[i], eps[-1]), **shape))
+            assert _row_hex(two.rows[0]) == _row_hex(many.rows[i]), i
+        assert _row_hex(two.rows[1]) == _row_hex(many.rows[-1])
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_map_and_reduction_calls_do_not_grow_with_rungs(self, theta, monkeypatch):
+        counts = collections.Counter()
+
+        def count(owner, attr, key):
+            original = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for cls in (Composition, InverseSpiralStretch, PiecewiseRadialStretch, SpiralStretch):
+            for attr in ("eval_many", "wirtinger_many"):
+                count(cls, attr, f"{cls.__name__}.{attr}")
+        for module in (geometry, functionals):
+            count(module, "integrate_rings", "integrate_rings")
+
+        def calls(n_rungs):
+            counts.clear()
+            run_ladder(LadderConfig(theta=theta, eps_values=tuple(np.geomspace(1e-4, 1e-2, n_rungs)),
+                                    n_radial=64, n_angular=32, mass_n_radial=32, mass_n_angular=16))
+            return dict(counts)
+
+        two = calls(2)
+        assert calls(6) == two
+        # the reference and the rungs on both grids, then l1 and the dbar mass
+        assert two["integrate_rings"] == 6
+        assert two["InverseSpiralStretch.eval_many"] == 1
 
 
 class TestFlatLadder:
