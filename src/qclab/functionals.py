@@ -19,7 +19,11 @@ by ``_sampling``; nothing a caller sets selects it).  Their evaluators,
 ``_mean_distortions``, ``_l1_distances`` and ``pompeiu._phi_dbar_masses``,
 also take a family with a leading rung axis, as the epsilon ladder builds
 it, and return one value per rung; the public functions are their one-rung
-case.
+case.  ``_mean_distortions`` also takes several families and several grids:
+each family is evaluated once over the points of every grid, and each
+grid's rows are one reduction.  ``mean_distortion``, the ``distortion``
+command's value and error estimate, and the ladder's deficits are all calls
+of it.
 """
 
 from __future__ import annotations
@@ -194,46 +198,99 @@ def _one_rung(values):
     return values[0]
 
 
-def _mean_distortions(
-    family: MapFamily, gauge: ConvexGauge, grid: QuadratureGrid, density: Density
-) -> list[MeanDistortionResult]:
-    """``mean_distortion`` of every rung of ``family``, in rung order.
+def _distortions_on(family: MapFamily, samplings) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``distortion_many(family, pts)`` at each sampling's points, in grid order.
 
-    A family with a rung axis (a ``PiecewiseRadialStretch`` with a tuple of
-    ``eps``, or a ``Composition`` over one) is evaluated once for all its
-    rungs, and its integrals are one row reduction; a plain family is the
-    one-rung case.  Each rung is checked as a plain family would be, and the
-    first offending rung is reported.
+    On the ring path the grids' radii are joined and ``family`` is evaluated
+    once over all of them; each grid gets its slice of ``(K, degenerate)``.
+    Otherwise each grid's centres are stepped through in turn, and no joined
+    copy is built.  Either way every value has the bits of its own grid's
+    call, and the first offending point of the first offending grid is
+    reported.
+    """
+    pts = [p for p, _, _ in samplings]
+    on_rings = all(integrator is integrate_rings for _, integrator, _ in samplings)
+
+    def fn(p):
+        return distortion_many(family, p)
+
+    if len(pts) == 1 or not on_rings:
+        return [_in_steps(fn, p) for p in pts]
+    K, degenerate = _in_steps(fn, np.concatenate(pts))
+    bounds = np.cumsum([0] + [len(p) for p in pts]).tolist()
+    return [(K[..., lo:hi], degenerate[..., lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _rows(arrays: list[np.ndarray]) -> np.ndarray:
+    """The rows of ``arrays`` stacked in order: one row per plain family or rung."""
+    rows = [a.reshape(-1, a.shape[-1]) for a in arrays]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _mean_distortions(
+    families: tuple[MapFamily, ...],
+    gauge: ConvexGauge,
+    grids: tuple[QuadratureGrid, ...],
+    density: Density,
+) -> list[list[MeanDistortionResult]]:
+    """``mean_distortion`` of every row of ``families`` on each of ``grids``.
+
+    Returns one list per grid, in grid order, with one result per row: a
+    plain family is one row, and a family with a rung axis (a
+    ``PiecewiseRadialStretch`` with a tuple of ``eps``, or a ``Composition``
+    over one) is one row per rung, in rung order.  Each family is evaluated
+    once over the sample points of every grid (``_distortions_on``), and on
+    each grid the rows of all the families are one row reduction.  Each row
+    is checked as a plain family on one grid would be.  The break and
+    undefined-cell checks run for each family in turn, right after its
+    evaluation; the gauge and the reduction then check each grid's rows.
+    Grids are checked in order, and within a grid the first offending row
+    is reported.
     """
     if not isinstance(density, Density):
         raise InputError(f"density {density!r} is not a Density; use Density.parse")
-    if density is Density.INVERSE_SQUARE and grid.coordinate_kind != "polar":
+    if density is Density.INVERSE_SQUARE and any(g.coordinate_kind != "polar" for g in grids):
         raise InputError("inverse-square density requires a polar grid")
-    _check_breaks_honored(family, grid)
-    pts, integrator, cells_per_point = _sampling(grid, family)
-    K, degenerate = _in_steps(lambda p: distortion_many(family, p), pts)
-    for n_undefined in np.atleast_1d(np.count_nonzero(np.isnan(K), axis=-1)):
-        if n_undefined:
-            raise DegenerateExperimentError(
-                f"{n_undefined * cells_per_point} of {grid.n_cells} cells have no "
-                "defined distortion: f_z or f_zbar is not finite, or |f_z| and "
-                "|f_zbar| agree to within rounding (both underflow to 0, or K "
-                "exceeds 2**43)"
-            )
-    values = np.asarray(gauge.evaluate(K), dtype=np.float64)
-    if density is Density.INVERSE_SQUARE:
-        values = values / np.abs(pts) ** 2
-    totals = np.atleast_1d(integrator(grid, values))
-    n_degenerate = np.atleast_1d(np.count_nonzero(degenerate, axis=-1))
+    samplings = [_sampling(grid, *families) for grid in grids]
+    evaluated = []
+    for family in families:
+        for grid in grids:
+            _check_breaks_honored(family, grid)
+        per_grid = _distortions_on(family, samplings)
+        for grid, (_, _, cells_per_point), (K, _) in zip(grids, samplings, per_grid):
+            for n_undefined in np.atleast_1d(np.count_nonzero(np.isnan(K), axis=-1)):
+                if n_undefined:
+                    raise DegenerateExperimentError(
+                        f"{n_undefined * cells_per_point} of {grid.n_cells} cells have "
+                        "no defined distortion: f_z or f_zbar is not finite, or |f_z| "
+                        "and |f_zbar| agree to within rounding (both underflow to 0, "
+                        "or K exceeds 2**43)"
+                    )
+        evaluated.append(per_grid)
     results = []
-    for value, n_deg in zip(totals, n_degenerate * cells_per_point):
-        warning = None
-        if n_deg > 0.01 * grid.n_cells:
-            warning = (
-                f"{n_deg} of {grid.n_cells} cells are orientation-degenerate; "
-                "the mean distortion there was clamped to the identity value"
-            )
-        results.append(MeanDistortionResult(float(value), int(n_deg), warning))
+    for grid, (pts, integrator, cells_per_point), per_family in zip(
+        grids, samplings, zip(*evaluated)
+    ):
+        K = _rows([K for K, _ in per_family])
+        values = np.asarray(gauge.evaluate(K), dtype=np.float64)
+        if density is Density.INVERSE_SQUARE:
+            values = values / np.abs(pts) ** 2
+        if integrator is integrate_rings:
+            totals = integrate_rings(grid, values)
+        else:
+            totals = [integrate(grid, row) for row in values]
+        degenerate = _rows([degenerate for _, degenerate in per_family])
+        n_degenerate = np.count_nonzero(degenerate, axis=-1) * cells_per_point
+        rows = []
+        for value, n_deg in zip(totals, n_degenerate):
+            warning = None
+            if n_deg > 0.01 * grid.n_cells:
+                warning = (
+                    f"{n_deg} of {grid.n_cells} cells are orientation-degenerate; "
+                    "the mean distortion there was clamped to the identity value"
+                )
+            rows.append(MeanDistortionResult(float(value), int(n_deg), warning))
+        results.append(rows)
     return results
 
 
@@ -251,7 +308,8 @@ def mean_distortion(
     polar grid take the ring path (see ``_sampling``); counts are in cells
     either way.
     """
-    return _one_rung(_mean_distortions(family, gauge, grid, density))
+    (results,) = _mean_distortions((family,), gauge, (grid,), density)
+    return _one_rung(results)
 
 
 @dataclass(frozen=True)

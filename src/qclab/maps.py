@@ -18,6 +18,7 @@ import abc
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,7 +160,9 @@ class _PowerPiece:
     rung: then each value gains a leading rung axis, ``(R, m)`` for ``m``
     points.  The constants of a rung are Python scalars either way and enter
     as an ``(R, 1)`` column, so each product's loop sees the strides of the
-    one-rung call, and every rung has the bits of its own piece.
+    one-rung call, and every rung has the bits of its own piece.  They are
+    built on first use and kept, like the pieces of the families that own
+    them, so no evaluation rebuilds them.
     """
 
     amp: complex | tuple[complex, ...]
@@ -172,18 +175,30 @@ class _PowerPiece:
             return fn(self.amp, self.s)
         return np.array([fn(a, s) for a, s in zip(self.amp, self.s)])[:, None]
 
+    @cached_property
+    def _constants(self) -> tuple:
+        """``(amp, s - 1, beta, gamma)``, each a ``_constant``."""
+        return tuple(
+            self._constant(fn)
+            for fn in (
+                lambda a, s: a,
+                lambda a, s: s - 1.0,
+                lambda a, s: 0.5 * (s + 1.0 + 1j * self.c),
+                lambda a, s: 0.5 * (s - 1.0 + 1j * self.c),
+            )
+        )
+
     def eval(self, w: np.ndarray, r: np.ndarray) -> np.ndarray:
         logr = np.log(r)
-        amp = self._constant(lambda a, s: a)
-        expo = self._constant(lambda a, s: s - 1.0) * logr + 1j * self.c * logr
+        amp, s_minus_1, _, _ = self._constants
+        expo = s_minus_1 * logr + 1j * self.c * logr
         return amp * w * np.exp(expo)
 
     def wirtinger(
         self, w: np.ndarray, r: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         h = self.eval(w, r)
-        beta = self._constant(lambda a, s: 0.5 * (s + 1.0 + 1j * self.c))
-        gamma = self._constant(lambda a, s: 0.5 * (s - 1.0 + 1j * self.c))
+        _, _, beta, gamma = self._constants
         return beta * h / w, gamma * h / np.conj(w)
 
     @property
@@ -223,7 +238,7 @@ class SpiralStretch(MapFamily):
     def c(self) -> float:
         return (self.theta + 2.0 * math.pi * self.winding) / math.log(self.q)
 
-    @property
+    @cached_property
     def _piece(self) -> _PowerPiece:
         return _PowerPiece(amp=1.0 + 0.0j, s=float(self.k), c=self.c)
 
@@ -276,7 +291,7 @@ class InverseSpiralStretch(MapFamily):
     def c(self) -> float:
         return -self.theta / (self.k * math.log(self.q))
 
-    @property
+    @cached_property
     def _piece(self) -> _PowerPiece:
         return _PowerPiece(amp=1.0 + 0.0j, s=1.0 / self.k, c=self.c)
 
@@ -357,7 +372,7 @@ class PiecewiseRadialStretch(MapFamily):
     def break_radius(self) -> float:
         return math.sqrt(self.q)
 
-    @property
+    @cached_property
     def _inner(self) -> _PowerPiece:
         return _PowerPiece(
             amp=_per_rung(lambda root: complex(self.q**root), self.root_eps),
@@ -365,7 +380,7 @@ class PiecewiseRadialStretch(MapFamily):
             c=0.0,
         )
 
-    @property
+    @cached_property
     def _outer(self) -> _PowerPiece:
         return _PowerPiece(
             amp=_per_rung(lambda root: 1.0 + 0.0j, self.root_eps),

@@ -440,8 +440,10 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
 
     The rungs are one family with a leading rung axis, so each quantity is
     one evaluation and one row reduction per grid, whatever the number of
-    rungs; every row has the bits of its own one-rung ``deficit``,
-    ``l1_distance`` and ``phi_dbar_mass`` calls.
+    rungs.  The deficit evaluates the reference and the rungs once each over
+    the full and the half grid together, and reduces the reference row with
+    the rung rows, once per grid.  Every row has the bits of its own
+    one-rung ``deficit``, ``l1_distance`` and ``phi_dbar_mass`` calls.
     """
     if config.gauge.curvature_floor <= 0.0:
         raise DegenerateExperimentError(
@@ -462,15 +464,24 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     if mass_n_angular is None:
         mass_n_angular = max(1, config.n_angular // 2)
 
-    def weighted(family: MapFamily, on: QuadratureGrid) -> list[float]:
-        results = _mean_distortions(family, config.gauge, on, Density.INVERSE_SQUARE)
-        return [r.value for r in results]
+    def deficits(results) -> list[float]:
+        # The reference is the same on every rung: its row leads each
+        # grid's reduction, and the rung rows follow it.
+        ref, *rows = results
+        return [_relative_excess(r.value, ref.value).value for r in rows]
 
-    # The reference is the same on every rung: integrate it once per grid.
-    (ref_full,), (ref_half,) = weighted(reference, grid), weighted(reference, half_grid)
-    rungs = _twisted(config, base)
-    d_full = [_relative_excess(v, ref_full).value for v in weighted(rungs, grid)]
-    d_half = [_relative_excess(v, ref_half).value for v in weighted(rungs, half_grid)]
+    def weighted(*families: MapFamily) -> list[list]:
+        grids = (grid, half_grid)
+        return _mean_distortions(families, config.gauge, grids, Density.INVERSE_SQUARE)
+
+    try:
+        rungs = _twisted(config, base)
+    except InputError:
+        # A twist that cannot be built (q**k underflows) is reported after
+        # the reference's own refusals, as when the reference ran alone.
+        weighted(reference)
+        raise
+    d_full, d_half = map(deficits, weighted(reference, rungs))
     l1 = _l1_distances(rungs, reference, grid)
     mass = _phi_dbar_masses(rungs, reference, mass_n_radial, mass_n_angular)
     rows = []

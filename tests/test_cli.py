@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, output formats, and determinism."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +160,27 @@ class TestFitOutput:
         assert set(rows[0]) == {"eps", "deficit", "l1", "dbar_mass", "noise", "included"}
 
 
+class TestFitBytes:
+    """The emitted bytes of ``fit``, pinned as computed before the ladder's
+    reference and rung rows shared one reduction per grid."""
+
+    SEEDED = (
+        "--k", "1.9268728488224802", "--eps",
+        "0.0001377125419626388,0.0004031900886409748,0.0007980454214371649,"
+        "0.003149009964122406,0.009545450413444956",
+        "--grid", "512x512",
+    )
+
+    @pytest.mark.parametrize("argv, sha256", [
+        ((), "1b03f6ad4645411d545446b0a52e321c20110d0e0ed50bb8fbe5c28cd0dadba2"),
+        (SEEDED, "237b600db584be7e32227497bb80ab373fcb1b33190cf5de994ad248d14ff244"),
+    ])
+    def test_json_output_is_pinned(self, tmp_path, argv, sha256):
+        out = tmp_path / "fit.json"
+        assert main(["fit", *argv, "--format", "json", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 class TestDistortion:
     def test_known_value(self):
         res = run("distortion", "--map", "gstar", "--gauge", "linear",
@@ -173,6 +196,17 @@ class TestDistortion:
                   "--density", "invsq", "--grid", "128x128", "--format", "json")
         doc = json.loads(res.stdout)
         assert doc["summary"]["error_estimate"] > 0
+
+    def test_thin_annulus_keeps_its_area(self):
+        # pi*(1 - q**2) cancels to 5e-11 relative at q = 0.999999, past the
+        # grid's 1e-12 area check; the midpoint error of k/r on [q, 1] is
+        # about 2e-17 relative at 64 rings, so only rounding is left
+        q, k = 0.999999, 2.0
+        res = run("distortion", "--map", "gstar", "--density", "invsq",
+                  "--q", repr(q), "--grid", "64x64", "--format", "json")
+        assert res.returncode == 0, res.stderr
+        value = json.loads(res.stdout)["summary"]["value"]
+        assert value == pytest.approx(2.0 * math.pi * k * -math.log(q), rel=1e-12)
 
 
 class TestAuditOutput:

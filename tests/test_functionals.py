@@ -447,11 +447,31 @@ class TestRungAxis:
         reference = SpiralStretch(0.5, 2.0)
         grid = polar(0.5, 9000, 1, breaks=stacked.break_radii())
         l1 = _l1_distances(stacked, reference, grid)
-        means = _mean_distortions(stacked, gauge, grid, density)
+        (means,) = _mean_distortions((stacked,), gauge, (grid,), density)
         for i, e in enumerate(eps):
             one = PiecewiseRadialStretch(0.5, 2.0, e)
             assert l1[i].hex() == l1_distance(one, reference, grid).hex()
             assert means[i] == mean_distortion(one, gauge, grid, density)
+
+    @pytest.mark.parametrize("kind", ["rings", "cells"])
+    def test_families_on_several_grids_keep_their_one_grid_bits(self, kind):
+        # one evaluation per family over every grid, one reduction per grid
+        if kind == "rings":
+            plain, stacked = SpiralStretch(0.5, 2.0), PiecewiseRadialStretch(0.5, 2.0, (1e-3, 1e-2))
+            one = [PiecewiseRadialStretch(0.5, 2.0, e) for e in stacked.eps]
+            grids = tuple(polar(0.5, n, m, breaks=stacked.break_radii()) for n, m in ((40, 8), (20, 4)))
+            density = Density.INVERSE_SQUARE
+        else:
+            plain, stacked = LinearStretch(2.0), PiecewiseLinearStretch(2.0, 1e-2)
+            one = [stacked]
+            grids = tuple(cartesian(1.0, n, m, (0.5,)) for n, m in ((16, 8), (8, 4)))
+            density = Density.UNIFORM
+        gauge = ConvexGauge.power(3.0)
+        got = _mean_distortions((plain, stacked), gauge, grids, density)
+        for grid, rows in zip(grids, got):
+            want = [mean_distortion(f, gauge, grid, density) for f in (plain, *one)]
+            assert [r.value.hex() for r in rows] == [w.value.hex() for w in want]
+            assert rows == want
 
     @pytest.mark.parametrize("eps", [(9e4, 1.0), (1.0, 9e4)])
     def test_undefined_cells_are_counted_for_the_first_offending_rung(self, eps):
@@ -463,7 +483,7 @@ class TestRungAxis:
         with pytest.raises(DegenerateExperimentError) as first:
             mean_distortion(PiecewiseRadialStretch(0.5, 1500.0, eps[0]), gauge, grid, density)
         with pytest.raises(DegenerateExperimentError) as got:
-            _mean_distortions(stacked, gauge, grid, density)
+            _mean_distortions((stacked,), gauge, (grid,), density)
         assert str(got.value) == str(first.value)
         assert str(got.value).startswith(("72 of 260", "56 of 260")[eps[0] == 1.0])
 

@@ -384,6 +384,17 @@ class TestDbarMasses:
         want = abs(fstar.fz) / k * aligned.absdiff_mass
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, 3.0, 5.0, 10.0])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-4, 1e-2])
+    def test_psi_mass_rounding_is_bounded(self, k, eps):
+        # a*f_zbar - b*f_z cancels terms of size k^2/4 down to sqrt(eps)/2, so
+        # the relative error may reach (k^2/sqrt(eps)) ulps; the worst ratio to
+        # that bound over this table is 0.48
+        assert eps < (k - 1.0) ** 2
+        got = psi_dbar_mass(PiecewiseLinearStretch(k, eps), LinearStretch(k))
+        want = math.sqrt(eps) / (2.0 * k)
+        assert abs(got - want) <= want * k**2 / math.sqrt(eps) * 2.0**-53
+
     def test_phi_mass_vanishes_for_reference(self):
         got = phi_dbar_mass(
             SpiralStretch(0.5, 2.0), SpiralStretch(0.5, 2.0), 128, 64

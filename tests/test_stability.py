@@ -396,9 +396,24 @@ class TestLadderRungs:
 
         two = calls(2)
         assert calls(6) == two
-        # the reference and the rungs on both grids, then l1 and the dbar mass
-        assert two["integrate_rings"] == 6
+        # the reference and rung rows on each grid, then l1 and the dbar mass
+        assert two["integrate_rings"] == 4
         assert two["InverseSpiralStretch.eval_many"] == 1
+        # one deficit pass per family over both grids, and one for the mass;
+        # at theta 0.7 the twist is a SpiralStretch in the deficit and mass
+        assert two["PiecewiseRadialStretch.wirtinger_many"] == 2
+        assert two["SpiralStretch.wirtinger_many"] == (1 if theta == 0.0 else 3)
+
+    @pytest.mark.parametrize("k, theta, error, message", [
+        # q**k underflows, so the twist cannot be built; at k = 1e13 the
+        # reference's K also exceeds 2**43, and its refusal comes first
+        (1e13, 0.7, DegenerateExperimentError, "have no defined distortion"),
+        (1100.0, 0.5, InputError, "q must be in"),
+    ])
+    def test_reference_refusals_precede_the_twist(self, k, theta, error, message):
+        config = LadderConfig(k=k, theta=theta, n_radial=16, n_angular=16)
+        with pytest.raises(error, match=message):
+            run_ladder(config)
 
 
 class TestFlatLadder:
