@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateExperimentError, InputError, QclabError, require_real
-from .functionals import Density, _mean_distortions
+from .functionals import Density, mean_distortion
 from .gauges import ConvexGauge
 from .geometry import (
     AnnulusDomain,
@@ -169,7 +169,8 @@ def cmd_distortion(args) -> int:
     half_a, half_b = half_resolution_shape(n_a, n_b)
     grid = grid_for(family, domain, n_a, n_b)
     half = grid_for(family, domain, half_a, half_b)
-    (result,), (result_half,) = _mean_distortions((family,), gauge, (grid, half), density)
+    result = mean_distortion(family, gauge, grid, density)
+    result_half = mean_distortion(family, gauge, half, density)
     error_estimate = abs(result.value - result_half.value) / 3.0
     row = {
         "map": family.label,

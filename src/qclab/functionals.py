@@ -19,11 +19,10 @@ by ``_sampling``; nothing a caller sets selects it).  Their evaluators,
 ``_mean_distortions``, ``_l1_distances`` and ``pompeiu._phi_dbar_masses``,
 also take a family with a leading rung axis, as the epsilon ladder builds
 it, and return one value per rung; the public functions are their one-rung
-case.  ``_mean_distortions`` also takes several families and several grids:
-each family is evaluated once over the points of every grid, and each
-grid's rows are one reduction.  ``mean_distortion``, the ``distortion``
-command's value and error estimate, and the ladder's deficits are all calls
-of it.
+case.  ``_mean_distortions`` also takes several families, and several grids
+on the ring path: each family is evaluated once over the rings of every
+grid, and each grid's rows are one reduction.  ``mean_distortion`` and the
+ladder's deficits are both calls of it.
 """
 
 from __future__ import annotations
@@ -201,22 +200,16 @@ def _one_rung(values):
 def _distortions_on(family: MapFamily, samplings) -> list[tuple[np.ndarray, np.ndarray]]:
     """``distortion_many(family, pts)`` at each sampling's points, in grid order.
 
-    On the ring path the grids' radii are joined and ``family`` is evaluated
-    once over all of them; each grid gets its slice of ``(K, degenerate)``.
-    Otherwise each grid's centres are stepped through in turn, and no joined
-    copy is built.  Either way every value has the bits of its own grid's
-    call, and the first offending point of the first offending grid is
-    reported.
+    Several samplings are all on the ring path (``_mean_distortions``
+    refuses others): their radii are joined, ``family`` is evaluated once
+    over all of them, and each grid gets its slice of ``(K, degenerate)``.
+    A ring's value does not depend on the other points of the call, so every
+    value has the bits of its own grid's call, and the first offending point
+    of the first offending grid is reported.
     """
     pts = [p for p, _, _ in samplings]
-    on_rings = all(integrator is integrate_rings for _, integrator, _ in samplings)
-
-    def fn(p):
-        return distortion_many(family, p)
-
-    if len(pts) == 1 or not on_rings:
-        return [_in_steps(fn, p) for p in pts]
-    K, degenerate = _in_steps(fn, np.concatenate(pts))
+    joined = pts[0] if len(pts) == 1 else np.concatenate(pts)
+    K, degenerate = _in_steps(lambda p: distortion_many(family, p), joined)
     bounds = np.cumsum([0] + [len(p) for p in pts]).tolist()
     return [(K[..., lo:hi], degenerate[..., lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -238,20 +231,25 @@ def _mean_distortions(
     Returns one list per grid, in grid order, with one result per row: a
     plain family is one row, and a family with a rung axis (a
     ``PiecewiseRadialStretch`` with a tuple of ``eps``, or a ``Composition``
-    over one) is one row per rung, in rung order.  Each family is evaluated
-    once over the sample points of every grid (``_distortions_on``), and on
-    each grid the rows of all the families are one row reduction.  Each row
-    is checked as a plain family on one grid would be.  The break and
-    undefined-cell checks run for each family in turn, right after its
-    evaluation; the gauge and the reduction then check each grid's rows.
-    Grids are checked in order, and within a grid the first offending row
-    is reported.
+    over one) is one row per rung, in rung order.  Several grids must all
+    take the ring path; each family is then evaluated once over the rings of
+    every grid (``_distortions_on``).  On each grid the rows of all the
+    families are one row reduction.  Each row is checked as a plain family
+    on one grid would be.  The break, evaluation and undefined-cell checks
+    run for each family in turn, on every grid; the gauge and the reduction
+    then check each grid's rows.  Grids are checked in order, and within a
+    grid the first offending row is reported.
     """
     if not isinstance(density, Density):
         raise InputError(f"density {density!r} is not a Density; use Density.parse")
     if density is Density.INVERSE_SQUARE and any(g.coordinate_kind != "polar" for g in grids):
         raise InputError("inverse-square density requires a polar grid")
     samplings = [_sampling(grid, *families) for grid in grids]
+    if len(grids) > 1 and any(i is not integrate_rings for _, i, _ in samplings):
+        raise InputError(
+            "several grids are evaluated together only on the ring path; "
+            "call once per grid"
+        )
     evaluated = []
     for family in families:
         for grid in grids:

@@ -453,25 +453,24 @@ class TestRungAxis:
             assert l1[i].hex() == l1_distance(one, reference, grid).hex()
             assert means[i] == mean_distortion(one, gauge, grid, density)
 
-    @pytest.mark.parametrize("kind", ["rings", "cells"])
-    def test_families_on_several_grids_keep_their_one_grid_bits(self, kind):
-        # one evaluation per family over every grid, one reduction per grid
-        if kind == "rings":
-            plain, stacked = SpiralStretch(0.5, 2.0), PiecewiseRadialStretch(0.5, 2.0, (1e-3, 1e-2))
-            one = [PiecewiseRadialStretch(0.5, 2.0, e) for e in stacked.eps]
-            grids = tuple(polar(0.5, n, m, breaks=stacked.break_radii()) for n, m in ((40, 8), (20, 4)))
-            density = Density.INVERSE_SQUARE
-        else:
-            plain, stacked = LinearStretch(2.0), PiecewiseLinearStretch(2.0, 1e-2)
-            one = [stacked]
-            grids = tuple(cartesian(1.0, n, m, (0.5,)) for n, m in ((16, 8), (8, 4)))
-            density = Density.UNIFORM
+    def test_families_on_several_grids_keep_their_one_grid_bits(self):
+        # one evaluation per family over the rings of both grids, one
+        # reduction per grid; each row equals its one-family, one-grid
+        # mean_distortion as computed before the grids were joined
+        plain, stacked = SpiralStretch(0.5, 2.0), PiecewiseRadialStretch(0.5, 2.0, (1e-3, 1e-2))
+        grids = tuple(polar(0.5, n, m, breaks=stacked.break_radii()) for n, m in ((40, 8), (20, 4)))
+        got = _mean_distortions((plain, stacked), ConvexGauge.power(3.0), grids, Density.INVERSE_SQUARE)
+        assert [[r.value.hex() for r in rows] for rows in got] == [
+            ["0x1.16b92a66455efp+5", "0x1.16eeb651c219ep+5", "0x1.18d06a263c266p+5"],
+            ["0x1.16b354b32561ep+5", "0x1.16e8f83cf1953p+5", "0x1.18cad7893fa9ap+5"],
+        ]
+        assert all(r.degenerate_cells == 0 and r.warning is None for rows in got for r in rows)
+
+    def test_several_grids_are_joined_only_on_the_ring_path(self):
+        grids = tuple(cartesian(1.0, n, m) for n, m in ((16, 8), (8, 4)))
         gauge = ConvexGauge.power(3.0)
-        got = _mean_distortions((plain, stacked), gauge, grids, density)
-        for grid, rows in zip(grids, got):
-            want = [mean_distortion(f, gauge, grid, density) for f in (plain, *one)]
-            assert [r.value.hex() for r in rows] == [w.value.hex() for w in want]
-            assert rows == want
+        with pytest.raises(InputError, match="only on the ring path"):
+            _mean_distortions((LinearStretch(2.0),), gauge, grids, Density.UNIFORM)
 
     @pytest.mark.parametrize("eps", [(9e4, 1.0), (1.0, 9e4)])
     def test_undefined_cells_are_counted_for_the_first_offending_rung(self, eps):
