@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateExperimentError, InputError, QclabError, require_real
+from .errors import DegenerateExperimentError, InputError, QclabError
 from .functionals import Density, mean_distortion
 from .gauges import ConvexGauge
 from .geometry import (
@@ -42,6 +42,7 @@ from .geometry import (
     build_polar_grid,
     grid_for,
     half_resolution_shape,
+    image_annulus,
 )
 from .maps import (
     Composition,
@@ -283,22 +284,9 @@ def cmd_audit(args) -> int:
     return 0 if report.passed else 4
 
 
-def _image_annulus(q: float, k: float) -> AnnulusDomain:
-    """The image annulus ``[q**k, 1]`` of a stretch, checked as ``--q`` and ``--k``."""
-    require_real(q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
-    require_real(k, "k must be >= 1", lambda v: v >= 1.0)
-    inner = q**k
-    if inner < sys.float_info.min:
-        raise InputError(
-            f"the inner radius q**k = {inner!r} underflows at --q {q!r} --k {k!r}; "
-            "use a smaller --k or a larger --q"
-        )
-    return AnnulusDomain(inner)
-
-
 def cmd_reconstruct(args) -> int:
     tok = args.field.strip().lower()
-    domain = _image_annulus(args.q, args.k)
+    domain = image_annulus(args.q, args.k)
     if tok == "identity":
         family: MapFamily = IdentityMap()
     elif tok == "conj":

@@ -21,13 +21,15 @@ also take a family with a leading rung axis, as the epsilon ladder builds
 it, and return one value per rung; the public functions are their one-rung
 case.  ``_mean_distortions`` also takes several families, and several grids
 on the ring path: each family is evaluated once over the rings of every
-grid, and each grid's rows are one reduction.  ``mean_distortion`` and the
-ladder's deficits are both calls of it.
+grid, the rows of all of them are one stack, and each grid's columns are
+one reduction.  ``mean_distortion`` and the ladder's deficits are both calls
+of it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +39,7 @@ from ._kernels import BLOCK
 from .errors import DegenerateExperimentError, InputError, UnsupportedVariantError
 from .gauges import ConvexGauge
 from .geometry import (
+    _BREAK_ATOL,
     QuadratureGrid,
     RectangleDomain,
     integrate,
@@ -118,7 +121,7 @@ def distortion_many(
 
 def _check_breaks_honored(family: MapFamily, grid: QuadratureGrid) -> None:
     for b in grid.breaks_of(family):
-        if np.min(np.abs(grid.primary_edges - b)) > 1e-12:
+        if np.min(np.abs(grid.primary_edges - b)) > _BREAK_ATOL:
             raise InputError(
                 f"grid does not honor the mandatory break at {b!r}; rebuild it "
                 f"with this break in its partition"
@@ -197,24 +200,7 @@ def _one_rung(values):
     return values[0]
 
 
-def _distortions_on(family: MapFamily, samplings) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``distortion_many(family, pts)`` at each sampling's points, in grid order.
-
-    Several samplings are all on the ring path (``_mean_distortions``
-    refuses others): their radii are joined, ``family`` is evaluated once
-    over all of them, and each grid gets its slice of ``(K, degenerate)``.
-    A ring's value does not depend on the other points of the call, so every
-    value has the bits of its own grid's call, and the first offending point
-    of the first offending grid is reported.
-    """
-    pts = [p for p, _, _ in samplings]
-    joined = pts[0] if len(pts) == 1 else np.concatenate(pts)
-    K, degenerate = _in_steps(lambda p: distortion_many(family, p), joined)
-    bounds = np.cumsum([0] + [len(p) for p in pts]).tolist()
-    return [(K[..., lo:hi], degenerate[..., lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _rows(arrays: list[np.ndarray]) -> np.ndarray:
+def _rows(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
     """The rows of ``arrays`` stacked in order: one row per plain family or rung."""
     rows = [a.reshape(-1, a.shape[-1]) for a in arrays]
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
@@ -232,13 +218,16 @@ def _mean_distortions(
     plain family is one row, and a family with a rung axis (a
     ``PiecewiseRadialStretch`` with a tuple of ``eps``, or a ``Composition``
     over one) is one row per rung, in rung order.  Several grids must all
-    take the ring path; each family is then evaluated once over the rings of
-    every grid (``_distortions_on``).  On each grid the rows of all the
-    families are one row reduction.  Each row is checked as a plain family
-    on one grid would be.  The break, evaluation and undefined-cell checks
-    run for each family in turn, on every grid; the gauge and the reduction
-    then check each grid's rows.  Grids are checked in order, and within a
-    grid the first offending row is reported.
+    take the ring path: their radii are joined, and each family is evaluated
+    once over all of them.  A ring's value does not depend on the other
+    points of the call, so each grid's columns have the bits of its own
+    call.  The rows of all the families are stacked; on each grid they are
+    one row reduction.
+
+    The checks run in this order: every family's breaks on every grid, then
+    each family's point checks as it is evaluated, and then, grid by grid,
+    undefined ``K``, the gauge's domain and non-finite values, each naming
+    the first offending row.
     """
     if not isinstance(density, Density):
         raise InputError(f"density {density!r} is not a Density; use Density.parse")
@@ -250,35 +239,35 @@ def _mean_distortions(
             "several grids are evaluated together only on the ring path; "
             "call once per grid"
         )
-    evaluated = []
     for family in families:
         for grid in grids:
             _check_breaks_honored(family, grid)
-        per_grid = _distortions_on(family, samplings)
-        for grid, (_, _, cells_per_point), (K, _) in zip(grids, samplings, per_grid):
-            for n_undefined in np.atleast_1d(np.count_nonzero(np.isnan(K), axis=-1)):
-                if n_undefined:
-                    raise DegenerateExperimentError(
-                        f"{n_undefined * cells_per_point} of {grid.n_cells} cells have "
-                        "no defined distortion: f_z or f_zbar is not finite, or |f_z| "
-                        "and |f_zbar| agree to within rounding (both underflow to 0, "
-                        "or K exceeds 2**43)"
-                    )
-        evaluated.append(per_grid)
+    pts = [p for p, _, _ in samplings]
+    joined = pts[0] if len(pts) == 1 else np.concatenate(pts)
+    evaluated = (_in_steps(functools.partial(distortion_many, f), joined) for f in families)
+    K_all, degenerate_all = map(_rows, zip(*evaluated))
+    bounds = np.cumsum([0] + [len(p) for p in pts]).tolist()
     results = []
-    for grid, (pts, integrator, cells_per_point), per_family in zip(
-        grids, samplings, zip(*evaluated)
+    for grid, (grid_pts, integrator, cells_per_point), lo, hi in zip(
+        grids, samplings, bounds, bounds[1:]
     ):
-        K = _rows([K for K, _ in per_family])
+        K = K_all[:, lo:hi]
+        for n_undefined in np.count_nonzero(np.isnan(K), axis=-1):
+            if n_undefined:
+                raise DegenerateExperimentError(
+                    f"{n_undefined * cells_per_point} of {grid.n_cells} cells have "
+                    "no defined distortion: f_z or f_zbar is not finite, or |f_z| "
+                    "and |f_zbar| agree to within rounding (both underflow to 0, "
+                    "or K exceeds 2**43)"
+                )
         values = np.asarray(gauge.evaluate(K), dtype=np.float64)
         if density is Density.INVERSE_SQUARE:
-            values = values / np.abs(pts) ** 2
+            values = values / np.abs(grid_pts) ** 2
         if integrator is integrate_rings:
             totals = integrate_rings(grid, values)
         else:
             totals = [integrate(grid, row) for row in values]
-        degenerate = _rows([degenerate for _, degenerate in per_family])
-        n_degenerate = np.count_nonzero(degenerate, axis=-1) * cells_per_point
+        n_degenerate = np.count_nonzero(degenerate_all[:, lo:hi], axis=-1) * cells_per_point
         rows = []
         for value, n_deg in zip(totals, n_degenerate):
             warning = None

@@ -28,6 +28,7 @@ only the partition.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,12 +46,19 @@ __all__ = [
     "build_polar_grid",
     "grid_for",
     "half_resolution_shape",
+    "image_annulus",
     "integrate",
     "integrate_complex",
     "integrate_rings",
 ]
 
 _SNAP_REL = 1e-12
+
+# A point this close to a break (a radius or an abscissa) is on it: a map
+# refuses its derivative there, and a grid honours a break with an edge this
+# close.  A grid snaps a break onto an edge within 4x this, so a break spliced
+# in as a new edge leaves every cell midpoint at least 2x this away.
+_BREAK_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,23 @@ class AnnulusDomain:
     def primary_bounds(self) -> tuple[float, float]:
         """The radial interval a grid's primary edges must span."""
         return self.inner_radius, 1.0
+
+
+def image_annulus(q: float, k: float) -> AnnulusDomain:
+    """The image annulus ``[q**k, 1]`` of a stretch by ``k`` of ``[q, 1]``.
+
+    ``q`` and ``k`` are checked as a stretch checks them, and an inner radius
+    that underflows is refused by name rather than as an ``inner_radius``.
+    """
+    require_real(q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
+    require_real(k, "k must be >= 1", lambda v: v >= 1.0)
+    inner = q**k
+    if inner < sys.float_info.min:
+        raise InputError(
+            f"the inner radius q**k = {inner!r} underflows at --q {q!r} --k {k!r}; "
+            "use a smaller --k or a larger --q"
+        )
+    return AnnulusDomain(inner)
 
 
 @dataclass(frozen=True)
@@ -106,15 +131,15 @@ def _partition_with_breaks(
 ) -> np.ndarray:
     """Uniform ``n``-interval partition of ``[lo, hi]`` with sorted breaks spliced in.
 
-    A break within ``1e-12 * (hi - lo)`` of an existing interior edge replaces
-    that edge; otherwise it is inserted.  Breaks must lie strictly inside the
-    interval.
+    A break within ``max(1e-12 * (hi - lo), 4 * _BREAK_ATOL)`` of an existing
+    interior edge replaces that edge; otherwise it is inserted.  Breaks must
+    lie strictly inside the interval.
     """
     require_real(
         n, f"number of {axis} cells must be an integer >= 1", lambda v: v >= 1, integer=True
     )
     edges = np.linspace(lo, hi, n + 1)
-    tol = _SNAP_REL * (hi - lo)
+    tol = max(_SNAP_REL * (hi - lo), 4.0 * _BREAK_ATOL)
     for b in breaks:
         if not math.isfinite(b) or b <= lo + tol or b >= hi - tol:
             raise InputError(
@@ -296,15 +321,17 @@ def half_resolution_shape(n_primary: int, n_secondary: int) -> tuple[int, int]:
     """Shape of the grid that estimates the quadrature error of a finer one.
 
     Each axis is halved, keeping at least 2 primary and 1 secondary cells.
-    Raises ``InputError`` when that grid is no coarser than the full grid:
-    comparing a grid with itself would make the error estimate read 0.
+    Raises ``InputError`` when that grid has as many primary cells as the
+    full grid: every integrand the estimate is used for is constant along
+    the secondary axis (rings on an annulus, ``x`` alone on a rectangle), so
+    halving that axis alone would make the error estimate read 0.
     """
     half = (max(2, n_primary // 2), max(1, n_secondary // 2))
-    if half[0] >= n_primary and half[1] >= n_secondary:
+    if half[0] >= n_primary:
         raise InputError(
             f"grid {n_primary}x{n_secondary} is too coarse: its half-resolution "
-            f"grid {half[0]}x{half[1]} is no coarser, so the quadrature error "
-            "estimate would read 0"
+            f"grid {half[0]}x{half[1]} has as many primary cells, so the "
+            "quadrature error estimate would read 0"
         )
     return half
 

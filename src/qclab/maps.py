@@ -29,6 +29,7 @@ from .errors import (
     UnsupportedVariantError,
     require_real,
 )
+from .geometry import _BREAK_ATOL
 
 __all__ = [
     "Composition",
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 _RTOL = 1e-9
-_BREAK_ATOL = 1e-12
 
 
 def _as_points(z) -> np.ndarray:
@@ -141,7 +141,8 @@ def _check_two_speed(k: float, eps: float) -> None:
     """Parameter contract of the two-speed families: ``k > 1``, ``0 < eps < (k-1)^2``."""
     require_real(k, "k must be > 1", lambda v: v > 1.0)
     require_real(eps, "eps must be > 0", lambda v: v > 0.0)
-    if not eps < (k - 1.0) ** 2:
+    # from k - 1 = 2**512 on, (k-1)^2 overflows and exceeds every float eps
+    if not (k - 1.0 >= 2.0**512 or eps < (k - 1.0) ** 2):
         raise InputError("eps must be < (k-1)^2")
 
 

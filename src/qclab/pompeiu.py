@@ -42,6 +42,7 @@ from .geometry import (
     QuadratureGrid,
     RectangleDomain,
     grid_for,
+    image_annulus,
     integrate,
 )
 from .maps import (
@@ -379,8 +380,7 @@ def _phi_dbar_masses(
             "phi_dbar_mass requires a winding = 0 reference"
         )
     phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
-    domain = AnnulusDomain(inner_radius=gstar.q**gstar.k)
-    grid = grid_for(phi, domain, n_radial, n_angular)
+    grid = grid_for(phi, image_annulus(gstar.q, gstar.k), n_radial, n_angular)
     pts, integrator, _ = _sampling(grid, phi)
     values = _in_steps(lambda p: np.abs(phi.wirtinger_many(p)[1]), pts)
     return np.atleast_1d(integrator(grid, values))

@@ -28,6 +28,7 @@ from .geometry import (
     QuadratureGrid,
     grid_for,
     half_resolution_shape,
+    image_annulus,
     integrate,
     integrate_complex,
 )
@@ -361,8 +362,8 @@ def audit_gn_gap(
 class LadderConfig:
     """Parameters of the square-gauge epsilon ladder.
 
-    The dbar-mass grid ``mass_n_radial x mass_n_angular`` defaults to
-    ``n_radial x max(1, n_angular // 2)``: 512x256 at the default grid.
+    The dbar mass is measured on an ``n_radial x max(1, n_angular // 2)``
+    grid of the image annulus: 512x256 at the default grid.
     """
 
     q: float = 0.5
@@ -378,8 +379,6 @@ class LadderConfig:
     gauge: ConvexGauge = field(default_factory=ConvexGauge.square)
     n_radial: int = 512
     n_angular: int = 512
-    mass_n_radial: int | None = None
-    mass_n_angular: int | None = None
 
 
 @dataclass(frozen=True)
@@ -406,7 +405,8 @@ class FitReport:
 
 def _check_ladder_eps(eps_values: tuple[float, ...], k: float) -> None:
     """At least two distinct rungs, each inside ``(0, min(0.1, (k-1)^2 / 2))``."""
-    eps_cap = min(0.1, 0.5 * (k - 1.0) ** 2)
+    # past k - 1 = 1 the cap is 0.1, and the square of a huge k overflows
+    eps_cap = min(0.1, 0.5 * min(k - 1.0, 1.0) ** 2)
     for eps in eps_values:
         require_real(
             eps,
@@ -417,14 +417,6 @@ def _check_ladder_eps(eps_values: tuple[float, ...], k: float) -> None:
         raise InputError("the ladder needs at least two eps values")
     if len(set(eps_values)) < len(eps_values):
         raise InputError(f"eps values must be distinct, got {list(eps_values)!r}")
-
-
-def _twisted(config: LadderConfig, base: MapFamily) -> MapFamily:
-    """The ladder's candidate: ``base``, twisted by ``theta`` when nonzero."""
-    if config.theta == 0.0:
-        return base
-    twist = SpiralStretch(config.q**config.k, 1.0, config.theta, 0)
-    return Composition(twist, base)
 
 
 def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
@@ -438,12 +430,14 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     Needs a strictly convex gauge — with a linear one every deficit vanishes
     identically and the experiment is vacuous.
 
-    The rungs are one family with a leading rung axis, so each quantity is
-    one evaluation and one row reduction per grid, whatever the number of
-    rungs.  The deficit evaluates the reference and the rungs once each over
-    the full and the half grid together, and reduces the reference row with
-    the rung rows, once per grid.  Every row has the bits of its own
-    one-rung ``deficit``, ``l1_distance`` and ``phi_dbar_mass`` calls.
+    Every parameter, the image annulus ``[q**k, 1]`` included, is checked
+    before any map is evaluated.  The rungs are one family with a leading
+    rung axis, so each quantity is one evaluation and one row reduction per
+    grid, whatever the number of rungs.  The deficit evaluates the reference
+    and the rungs once each over the full and the half grid together, and
+    reduces the reference row with the rung rows, once per grid.  Every row
+    has the bits of its own one-rung ``deficit``, ``l1_distance`` and
+    ``phi_dbar_mass`` calls.
     """
     if config.gauge.curvature_floor <= 0.0:
         raise DegenerateExperimentError(
@@ -458,32 +452,21 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     grid = grid_for(base, domain, config.n_radial, config.n_angular)
     half_shape = half_resolution_shape(config.n_radial, config.n_angular)
     half_grid = grid_for(base, domain, *half_shape)
-    mass_n_radial, mass_n_angular = config.mass_n_radial, config.mass_n_angular
-    if mass_n_radial is None:
-        mass_n_radial = config.n_radial
-    if mass_n_angular is None:
-        mass_n_angular = max(1, config.n_angular // 2)
+    image = image_annulus(config.q, config.k)
+    rungs: MapFamily = base
+    if config.theta != 0.0:
+        rungs = Composition(SpiralStretch(image.inner_radius, 1.0, config.theta, 0), base)
 
-    def deficits(results) -> list[float]:
-        # The reference is the same on every rung: its row leads each
-        # grid's reduction, and the rung rows follow it.
-        ref, *rows = results
-        return [_relative_excess(r.value, ref.value).value for r in rows]
-
-    def weighted(*families: MapFamily) -> list[list]:
-        grids = (grid, half_grid)
-        return _mean_distortions(families, config.gauge, grids, Density.INVERSE_SQUARE)
-
-    try:
-        rungs = _twisted(config, base)
-    except InputError:
-        # A twist that cannot be built (q**k underflows) is reported after
-        # the reference's own refusals, as when the reference ran alone.
-        weighted(reference)
-        raise
-    d_full, d_half = map(deficits, weighted(reference, rungs))
+    # The reference is the same on every rung: its row leads each grid's
+    # reduction, and the rung rows follow it.
+    d_full, d_half = (
+        [_relative_excess(r.value, ref.value).value for r in rows]
+        for ref, *rows in _mean_distortions(
+            (reference, rungs), config.gauge, (grid, half_grid), Density.INVERSE_SQUARE
+        )
+    )
     l1 = _l1_distances(rungs, reference, grid)
-    mass = _phi_dbar_masses(rungs, reference, mass_n_radial, mass_n_angular)
+    mass = _phi_dbar_masses(rungs, reference, config.n_radial, max(1, config.n_angular // 2))
     rows = []
     for eps, full, half, dist, dbar in zip(config.eps_values, d_full, d_half, l1, mass):
         noise = abs(full - half) / 3.0

@@ -78,6 +78,26 @@ class TestExitCodes:
         assert "too coarse" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("fit",),
+        ("distortion", "--map", "geps:0.01", "--gauge", "square", "--density", "invsq"),
+        ("distortion", "--map", "fstar"),
+    ], ids=["fit", "geps", "fstar"])
+    def test_grid_with_two_primary_cells_has_no_error_grid(self, argv):
+        # the half grid 2x32 keeps both primary cells, and every integrand is
+        # constant along the secondary axis: the error estimate would read 0
+        res = run(*argv, "--grid", "2x64")
+        assert res.returncode == 2
+        assert "too coarse" in res.stderr
+        assert res.stdout == ""
+
+    def test_fit_with_an_overflowing_square_is_refused(self):
+        # (k-1)**2 overflows a float at this k; q**k underflows
+        res = run("fit", "--k", "1e308", "--grid", "16x16")
+        assert res.returncode == 2
+        assert "underflows at --q 0.5 --k 1e+308" in res.stderr
+        assert res.stdout == ""
+
     def test_underflowed_distortion_is_degenerate(self):
         res = run("distortion", "--map", "gstar", "--k", "1e308", "--gauge",
                   "square", "--grid", "32x32")
@@ -174,6 +194,10 @@ class TestFitBytes:
     @pytest.mark.parametrize("argv, sha256", [
         ((), "1b03f6ad4645411d545446b0a52e321c20110d0e0ed50bb8fbe5c28cd0dadba2"),
         (SEEDED, "237b600db584be7e32227497bb80ab373fcb1b33190cf5de994ad248d14ff244"),
+        # the twisted rungs, and a grid whose mass grid 300x150 is not a
+        # power of two
+        (("--theta", "0.7"), "b07f4c139370293afd0252f0c088e0451232fdaca8444c42eb763b13a57b6099"),
+        (("--grid", "300x300"), "af1297eafacaf5dab2ea6ddbdce9d4726c0e774757e7f27c8a7c76224dc20488"),
     ])
     def test_json_output_is_pinned(self, tmp_path, argv, sha256):
         out = tmp_path / "fit.json"
@@ -207,6 +231,32 @@ class TestDistortion:
         assert res.returncode == 0, res.stderr
         value = json.loads(res.stdout)["summary"]["value"]
         assert value == pytest.approx(2.0 * math.pi * k * -math.log(q), rel=1e-12)
+
+
+class TestThinAnnulus:
+    """At q = 0.999999 the break circle sqrt(q) lies 1.2e-13 from a ring
+    edge of a 64-ring grid: it is snapped onto that edge, not spliced in
+    beside it as a ring whose midpoint is inside the break check's 1e-12."""
+
+    ARGS = ("--q", "0.999999", "--grid", "64x64", "--format", "json")
+
+    def test_fit_deficits_are_eps_over_k_squared(self):
+        res = run("fit", *self.ARGS)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["summary"]["rows_used"] == 5
+        for row in doc["rows"]:
+            assert row["deficit"] == pytest.approx(row["eps"] / 4.0, rel=1e-6)
+
+    def test_two_speed_distortion_has_its_closed_form(self):
+        q, k, eps = 0.999999, 2.0, 0.01
+        res = run("distortion", "--map", f"geps:{eps}", "--gauge", "square",
+                  "--density", "invsq", *self.ARGS)
+        assert res.returncode == 0, res.stderr
+        value = json.loads(res.stdout)["summary"]["value"]
+        # half the log-measure at k + sqrt(eps), half at k - sqrt(eps)
+        want = 2.0 * math.pi * -math.log(q) * (k * k + eps)
+        assert value == pytest.approx(want, rel=1e-10)
 
 
 class TestAuditOutput:

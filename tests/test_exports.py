@@ -1,7 +1,9 @@
 """The public surface: every exported name exists, none is listed twice, the
-package root re-exports nothing but the kernel lane, and every name the
-benchmark's tracer patches exists."""
+package root re-exports nothing but the kernel lane, every name the
+benchmark's tracer patches exists, and no private module-level name is left
+unused."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -55,3 +57,51 @@ def test_benchmark_tracer_patches_and_restores_its_names():
         for owner, attr in entries:
             assert vars(owner)[attr] is not before[owners.index(owner)][attr], attr
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+SRC = Path(qclab.__file__).resolve().parent
+
+
+def _private_definitions(tree):
+    """``(name, node)`` of each private function, class and constant at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(tree, skip=None):
+    """Names read in ``tree`` (bare or as attributes), outside the node ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_private_module_level_name_is_used():
+    # a private helper, class or constant that nothing reads is dead code;
+    # its own definition (a recursive call, say) does not count as a use
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    unused = []
+    for path, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            used = any(
+                name in _references(other, skip=node if other is tree else None)
+                for other in trees.values()
+            )
+            if not used:
+                unused.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+    assert unused == []

@@ -231,9 +231,7 @@ class TestGnGap:
 
 @pytest.fixture(scope="module")
 def small_fit():
-    cfg = LadderConfig(
-        n_radial=128, n_angular=128, mass_n_radial=128, mass_n_angular=64
-    )
+    cfg = LadderConfig(n_radial=128, n_angular=128)
     return run_ladder(cfg)
 
 
@@ -242,8 +240,7 @@ class TestLadder:
     def test_rows_equal_per_rung_deficits(self, theta):
         # run_ladder integrates the reference once per grid; every row must
         # still carry the bits of a per-rung deficit() call
-        cfg = LadderConfig(theta=theta, n_radial=64, n_angular=32,
-                           mass_n_radial=32, mass_n_angular=16)
+        cfg = LadderConfig(theta=theta, n_radial=64, n_angular=32)
         fit = run_ladder(cfg)
         breaks = [math.sqrt(cfg.q)]
         grid = polar(cfg.q, 64, 32, breaks=tuple(breaks))
@@ -274,15 +271,12 @@ class TestLadder:
         assert max(band) / min(band) < 3.0
 
     def test_doubling_the_grid_leaves_slope_alone(self, small_fit):
-        cfg = LadderConfig(
-            n_radial=256, n_angular=256, mass_n_radial=128, mass_n_angular=64
-        )
+        cfg = LadderConfig(n_radial=256, n_angular=256)
         finer = run_ladder(cfg)
         assert abs(finer.slope - small_fit.slope) <= 0.01
 
     def test_linear_gauge_is_degenerate(self):
-        cfg = LadderConfig(gauge=LINEAR, n_radial=64, n_angular=64,
-                           mass_n_radial=64, mass_n_angular=32)
+        cfg = LadderConfig(gauge=LINEAR, n_radial=64, n_angular=64)
         with pytest.raises(DegenerateExperimentError):
             run_ladder(cfg)
 
@@ -290,8 +284,7 @@ class TestLadder:
         # 1e-3 and the next float give equal deficits: a slope through them
         # means nothing (np.polyfit only warns that it is ill-posed)
         cfg = LadderConfig(eps_values=(1e-3, math.nextafter(1e-3, 1.0)),
-                           n_radial=64, n_angular=64, mass_n_radial=64,
-                           mass_n_angular=32)
+                           n_radial=64, n_angular=64)
         with pytest.raises(DegenerateExperimentError, match="two distinct deficits"):
             run_ladder(cfg)
 
@@ -361,8 +354,7 @@ class TestLadderRungs:
         # past the 256 KiB at which numpy would compute a product of
         # temporaries in place, with other last bits
         eps = tuple(np.geomspace(1e-5, 5e-2, 40).tolist())
-        shape = dict(theta=theta, n_radial=1024, n_angular=8,
-                     mass_n_radial=1024, mass_n_angular=4)
+        shape = dict(theta=theta, n_radial=1024, n_angular=8)
         many = run_ladder(LadderConfig(eps_values=eps, **shape))
         for i in range(len(eps) - 1):
             two = run_ladder(LadderConfig(eps_values=(eps[i], eps[-1]), **shape))
@@ -391,7 +383,7 @@ class TestLadderRungs:
         def calls(n_rungs):
             counts.clear()
             run_ladder(LadderConfig(theta=theta, eps_values=tuple(np.geomspace(1e-4, 1e-2, n_rungs)),
-                                    n_radial=64, n_angular=32, mass_n_radial=32, mass_n_angular=16))
+                                    n_radial=64, n_angular=32))
             return dict(counts)
 
         two = calls(2)
@@ -405,14 +397,27 @@ class TestLadderRungs:
         assert two["SpiralStretch.wirtinger_many"] == (1 if theta == 0.0 else 3)
 
     @pytest.mark.parametrize("k, theta, error, message", [
-        # q**k underflows, so the twist cannot be built; at k = 1e13 the
-        # reference's K also exceeds 2**43, and its refusal comes first
-        (1e13, 0.7, DegenerateExperimentError, "have no defined distortion"),
-        (1100.0, 0.5, InputError, "q must be in"),
+        # q**k underflows: the image annulus [q**k, 1] is refused by name,
+        # at every theta, before the reference or the twist is evaluated
+        # (at k = 1e13 the reference's K would also exceed 2**43)
+        (1e13, 0.7, InputError, "underflows at --q 0.5 --k 10000000000000.0"),
+        (1100.0, 0.5, InputError, "underflows at --q 0.5 --k 1100.0"),
+        (1e13, 0.0, InputError, "underflows at --q 0.5 --k 10000000000000.0"),
+        (1100.0, 0.0, InputError, "underflows at --q 0.5 --k 1100.0"),
     ])
     def test_reference_refusals_precede_the_twist(self, k, theta, error, message):
         config = LadderConfig(k=k, theta=theta, n_radial=16, n_angular=16)
         with pytest.raises(error, match=message):
+            run_ladder(config)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_refused_image_annulus_evaluates_no_map(self, theta, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a map was evaluated")
+
+        monkeypatch.setattr(functionals, "distortion_many", refuse)
+        config = LadderConfig(k=1100.0, theta=theta, n_radial=16, n_angular=16)
+        with pytest.raises(InputError, match="underflows"):
             run_ladder(config)
 
 
