@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateExperimentError, InputError, QclabError
-from .functionals import Density, mean_distortion
+from .functionals import Density, _mean_distortions
 from .gauges import ConvexGauge
 from .geometry import (
     AnnulusDomain,
@@ -167,11 +167,9 @@ def cmd_distortion(args) -> int:
     gauge = ConvexGauge.parse(args.gauge)
     density = Density.parse(args.density)
     n_a, n_b = _parse_grid(args.grid)
-    half_a, half_b = half_resolution_shape(n_a, n_b)
     grid = grid_for(family, domain, n_a, n_b)
-    half = grid_for(family, domain, half_a, half_b)
-    result = mean_distortion(family, gauge, grid, density)
-    result_half = mean_distortion(family, gauge, half, density)
+    half = grid_for(family, domain, *half_resolution_shape(n_a, n_b))
+    (result,), (result_half,) = _mean_distortions((family,), gauge, (grid, half), density)
     error_estimate = abs(result.value - result_half.value) / 3.0
     row = {
         "map": family.label,

@@ -12,6 +12,7 @@ __all__ = [
     "BreakSetError",
     "DegenerateExperimentError",
     "DomainError",
+    "GaugeOverflowError",
     "InputError",
     "NonFiniteSampleError",
     "QclabError",
@@ -73,3 +74,7 @@ class UnsupportedVariantError(QclabError):
 
 class DegenerateExperimentError(QclabError):
     """An experiment's preconditions make its outcome vacuous."""
+
+
+class GaugeOverflowError(NonFiniteSampleError, DegenerateExperimentError):
+    """``phi(K)`` overflowed a float: a degenerate experiment that names its first cell."""

@@ -19,11 +19,10 @@ by ``_sampling``; nothing a caller sets selects it).  Their evaluators,
 ``_mean_distortions``, ``_l1_distances`` and ``pompeiu._phi_dbar_masses``,
 also take a family with a leading rung axis, as the epsilon ladder builds
 it, and return one value per rung; the public functions are their one-rung
-case.  ``_mean_distortions`` also takes several families, and several grids
-on the ring path: each family is evaluated once over the rings of every
-grid, the rows of all of them are one stack, and each grid's columns are
-one reduction.  ``mean_distortion`` and the ladder's deficits are both calls
-of it.
+case.  ``_mean_distortions`` also takes several families and several grids:
+each family is evaluated once over the joined points of every grid.  Every
+gauged mean distortion (``mean_distortion``, ``distortion``'s value and
+error estimate, the ladder's deficits) is a call of it.
 """
 
 from __future__ import annotations
@@ -36,12 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import BLOCK
-from .errors import DegenerateExperimentError, InputError, UnsupportedVariantError
+from .errors import (
+    DegenerateExperimentError,
+    GaugeOverflowError,
+    InputError,
+    NonFiniteSampleError,
+    UnsupportedVariantError,
+)
 from .gauges import ConvexGauge
 from .geometry import (
-    _BREAK_ATOL,
     QuadratureGrid,
     RectangleDomain,
+    _break_tol,
     integrate,
     integrate_rings,
 )
@@ -121,7 +126,7 @@ def distortion_many(
 
 def _check_breaks_honored(family: MapFamily, grid: QuadratureGrid) -> None:
     for b in grid.breaks_of(family):
-        if np.min(np.abs(grid.primary_edges - b)) > _BREAK_ATOL:
+        if np.min(np.abs(grid.primary_edges - b)) > _break_tol(b):
             raise InputError(
                 f"grid does not honor the mandatory break at {b!r}; rebuild it "
                 f"with this break in its partition"
@@ -217,28 +222,37 @@ def _mean_distortions(
     Returns one list per grid, in grid order, with one result per row: a
     plain family is one row, and a family with a rung axis (a
     ``PiecewiseRadialStretch`` with a tuple of ``eps``, or a ``Composition``
-    over one) is one row per rung, in rung order.  Several grids must all
-    take the ring path: their radii are joined, and each family is evaluated
-    once over all of them.  A ring's value does not depend on the other
-    points of the call, so each grid's columns have the bits of its own
-    call.  The rows of all the families are stacked; on each grid they are
-    one row reduction.
+    over one) is one row per rung, in rung order.  The grids' points (see
+    ``_sampling``) are joined and each family is evaluated once over them; a
+    point's value does not depend on the other points of the call, so each
+    grid's slice has the bits of its own call.  On each grid the rows of all
+    the families are one ring reduction, or one ``integrate`` per row.
 
-    The checks run in this order: every family's breaks on every grid, then
-    each family's point checks as it is evaluated, and then, grid by grid,
-    undefined ``K``, the gauge's domain and non-finite values, each naming
-    the first offending row.
+    The checks run in this order: the density on every grid, every
+    family's breaks on every grid, then each family's point checks as it is
+    evaluated, and then, grid by grid, undefined ``K``, the gauge's domain
+    and a non-finite ``phi(K)``, each naming the first offending row.  A
+    ``1/|w|^2`` grid with a radial cell wider than its inner radius is
+    refused: the midpoint rule is far from its asymptotic regime there, and
+    the half-grid error estimate errs with it (``g*`` at ``q = 1e-5`` on 256
+    rings is off by 18 times its estimate).
     """
     if not isinstance(density, Density):
         raise InputError(f"density {density!r} is not a Density; use Density.parse")
-    if density is Density.INVERSE_SQUARE and any(g.coordinate_kind != "polar" for g in grids):
-        raise InputError("inverse-square density requires a polar grid")
+    if density is Density.INVERSE_SQUARE:
+        if any(g.coordinate_kind != "polar" for g in grids):
+            raise InputError("inverse-square density requires a polar grid")
+        for edges in (g.primary_edges for g in grids):
+            wide = np.flatnonzero(np.diff(edges) > edges[:-1])
+            if wide.size:
+                i = int(wide[0])
+                raise InputError(
+                    f"the 1/|w|^2 density is under-resolved: radial cell {i} is "
+                    f"{float(edges[i + 1] - edges[i])!r} wide at inner radius "
+                    f"{float(edges[i])!r}; refine the grid until no radial cell "
+                    "is wider than its inner radius, or use a larger --q"
+                )
     samplings = [_sampling(grid, *families) for grid in grids]
-    if len(grids) > 1 and any(i is not integrate_rings for _, i, _ in samplings):
-        raise InputError(
-            "several grids are evaluated together only on the ring path; "
-            "call once per grid"
-        )
     for family in families:
         for grid in grids:
             _check_breaks_honored(family, grid)
@@ -263,10 +277,14 @@ def _mean_distortions(
         values = np.asarray(gauge.evaluate(K), dtype=np.float64)
         if density is Density.INVERSE_SQUARE:
             values = values / np.abs(grid_pts) ** 2
-        if integrator is integrate_rings:
-            totals = integrate_rings(grid, values)
-        else:
-            totals = [integrate(grid, row) for row in values]
+        try:
+            if integrator is integrate_rings:
+                totals = integrate_rings(grid, values)
+            else:
+                totals = [integrate(grid, row) for row in values]
+        except NonFiniteSampleError as exc:  # K is defined: phi(K) overflowed
+            message = f"the gauged distortion overflows a float under gauge {gauge.label}"
+            raise GaugeOverflowError(f"{message}: {exc}", exc.cell_index, exc.center) from None
         n_degenerate = np.count_nonzero(degenerate_all[:, lo:hi], axis=-1) * cells_per_point
         rows = []
         for value, n_deg in zip(totals, n_degenerate):
@@ -324,9 +342,9 @@ def deficit(
     """
     if not isinstance(reference, SpiralStretch) or reference.winding != 0:
         raise InputError("reference must be a SpiralStretch with winding 0")
-    num_cand = mean_distortion(candidate, gauge, grid, Density.INVERSE_SQUARE).value
-    num_ref = mean_distortion(reference, gauge, grid, Density.INVERSE_SQUARE).value
-    return _relative_excess(num_cand, num_ref)
+    families = (candidate, reference)
+    ((*cand, ref),) = _mean_distortions(families, gauge, (grid,), Density.INVERSE_SQUARE)
+    return _relative_excess(_one_rung(cand).value, ref.value)
 
 
 def _relative_excess(num_cand: float, num_ref: float) -> DeficitResult:

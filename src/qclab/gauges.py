@@ -12,6 +12,7 @@ one formula ``audit_taylor`` samples), and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,18 +22,26 @@ from .errors import DomainError, InputError, require_real
 __all__ = ["ConvexGauge", "theta_check_many"]
 
 
+# The exponents of the power gauges that have names of their own.
+_NAMED_POWERS = {"linear": 1.0, "square": 2.0}
+
+
 @dataclass(frozen=True)
 class ConvexGauge:
     """One of the gauge variants ``linear``, ``square``, ``power:p``, ``flat``.
 
-    * ``linear``: ``phi(t) = t`` (curvature floor 0).
-    * ``square``: ``phi(t) = t**2`` (curvature floor 2).
-    * ``power:p``: ``phi(t) = t**p`` (floor ``p*(p-1)`` for ``p >= 2``, else 0).
+    * ``linear``, ``square`` and ``power:p``: ``phi(t) = t**p``, with
+      ``p = 1`` for ``linear`` and ``p = 2`` for ``square``; the curvature
+      floor is ``p*(p-1)`` for ``p >= 2`` and 0 below.  A ``p`` whose floor
+      overflows a float is refused.
     * ``flat``: ``phi(1) = 1`` and ``phi(t) = t + exp(-1/(t-1)**2)`` for
       ``t > 1``.  All derivatives of the exponential term vanish at ``t = 1``,
       so the gauge hugs the identity near 1; it is convex only on
       ``[1, 1 + sqrt(2/3)]`` and concave beyond, so its floor is 0 and it is
       *not* strictly convex on large intervals.
+
+    Evaluation never warns: a value that overflows is ``inf``, and the
+    callers that integrate it refuse it.
     """
 
     name: str
@@ -47,6 +56,11 @@ class ConvexGauge:
                 "power gauge exponent p must be a finite number > 1",
                 lambda v: v > 1.0,
             )
+            if not math.isfinite(self.p * (self.p - 1.0)):
+                raise InputError(
+                    f"power gauge exponent p = {self.p!r} is too large: its "
+                    "curvature floor p*(p-1) overflows a float"
+                )
         elif self.p is not None:
             raise InputError(f"gauge {self.name!r} takes no exponent")
 
@@ -72,18 +86,14 @@ class ConvexGauge:
     def parse(cls, token: str) -> "ConvexGauge":
         """Parse ``linear | square | power:p | flat``."""
         tok = token.strip().lower()
-        if tok == "linear":
-            return cls.linear()
-        if tok == "square":
-            return cls.square()
-        if tok == "flat":
-            return cls.flat()
+        if tok in ("linear", "square", "flat"):
+            return cls(tok)
         if tok.startswith("power:"):
             try:
-                p = float(tok.split(":", 1)[1])
+                p = float(tok[len("power:") :])
             except ValueError:
                 raise InputError(f"malformed gauge token {token!r}") from None
-            return cls.power(p)
+            return cls("power", p)
         raise InputError(f"malformed gauge token {token!r}")
 
     # --- descriptors --------------------------------------------------------
@@ -96,78 +106,57 @@ class ConvexGauge:
 
     @property
     def curvature_floor(self) -> float:
-        if self.name == "square":
-            return 2.0
-        if self.name == "power":
-            return self.p * (self.p - 1.0) if self.p >= 2.0 else 0.0
-        return 0.0
+        p = _NAMED_POWERS.get(self.name, self.p)
+        return p * (p - 1.0) if p is not None and p >= 2.0 else 0.0
 
     # --- evaluation ---------------------------------------------------------
 
-    def _check_domain(self, t: np.ndarray) -> None:
-        flat = np.ravel(t)
-        low = flat < 1.0 - 1e-12
+    def _apply(self, t, power, flat) -> np.ndarray | float:
+        """``power(t, p)`` on the power family; on ``flat``, 1 at ``t = 1`` and
+        ``flat(t, exp(-1/(t-1)**2), t - 1)`` beyond.  A scalar gives a float."""
+        arr = np.asarray(t, dtype=np.float64)
+        low = np.ravel(arr) < 1.0 - 1e-12
         if np.any(low):
-            bad = float(flat[np.flatnonzero(low)[0]])
+            bad = float(np.ravel(arr)[np.flatnonzero(low)[0]])
             raise DomainError(f"gauge argument {bad!r} is below 1")
-
-    def evaluate(self, t) -> np.ndarray | float:
-        """``phi(t)`` for ``t >= 1`` (scalar in, scalar out)."""
-        arr = np.asarray(t, dtype=np.float64)
-        self._check_domain(arr)
-        if self.name == "linear":
-            out = arr.copy()
-        elif self.name == "square":
-            out = arr * arr
-        elif self.name == "power":
-            out = arr**self.p
-        else:
-            with np.errstate(divide="ignore", over="ignore"):
-                d = arr - 1.0
-                bump = np.where(d > 0.0, np.exp(-1.0 / np.where(d > 0.0, d, 1.0) ** 2), 0.0)
-            out = np.where(d > 0.0, arr + bump, 1.0)
-        if np.isscalar(t):
-            return float(out)
-        return out
-
-    def right_derivative(self, t) -> np.ndarray | float:
-        """Right derivative ``phi'(t)`` for ``t >= 1``."""
-        arr = np.asarray(t, dtype=np.float64)
-        self._check_domain(arr)
-        if self.name == "linear":
-            out = np.ones_like(arr)
-        elif self.name == "square":
-            out = 2.0 * arr
-        elif self.name == "power":
-            out = self.p * arr ** (self.p - 1.0)
-        else:
-            with np.errstate(divide="ignore", over="ignore"):
+        p = _NAMED_POWERS.get(self.name, self.p)
+        with np.errstate(divide="ignore", over="ignore"):
+            if p is not None:
+                out = power(arr, p)
+            else:
                 d = arr - 1.0
                 safe = np.where(d > 0.0, d, 1.0)
                 bump = np.where(d > 0.0, np.exp(-1.0 / safe**2), 0.0)
-            out = np.where(d > 0.0, 1.0 + bump * 2.0 / safe**3, 1.0)
-        if np.isscalar(t):
-            return float(out)
-        return out
+                out = np.where(d > 0.0, flat(arr, bump, safe), 1.0)
+        return float(out) if np.isscalar(t) else out
+
+    def evaluate(self, t) -> np.ndarray | float:
+        """``phi(t)`` for ``t >= 1`` (scalar in, scalar out)."""
+        return self._apply(t, lambda t, p: t**p, lambda t, bump, d: t + bump)
+
+    def right_derivative(self, t) -> np.ndarray | float:
+        """Right derivative ``phi'(t)`` for ``t >= 1``."""
+        return self._apply(
+            t, lambda t, p: p * t ** (p - 1.0), lambda t, bump, d: 1.0 + bump * 2.0 / d**3
+        )
 
     def taylor_gap(self, s, t, c: float) -> np.ndarray | float:
         """``phi(t) - phi(s) - phi'(s)(t-s) - (c/2)(t-s)^2`` at curvature ``c``.
 
         Non-negative wherever the quadratic lower bound holds at ``c``; at
         the curvature floor a negative value is a genuine convexity defect of
-        the gauge on ``[s, t]``.
+        the gauge on ``[s, t]``.  Where ``phi`` overflows it is not finite.
         """
         s_arr = np.asarray(s, dtype=np.float64)
         t_arr = np.asarray(t, dtype=np.float64)
-        gap = (
-            self.evaluate(t_arr)
-            - self.evaluate(s_arr)
-            - self.right_derivative(s_arr) * (t_arr - s_arr)
-            - 0.5 * c * (t_arr - s_arr) ** 2
-        )
-        if np.isscalar(s) and np.isscalar(t):
-            return float(gap)
-        return gap
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = (
+                self.evaluate(t_arr)
+                - self.evaluate(s_arr)
+                - self.right_derivative(s_arr) * (t_arr - s_arr)
+                - 0.5 * c * (t_arr - s_arr) ** 2
+            )
+        return float(gap) if np.isscalar(s) and np.isscalar(t) else gap
 
 
 def theta_check_many(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -57,8 +57,14 @@ _SNAP_REL = 1e-12
 # A point this close to a break (a radius or an abscissa) is on it: a map
 # refuses its derivative there, and a grid honours a break with an edge this
 # close.  A grid snaps a break onto an edge within 4x this, so a break spliced
-# in as a new edge leaves every cell midpoint at least 2x this away.
+# in as a new edge leaves every cell midpoint at least 2x this away.  Each
+# tolerance is scaled to the break by ``_break_tol``.
 _BREAK_ATOL = 1e-12
+
+
+def _break_tol(b: float, tol: float = _BREAK_ATOL) -> float:
+    """``tol`` scaled by ``min(1, |b|)``: never wider than a break below 1 itself."""
+    return tol * min(1.0, abs(b))
 
 
 @dataclass(frozen=True)
@@ -131,16 +137,16 @@ def _partition_with_breaks(
 ) -> np.ndarray:
     """Uniform ``n``-interval partition of ``[lo, hi]`` with sorted breaks spliced in.
 
-    A break within ``max(1e-12 * (hi - lo), 4 * _BREAK_ATOL)`` of an existing
-    interior edge replaces that edge; otherwise it is inserted.  Breaks must
-    lie strictly inside the interval.
+    A break within ``max(1e-12 * (hi - lo), 4 * _BREAK_ATOL)``, scaled by
+    ``_break_tol``, of an existing interior edge replaces that edge;
+    otherwise it is inserted.  Breaks must lie strictly inside the interval.
     """
     require_real(
         n, f"number of {axis} cells must be an integer >= 1", lambda v: v >= 1, integer=True
     )
     edges = np.linspace(lo, hi, n + 1)
-    tol = max(_SNAP_REL * (hi - lo), 4.0 * _BREAK_ATOL)
     for b in breaks:
+        tol = _break_tol(b, max(_SNAP_REL * (hi - lo), 4.0 * _BREAK_ATOL))
         if not math.isfinite(b) or b <= lo + tol or b >= hi - tol:
             raise InputError(
                 f"break {b!r} must lie strictly inside the {axis} interval "

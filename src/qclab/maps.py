@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedVariantError,
     require_real,
 )
-from .geometry import _BREAK_ATOL
+from .geometry import _break_tol
 
 __all__ = [
     "Composition",
@@ -126,7 +126,7 @@ def _check_breaks(
 ) -> None:
     """Refuse points whose ``coord`` (radius or abscissa) lies on a break."""
     for b in breaks:
-        if np.any(np.abs(coord - b) <= _BREAK_ATOL):
+        if np.any(np.abs(coord - b) <= _break_tol(b)):
             raise BreakSetError(
                 f"derivative of {label} requested on its break {noun} = {b!r}"
             )

@@ -39,7 +39,6 @@ from .functionals import (
     _mean_distortions,
     _relative_excess,
     distortion_many,
-    mean_distortion,
 )
 from .maps import Composition, LinearStretch, MapFamily, PiecewiseRadialStretch, SpiralStretch
 from .pompeiu import _phi_dbar_masses
@@ -147,22 +146,31 @@ def _safe_ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _constant_reference_distortion(
-    fstar: MapFamily, grid: QuadratureGrid
-) -> float:
-    k_star, _ = _in_steps(lambda p: distortion_many(fstar, p), grid.centers)
-    spread = float(np.max(k_star) - np.min(k_star))
-    if spread > 1e-12:
+def _bound_report(lemma: str, lhs: float, rhs: float, constants: dict) -> AuditReport:
+    """The audit of ``lhs <= rhs``, up to a relative 1e-8 and an absolute 1e-15."""
+    passed = bool(lhs <= rhs * (1.0 + 1e-8) + 1e-15)
+    return AuditReport(lemma, float(lhs), float(rhs), _safe_ratio(lhs, rhs), constants, passed)
+
+
+def _gauged_excess(f: MapFamily, fstar: LinearStretch, gauge: ConvexGauge, grid: QuadratureGrid):
+    """``(K, K*, integral phi(K), integral phi(K*))``: ``K`` at every cell centre,
+    and the affine reference's one distortion ``K*`` at the first alone."""
+    if not isinstance(fstar, LinearStretch):
         raise InputError(
-            f"reference distortion varies by {spread!r} across the grid; "
+            f"reference must be a LinearStretch, got {type(fstar).__name__}; "
             "these audits require a constant-distortion reference"
         )
-    return float(k_star[0])
+    (k_star,), _ = distortion_many(fstar, grid.centers[:1])
+    k_star = float(k_star)
+    K, _ = _in_steps(lambda p: distortion_many(f, p), grid.centers)
+    i_phi = integrate(grid, np.asarray(gauge.evaluate(K), dtype=np.float64))
+    i_star = integrate(grid, np.full(grid.n_cells, gauge.evaluate(k_star)))
+    return K, k_star, i_phi, i_star
 
 
 def audit_k_l2(
     f: MapFamily,
-    fstar: MapFamily,
+    fstar: LinearStretch,
     gauge: ConvexGauge,
     grid: QuadratureGrid,
 ) -> AuditReport:
@@ -178,26 +186,15 @@ def audit_k_l2(
             f"gauge {gauge.label!r} has zero curvature floor; the quadratic "
             "audit needs a strictly convex gauge"
         )
-    k_star_val = _constant_reference_distortion(fstar, grid)
-    K, _ = _in_steps(lambda p: distortion_many(f, p), grid.centers)
-    lhs = integrate(grid, (K - k_star_val) ** 2)
-    i_phi = integrate(grid, np.asarray(gauge.evaluate(K), dtype=np.float64))
-    i_star = integrate(grid, np.full(grid.n_cells, gauge.evaluate(k_star_val)))
-    eps_measured = (i_phi - i_star) / i_star
-    rhs = (2.0 / c) * (i_phi - i_star)
-    return AuditReport(
-        lemma="k-l2",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        ratio=_safe_ratio(lhs, rhs),
-        constants={"c": c, "K_star": k_star_val, "eps_measured": float(eps_measured)},
-        passed=bool(lhs <= rhs * (1.0 + 1e-8) + 1e-15),
-    )
+    K, k_star, i_phi, i_star = _gauged_excess(f, fstar, gauge, grid)
+    lhs = integrate(grid, (K - k_star) ** 2)
+    constants = {"c": c, "K_star": k_star, "eps_measured": float((i_phi - i_star) / i_star)}
+    return _bound_report("k-l2", lhs, (2.0 / c) * (i_phi - i_star), constants)
 
 
 def audit_k_mean(
     f: MapFamily,
-    fstar: MapFamily,
+    fstar: LinearStretch,
     gauge: ConvexGauge,
     grid: QuadratureGrid,
 ) -> AuditReport:
@@ -206,35 +203,15 @@ def audit_k_mean(
     ``integral K <= (1 + C*delta) * integral K*`` with the supporting-line
     constant ``C = phi(K*) / (K* * phi'(K*))`` (1/2 for the square gauge at
     k=2, 1 for the linear one) and ``delta`` the measured deficit on the same
-    grid.
+    grid.  Every gauge is increasing on ``[1, inf)``, so ``phi'(K*) > 0``.
     """
-    k_star_val = _constant_reference_distortion(fstar, grid)
-    phi_prime = float(gauge.right_derivative(k_star_val))
-    if phi_prime <= 0.0:
-        raise UnsupportedVariantError(
-            f"gauge {gauge.label!r} has non-increasing phi at K*; audit undefined"
-        )
-    K, _ = _in_steps(lambda p: distortion_many(f, p), grid.centers)
-    lhs = integrate(grid, K)
-    i_k_star = integrate(grid, np.full(grid.n_cells, k_star_val))
-    i_phi = integrate(grid, np.asarray(gauge.evaluate(K), dtype=np.float64))
-    i_star = integrate(grid, np.full(grid.n_cells, gauge.evaluate(k_star_val)))
-    big_c = float(gauge.evaluate(k_star_val)) / (k_star_val * phi_prime)
+    K, k_star, i_phi, i_star = _gauged_excess(f, fstar, gauge, grid)
+    phi_prime = float(gauge.right_derivative(k_star))
+    big_c = float(gauge.evaluate(k_star)) / (k_star * phi_prime)
     delta = (i_phi - i_star) / i_star
-    rhs = (1.0 + big_c * delta) * i_k_star
-    return AuditReport(
-        lemma="k-mean",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        ratio=_safe_ratio(lhs, rhs),
-        constants={
-            "C": big_c,
-            "K_star": k_star_val,
-            "phi_prime": phi_prime,
-            "deficit": float(delta),
-        },
-        passed=bool(lhs <= rhs * (1.0 + 1e-8) + 1e-15),
-    )
+    rhs = (1.0 + big_c * delta) * integrate(grid, np.full(grid.n_cells, k_star))
+    constants = {"C": big_c, "K_star": k_star, "phi_prime": phi_prime, "deficit": float(delta)}
+    return _bound_report("k-mean", integrate(grid, K), rhs, constants)
 
 
 def audit_taylor(
@@ -265,6 +242,11 @@ def audit_taylor(
     s = rng.uniform(1.0, 50.0, size=samples)
     t = rng.uniform(1.0, 50.0, size=samples)
     gaps = gauge.taylor_gap(s, t, c_used)
+    if not np.isfinite(gaps).all():
+        raise DegenerateExperimentError(
+            f"the Taylor gap of gauge {gauge.label} is not finite on the sampled "
+            "box [1, 50]^2: the gauge overflows a float there"
+        )
     min_gap = float(np.min(gaps))
     worst = int(np.argmin(gaps))
     return AuditReport(
@@ -335,8 +317,8 @@ def audit_gn_gap(
     )
     g_n = SpiralStretch(q, k, theta, winding)
     g_0 = SpiralStretch(q, k, theta, 0)
-    lhs = mean_distortion(g_n, gauge, grid, Density.INVERSE_SQUARE).value
-    rhs = mean_distortion(g_0, gauge, grid, Density.INVERSE_SQUARE).value
+    ((n_row, zero_row),) = _mean_distortions((g_n, g_0), gauge, (grid,), Density.INVERSE_SQUARE)
+    lhs, rhs = n_row.value, zero_row.value
     gap = lhs - rhs
     return AuditReport(
         lemma="gn-gap",

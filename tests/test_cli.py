@@ -17,7 +17,8 @@ from qclab.functionals import mean_distortion
 from qclab.gauges import ConvexGauge
 from qclab.geometry import AnnulusDomain, RectangleDomain, grid_for
 
-CMD = [sys.executable, "-m", "qclab"]
+# ``-W error``: a warning a run prints, numpy's included, fails its test
+CMD = [sys.executable, "-W", "error", "-m", "qclab"]
 
 
 def run(*args):
@@ -122,6 +123,53 @@ class TestExitCodes:
         assert summary["value"] == 1e8
         assert summary["degenerate_cells"] == 0
 
+    @pytest.mark.parametrize("argv, radius", [
+        (("distortion", "--map", "gstar", "--q", "1e-5", "--density", "invsq",
+          "--gauge", "linear"), "1e-05"),
+        (("fit", "--q", "1e-5"), "1e-05"),
+        # the 512-ring grid resolves q = 0.003, its 256-ring half grid does not
+        (("fit", "--q", "0.003"), "0.003"),
+        # q**(k/2) = 1e-15 is a break the grid keeps; the density is refused
+        (("fit", "--q", "1e-20", "--k", "1.5"), "1e-20"),
+    ], ids=["distortion", "fit", "fit-half-grid", "fit-tiny-break"])
+    def test_under_resolved_inverse_square_density(self, argv, radius):
+        # a first ring 195 q wide put g*'s value at 94.20 with error estimate
+        # 2.88, against the exact 2*pi*k*log(1/q) = 144.68
+        res = run(*argv)
+        assert res.returncode == 2
+        assert "density is under-resolved: radial cell 0 is" in res.stderr
+        assert f"wide at inner radius {radius};" in res.stderr
+        assert res.stdout == ""
+
+    def test_power_gauge_with_an_overflowing_floor_is_refused(self):
+        res = run("audit", "--lemma", "taylor", "--gauge", "power:1e160")
+        assert res.returncode == 2
+        assert "exponent p = 1e+160 is too large" in res.stderr
+        assert res.stdout == ""
+
+    def test_overflowing_taylor_gap_is_degenerate(self):
+        # 50**200 overflows, and inf - inf is NaN: the audit used to fail
+        res = run("audit", "--lemma", "taylor", "--gauge", "power:200")
+        assert res.returncode == 3
+        assert "Taylor gap of gauge power:200 is not finite" in res.stderr
+        assert res.stdout == ""
+
+    def test_overflowing_gauged_distortion_is_degenerate(self):
+        res = run("distortion", "--map", "gstar", "--gauge", "power:1100", "--grid", "16x16")
+        assert res.returncode == 3
+        assert "overflows a float under gauge power:1100" in res.stderr
+        assert res.stdout == ""
+
+    def test_break_far_below_the_absolute_tolerance_is_kept(self):
+        # the break sqrt(q) = 1e-15 lies inside (q, 1), though below 4e-12
+        q, k, eps = 1e-30, 2.0, 0.01
+        res = run("distortion", "--map", f"geps:{eps}", "--q", repr(q), "--gauge", "square",
+                  "--grid", "64x64", "--format", "json")
+        assert res.returncode == 0, res.stderr
+        hi, lo = k + math.sqrt(eps), k - math.sqrt(eps)
+        want = math.pi * (hi**2 * (1.0 - q) + lo**2 * (q - q * q))
+        assert json.loads(res.stdout)["summary"]["value"] == pytest.approx(want, rel=1e-15)
+
     def test_passing_audit(self):
         res = run("audit", "--lemma", "gn-gap", "--q", "0.5", "--k", "2",
                   "--winding", "1", "--grid", "128x128")
@@ -202,6 +250,61 @@ class TestFitBytes:
     def test_json_output_is_pinned(self, tmp_path, argv, sha256):
         out = tmp_path / "fit.json"
         assert main(["fit", *argv, "--format", "json", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+class TestGaugedBytes:
+    """The emitted bytes of ``distortion`` and of the gauge-reading audits,
+    pinned as computed before the power gauges shared one formula and
+    ``distortion`` read both grids from one evaluation."""
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (("gstar", "linear", "uniform"), "590d940473303d0a2ea51f41e28e64726feb18eefe674ebc54d2eecda42a4ceb"),
+        (("gstar", "linear", "invsq"), "542a0dff0a29b443b68746db7aeeb05f8987cd5779fd1116868ecf159516c657"),
+        (("gstar", "square", "uniform"), "c16dfab2a351880d3aa3ce9e55cd8f9e9ffd3afd22c2dd9b7d1a916edd61c33e"),
+        (("gstar", "square", "invsq"), "10acc563286ed58c84721dd698f3bd4b55403170a0b2b0c8ee374cd8c2d5c27d"),
+        (("gstar", "power:3", "uniform"), "305ab0829ba094d4ac5bdf58ac0d9ad4b59edb675b5c8a7a3f2a5bc9416badee"),
+        (("gstar", "power:3", "invsq"), "2316e61ca3390bf6aac4675183695616863422ed9143ea5611199c804b2637d5"),
+        (("gstar", "flat", "uniform"), "5903cda52b2a841b92b665ef500236d50c5c478a0c47be057f7811e2fb0781d5"),
+        (("gstar", "flat", "invsq"), "6321c591fa9179da455f19a737d341a74357f4b64cfbc93e15301c4f7d883bdf"),
+        (("geps:0.01", "linear", "uniform"), "e69ab2f3e53d691eb1e5ebef7b54ae95385f54ca0b1da06941a2cae889cb32ad"),
+        (("geps:0.01", "linear", "invsq"), "79afe1a97adafc221626413efe0c731b8664eaa1a24713d1a49a625c8f91bacf"),
+        (("geps:0.01", "square", "uniform"), "a8a14bde036b94806132ae31b006c6fa16ce5f719d29533e4ac8bda00ac32913"),
+        (("geps:0.01", "square", "invsq"), "c0f748b8c9cb96ded6c6b55a1cd6f9818baeea2253b11abd1c9031b467492ef3"),
+        (("geps:0.01", "power:3", "uniform"), "28ba954ff3643aecc09f1415145e602ed23a4e06c6be8e58924fa92c40867551"),
+        (("geps:0.01", "power:3", "invsq"), "ec64ccd5bb5a637d00cc44756e9d275c6320ef0c2a00ab1f7afd9e80579acff7"),
+        (("geps:0.01", "flat", "uniform"), "2fac67b5fe7bedd3551495fbdcde6996be01d0c81e7b1ccd6783b76ba82f18cb"),
+        (("geps:0.01", "flat", "invsq"), "c60b7faf4ecdb8e7be18928370c6979c5946f3622f0dd8c565f0e2413946b72c"),
+        (("fstar", "linear", "uniform"), "8a0a4929fd9e2f5d3f7b6d0493c36bfa3b0df5afa6fbbf04e9fe479ea7e08da7"),
+        (("fstar", "square", "uniform"), "bd4ef3ad3880a1d9a5b105b006ef196fad93b6239d40ee39df04ee691737529d"),
+        (("fstar", "power:3", "uniform"), "6ad4093b4fd77dd11cbb892f55015eb2147bab4f56a7f7e6480d9cfea60f3f70"),
+        (("fstar", "flat", "uniform"), "c7b21642e51b936fe84a9ecc564aae5544aa32e84b4e662d4737221d2cac6a8e"),
+        (("feps:0.01", "linear", "uniform"), "a0c4aae9bb73cbbe79e733bbab1b03fcb5af27945404514966d6901c8b66edd1"),
+        (("feps:0.01", "square", "uniform"), "56c5d8bccf9d9510ce6ebb1ede9f8a4dac54e483c8c0025d96f69bc9564b700e"),
+        (("feps:0.01", "power:3", "uniform"), "29aa55d8311ec1786eb24e13757c7cf27d051ff146c4bbbff123c341ffc1132b"),
+        (("feps:0.01", "flat", "uniform"), "0f6f28069b7e37df33d74d976ab9c4da35d41a5143256c35f47ed381265e6f89"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+    def test_distortion_json_is_pinned(self, tmp_path, argv, sha256):
+        family, gauge, density = argv
+        out = tmp_path / "distortion.json"
+        assert main(["distortion", "--map", family, "--gauge", gauge, "--density", density,
+                     "--grid", "64x64", "--format", "json", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("lemma, gauge, code, sha256", [
+        ("taylor", "square", 0, "45bb9a2832503f12b94adebdca2f1d4060a11768de67ead0fe84bfb764a44c3b"),
+        ("taylor", "power:3", 0, "952fbf946f0515877776c3989ff1b99831ff5b75bb4063770015c31b755e8ce7"),
+        ("taylor", "flat", 4, "f9994bcea462405c0e3771c823b8743fadc37ef9353695a96a6fd18539b23e1d"),
+        ("k-l2", "square", 0, "1a59da9fd6c3b27f52659400f55b2b17ec79da72501d8875452eb8060ea09c15"),
+        ("k-l2", "power:3", 0, "1b75cea488b941559a6bbd23afdd3fd0d48f253d075f26c9ea2cc6933fc750b9"),
+        ("k-mean", "square", 0, "0b914d6ff1cee27b55d66f0eb59bd5abf1ffe82005b546322fb212357cfad94d"),
+        ("k-mean", "power:3", 0, "b2b47e66a8cffc675675d3cfcf5ce77abad98e921eaf8da800ce429798280c74"),
+        ("k-mean", "linear", 0, "99b8115cf2901e94d23d808421c8c7c8480034cd76f2418bdb15ba203f6d1573"),
+    ])
+    def test_audit_json_is_pinned(self, tmp_path, lemma, gauge, code, sha256):
+        out = tmp_path / "audit.json"
+        argv = ["audit", "--lemma", lemma, "--gauge", gauge, "--format", "json", "--out", str(out)]
+        assert main(argv) == code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 

@@ -251,7 +251,12 @@ class TestDeficit:
     )
     def test_self_deficit_is_exactly_zero(self, q, k, theta):
         ref = SpiralStretch(q, k, theta)
-        d = deficit(ref, ref, ConvexGauge.square(), polar(q, 16, 16))
+        grid = polar(q, 16, 16)
+        if _under_resolves_inverse_square(grid):  # q below 1/17
+            with pytest.raises(InputError, match="density is under-resolved"):
+                deficit(ref, ref, ConvexGauge.square(), grid)
+            return
+        d = deficit(ref, ref, ConvexGauge.square(), grid)
         assert d.value == 0.0
 
     def test_quadratic_regime_value(self):
@@ -304,6 +309,11 @@ class TestL1Distance:
             PiecewiseLinearStretch(2.0, 0.01), LinearStretch(2.0), g
         )
         assert val == pytest.approx(0.025, abs=1e-14)
+
+
+def _under_resolves_inverse_square(grid):
+    """Whether some radial cell is wider than its inner radius."""
+    return bool(np.any(np.diff(grid.primary_edges) > grid.primary_edges[:-1]))
 
 
 def _cell_mean(family, gauge, grid, density):
@@ -376,18 +386,29 @@ class TestRingPath:
             AnnulusDomain(q), n_r, n_a, breaks=family.break_radii()
         )
 
-        got = mean_distortion(family, gauge, grid, density)
-        want, want_degenerate = _cell_mean(family, gauge, grid, density)
-        assert got.value == pytest.approx(want, rel=1e-13)
-        assert got.degenerate_cells == want_degenerate
+        # q = 0.1 at 8 rings: the first ring is wider than its inner radius,
+        # and every 1/|w|^2 integral is refused
+        refused = _under_resolves_inverse_square(grid)
+        if refused and density is Density.INVERSE_SQUARE:
+            with pytest.raises(InputError, match="density is under-resolved"):
+                mean_distortion(family, gauge, grid, density)
+        else:
+            got = mean_distortion(family, gauge, grid, density)
+            want, want_degenerate = _cell_mean(family, gauge, grid, density)
+            assert got.value == pytest.approx(want, rel=1e-13)
+            assert got.degenerate_cells == want_degenerate
 
-        ref = _cell_mean(reference, gauge, grid, Density.INVERSE_SQUARE)[0]
-        cand = _cell_mean(family, gauge, grid, Density.INVERSE_SQUARE)[0]
-        d = deficit(family, reference, gauge, grid).value
-        want_d = (cand - ref) / ref
-        # absolute for every ladder-sized deficit; winding spirals and steep
-        # gauges reach deficits of 1e4 and more, where it is taken relative
-        assert abs(d - want_d) <= 1e-14 * max(1.0, abs(want_d))
+        if refused:
+            with pytest.raises(InputError, match="density is under-resolved"):
+                deficit(family, reference, gauge, grid)
+        else:
+            ref = _cell_mean(reference, gauge, grid, Density.INVERSE_SQUARE)[0]
+            cand = _cell_mean(family, gauge, grid, Density.INVERSE_SQUARE)[0]
+            d = deficit(family, reference, gauge, grid).value
+            want_d = (cand - ref) / ref
+            # absolute for every ladder-sized deficit; winding spirals and steep
+            # gauges reach deficits of 1e4 and more, where it is taken relative
+            assert abs(d - want_d) <= 1e-14 * max(1.0, abs(want_d))
 
         assert l1_distance(family, reference, grid) == pytest.approx(
             _cell_l1(family, reference, grid), rel=1e-13
@@ -408,6 +429,15 @@ class TestRingPath:
             mean_distortion(SpiralStretch(0.5, 3.0), ConvexGauge.power(800.0), g)
         assert err.value.cell_index == 0
         assert err.value.center == complex(g.centers[0])
+
+    @pytest.mark.parametrize("family, grid", [
+        (SpiralStretch(0.5, 3.0), polar(0.5, 8, 4)),
+        (LinearStretch(3.0), cartesian(1.0, 8, 4)),
+    ], ids=["ring", "cell"])
+    def test_overflowing_gauge_is_a_degenerate_experiment(self, family, grid):
+        # K is defined, phi(K) = K**800 is not: exit 3, not a bad input
+        with pytest.raises(DegenerateExperimentError, match="under gauge power:800: non-finite"):
+            mean_distortion(family, ConvexGauge.power(800.0), grid)
 
     def test_non_equivariant_family_keeps_its_per_cell_bits(self):
         # float.hex values computed with the per-cell path before the ring
@@ -466,11 +496,16 @@ class TestRungAxis:
         ]
         assert all(r.degenerate_cells == 0 and r.warning is None for rows in got for r in rows)
 
-    def test_several_grids_are_joined_only_on_the_ring_path(self):
-        grids = tuple(cartesian(1.0, n, m) for n, m in ((16, 8), (8, 4)))
-        gauge = ConvexGauge.power(3.0)
-        with pytest.raises(InputError, match="only on the ring path"):
-            _mean_distortions((LinearStretch(2.0),), gauge, grids, Density.UNIFORM)
+    def test_several_grids_are_joined_on_the_per_cell_path(self):
+        # the joined centres of a grid and its half grid, 8,192 + 2,048
+        # cells, are evaluated in two steps; each grid's slice has the bits
+        # of its own one-grid call
+        family = PiecewiseLinearStretch(2.0, 0.01)
+        grids = tuple(cartesian(1.0, n, m, breaks=(0.5,)) for n, m in ((128, 64), (64, 32)))
+        for gauge in map(ConvexGauge.parse, ("square", "power:3", "flat")):
+            got = _mean_distortions((LINEAR, family), gauge, grids, Density.UNIFORM)
+            for grid, rows in zip(grids, got):
+                assert rows == [mean_distortion(f, gauge, grid) for f in (LINEAR, family)]
 
     @pytest.mark.parametrize("eps", [(9e4, 1.0), (1.0, 9e4)])
     def test_undefined_cells_are_counted_for_the_first_offending_rung(self, eps):

@@ -119,6 +119,43 @@ class TestTaylorGap:
             assert g.taylor_gap(s, t, g.curvature_floor) >= -1e-9
 
 
+class TestOnePowerFormula:
+    """``linear`` and ``square`` are ``power:1`` and ``power:2`` of one
+    formula, with the bits of ``t`` and ``t*t``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(1.0, 1e150), st.floats(1.0, 1e150)), min_size=1, max_size=64
+        ),
+        st.floats(0.0, 2.0),
+    )
+    def test_square_is_power_two_and_linear_is_the_identity(self, pairs, c):
+        s, t = (np.array(v) for v in zip(*pairs))
+        square, power2 = ConvexGauge.square(), ConvexGauge.power(2.0)
+        assert square.evaluate(t).tobytes() == power2.evaluate(t).tobytes() == (t * t).tobytes()
+        assert square.right_derivative(t).tobytes() == (2.0 * t).tobytes()
+        assert power2.right_derivative(t).tobytes() == (2.0 * t).tobytes()
+        assert square.taylor_gap(s, t, c).tobytes() == power2.taylor_gap(s, t, c).tobytes()
+        linear = ConvexGauge.linear()
+        assert linear.evaluate(t).tobytes() == t.tobytes()
+        assert linear.right_derivative(t).tobytes() == np.ones_like(t).tobytes()
+        for x in (s[0], t[0]):  # a scalar gives a float with the same bits
+            assert square.evaluate(x) == x * x and linear.evaluate(x) == x
+            assert linear.right_derivative(x) == 1.0
+
+    def test_overflow_is_inf_without_a_warning(self):
+        # the tier-1 suite turns warnings into errors
+        g = ConvexGauge.power(200.0)
+        assert g.evaluate(50.0) == math.inf
+        assert math.isnan(g.taylor_gap(40.0, 50.0, g.curvature_floor))
+
+    def test_exponent_with_an_overflowing_floor_is_refused(self):
+        with pytest.raises(InputError, match="p = 1e[+]160 is too large"):
+            ConvexGauge.parse("power:1e160")
+        assert math.isfinite(ConvexGauge.power(1e150).curvature_floor)
+
+
 class TestTheta:
     def test_at_one(self):
         theta, gap1, gap2 = theta_check_many([1.0 + 0j])

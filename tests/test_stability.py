@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import cartesian, polar
-from qclab import functionals, geometry
+from qclab import functionals, geometry, stability
 from qclab.errors import DegenerateExperimentError, InputError, UnsupportedVariantError
 from qclab.functionals import deficit
 from qclab.gauges import ConvexGauge
@@ -174,6 +174,22 @@ class TestKMean:
         f = PiecewiseLinearStretch(2.0, 1e-2)
         rep = audit_k_mean(f, FSTAR, LINEAR, strip_grid(breaks=(0.5,)))
         assert rep.passed
+
+
+class TestReferenceIsAffine:
+    """``audit_k_l2`` and ``audit_k_mean`` read ``K*`` at one point, so a
+    reference whose distortion could vary is refused before any map runs."""
+
+    @pytest.mark.parametrize("audit", [audit_k_l2, audit_k_mean])
+    @pytest.mark.parametrize("reference", [PiecewiseLinearStretch(2.0, 1e-2), SpiralStretch(0.5, 2.0)])
+    def test_refused_before_f_is_evaluated(self, audit, reference, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("a map was evaluated")
+
+        monkeypatch.setattr(stability, "distortion_many", evaluated)
+        f = PiecewiseLinearStretch(2.0, 1e-2)
+        with pytest.raises(InputError, match="reference must be a LinearStretch, got"):
+            audit(f, reference, SQUARE, strip_grid(breaks=(0.5,)))
 
 
 class TestTaylor:
