@@ -211,6 +211,42 @@ def _rows(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
+def _integrate_gauged(
+    grid: QuadratureGrid,
+    K: np.ndarray,
+    gauge: ConvexGauge,
+    integrator=integrate,
+    weight: np.ndarray | None = None,
+):
+    """``integral phi(K) / weight`` over ``grid``, one integral per row of ``K``.
+
+    ``K`` is sampled as ``integrator`` reads it: at every cell centre for
+    ``integrate``, or once per ring for ``integrate_rings``.  A row with
+    undefined ``K`` is refused, then a ``K`` outside the gauge's domain, then
+    a ``phi(K)`` that overflows (``GaugeOverflowError``, naming its first
+    cell and centre); each check names the first offending row.
+    """
+    cells_per_point = grid.n_secondary if integrator is integrate_rings else 1
+    for n_undefined in np.count_nonzero(np.isnan(K), axis=-1):
+        if n_undefined:
+            raise DegenerateExperimentError(
+                f"{n_undefined * cells_per_point} of {grid.n_cells} cells have "
+                "no defined distortion: f_z or f_zbar is not finite, or |f_z| "
+                "and |f_zbar| agree to within rounding (both underflow to 0, "
+                "or K exceeds 2**43)"
+            )
+    values = np.asarray(gauge.evaluate(K), dtype=np.float64)
+    if weight is not None:
+        values = values / weight
+    try:
+        if integrator is integrate_rings:
+            return integrate_rings(grid, values)
+        return [integrate(grid, row) for row in values]
+    except NonFiniteSampleError as exc:  # K is defined: phi(K) overflowed
+        message = f"the gauged distortion overflows a float under gauge {gauge.label}"
+        raise GaugeOverflowError(f"{message}: {exc}", exc.cell_index, exc.center) from None
+
+
 def _mean_distortions(
     families: tuple[MapFamily, ...],
     gauge: ConvexGauge,
@@ -230,8 +266,7 @@ def _mean_distortions(
 
     The checks run in this order: the density on every grid, every
     family's breaks on every grid, then each family's point checks as it is
-    evaluated, and then, grid by grid, undefined ``K``, the gauge's domain
-    and a non-finite ``phi(K)``, each naming the first offending row.  A
+    evaluated, and then, grid by grid, those of ``_integrate_gauged``.  A
     ``1/|w|^2`` grid with a radial cell wider than its inner radius is
     refused: the midpoint rule is far from its asymptotic regime there, and
     the half-grid error estimate errs with it (``g*`` at ``q = 1e-5`` on 256
@@ -265,26 +300,8 @@ def _mean_distortions(
     for grid, (grid_pts, integrator, cells_per_point), lo, hi in zip(
         grids, samplings, bounds, bounds[1:]
     ):
-        K = K_all[:, lo:hi]
-        for n_undefined in np.count_nonzero(np.isnan(K), axis=-1):
-            if n_undefined:
-                raise DegenerateExperimentError(
-                    f"{n_undefined * cells_per_point} of {grid.n_cells} cells have "
-                    "no defined distortion: f_z or f_zbar is not finite, or |f_z| "
-                    "and |f_zbar| agree to within rounding (both underflow to 0, "
-                    "or K exceeds 2**43)"
-                )
-        values = np.asarray(gauge.evaluate(K), dtype=np.float64)
-        if density is Density.INVERSE_SQUARE:
-            values = values / np.abs(grid_pts) ** 2
-        try:
-            if integrator is integrate_rings:
-                totals = integrate_rings(grid, values)
-            else:
-                totals = [integrate(grid, row) for row in values]
-        except NonFiniteSampleError as exc:  # K is defined: phi(K) overflowed
-            message = f"the gauged distortion overflows a float under gauge {gauge.label}"
-            raise GaugeOverflowError(f"{message}: {exc}", exc.cell_index, exc.center) from None
+        weight = np.abs(grid_pts) ** 2 if density is Density.INVERSE_SQUARE else None
+        totals = _integrate_gauged(grid, K_all[:, lo:hi], gauge, integrator, weight)
         n_degenerate = np.count_nonzero(degenerate_all[:, lo:hi], axis=-1) * cells_per_point
         rows = []
         for value, n_deg in zip(totals, n_degenerate):

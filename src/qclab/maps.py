@@ -1,11 +1,18 @@
 """Planar map families with analytic Wirtinger derivatives.
 
-Every family can evaluate itself and its Wirtinger pair ``(f_z, f_zbar)`` in
-closed form on arrays of points, report the discontinuity sets of its
-derivatives (break radii on annuli, break abscissae on rectangles), and —
-where a ``Composition`` needs it — pull an image break radius back to the
-source.  ``InverseSpiralStretch`` is the one inverse family: ``Phi`` is built
-from it, while the strip map ``Psi`` is never built (see ``qclab.pompeiu``).
+A family writes one evaluation, ``_jet(pts) -> (f, f_z, f_zbar)``: its value
+and Wirtinger pair in closed form on an array of finite points, after its
+own domain check.  It reports the discontinuity sets of its derivatives
+(break radii on annuli, break abscissae on rectangles) and, where a
+``Composition`` needs it, pulls an image break radius back to the source.
+``MapFamily`` serves every caller from ``_jet`` and adds the checks no
+family repeats: ``eval_many``, ``wirtinger_many`` and ``jet_many`` refuse
+non-finite points, and ``wirtinger_many`` and ``jet_many`` refuse a point on
+a break, where the derivatives jump.  ``eval_many`` does not, since every
+map is continuous there.  A ``Composition`` evaluates each of its maps once
+per call and is checked against its own break set.
+``InverseSpiralStretch`` is the one inverse family: ``Phi`` is built from
+it, while the strip map ``Psi`` is never built (see ``qclab.pompeiu``).
 
 Radial families share one core: ``h(w) = A * w * |w|**(s-1) * exp(i*c*log|w|)``
 whose derivatives are ``h_w = (s+1+ic)/2 * h/w`` and
@@ -56,7 +63,11 @@ def _as_points(z) -> np.ndarray:
 
 
 class MapFamily(abc.ABC):
-    """Common interface for all map families."""
+    """Common interface for all map families.
+
+    A family defines ``label`` and ``_jet``; the evaluators here wrap
+    ``_jet`` in the finite-point and break checks.
+    """
 
     @property
     @abc.abstractmethod
@@ -64,12 +75,35 @@ class MapFamily(abc.ABC):
         """Short human-readable identifier used in reports."""
 
     @abc.abstractmethod
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate the map on a vector of points."""
+    def _jet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(f, f_z, f_zbar)`` at the finite points ``pts``, breaks unchecked.
 
-    @abc.abstractmethod
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(f_z, f_zbar)`` arrays on a vector of points."""
+        Runs the family's own domain check.  Each array has the shape of
+        ``pts``, behind a leading rung axis when the family has one.
+        """
+
+    def jet_many(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(f, f_z, f_zbar)`` on a vector of points, none of them on a break."""
+        pts = _as_points(z)
+        jet = self._jet(pts)
+        for breaks, coord, noun in (
+            (self.break_radii(), np.abs, "circle |w|"),
+            (self.break_abscissae(), np.real, "line Re z"),
+        ):
+            for b in breaks:
+                if np.any(np.abs(coord(pts) - b) <= _break_tol(b)):
+                    raise BreakSetError(
+                        f"derivative of {self.label} requested on its break {noun} = {b!r}"
+                    )
+        return jet
+
+    def wirtinger_many(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """``(f_z, f_zbar)`` on a vector of points, none of them on a break."""
+        return self.jet_many(z)[1:]
+
+    def eval_many(self, z) -> np.ndarray:
+        """The map's values on a vector of points, its breaks included."""
+        return self._jet(_as_points(z))[0]
 
     def break_radii(self) -> tuple[float, ...]:
         """Radii where the derivatives jump (annulus families)."""
@@ -117,24 +151,9 @@ def _check_strip(x: np.ndarray, hi: float, label: str) -> None:
         )
 
 
-_CIRCLE = "circle |w|"
-_LINE = "line Re z"
-
-
-def _check_breaks(
-    coord: np.ndarray, breaks: tuple[float, ...], noun: str, label: str
-) -> None:
-    """Refuse points whose ``coord`` (radius or abscissa) lies on a break."""
-    for b in breaks:
-        if np.any(np.abs(coord - b) <= _break_tol(b)):
-            raise BreakSetError(
-                f"derivative of {label} requested on its break {noun} = {b!r}"
-            )
-
-
-def _constant_pair(pts: np.ndarray, fz: complex, fzb: complex):
-    """The Wirtinger pair of an affine map: ``(fz, fzb)`` at every point."""
-    return tuple(np.full(pts.shape, v, dtype=np.complex128) for v in (fz, fzb))
+def _affine_jet(f: np.ndarray, fz: complex, fzb: complex):
+    """The jet of an affine map with values ``f``: ``(fz, fzb)`` at every point."""
+    return (f, *(np.full(f.shape, v, dtype=np.complex128) for v in (fz, fzb)))
 
 
 def _check_two_speed(k: float, eps: float) -> None:
@@ -189,18 +208,12 @@ class _PowerPiece:
             )
         )
 
-    def eval(self, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def jet(self, w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(h, h_w, h_wbar)`` at the points ``w`` of modulus ``r``."""
         logr = np.log(r)
-        amp, s_minus_1, _, _ = self._constants
-        expo = s_minus_1 * logr + 1j * self.c * logr
-        return amp * w * np.exp(expo)
-
-    def wirtinger(
-        self, w: np.ndarray, r: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        h = self.eval(w, r)
-        _, _, beta, gamma = self._constants
-        return beta * h / w, gamma * h / np.conj(w)
+        amp, s_minus_1, beta, gamma = self._constants
+        h = amp * w * np.exp(s_minus_1 * logr + 1j * self.c * logr)
+        return h, beta * h / w, gamma * h / np.conj(w)
 
     @property
     def distortion(self) -> float:
@@ -259,15 +272,8 @@ class SpiralStretch(MapFamily):
     def distortion(self) -> float:
         return self._piece.distortion
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        pts = _as_points(z)
-        r = _check_annulus(pts, self.q, 1.0, self.label)
-        return self._piece.eval(pts, r)
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        r = _check_annulus(pts, self.q, 1.0, self.label)
-        return self._piece.wirtinger(pts, r)
+    def _jet(self, pts: np.ndarray):
+        return self._piece.jet(pts, _check_annulus(pts, self.q, 1.0, self.label))
 
 
 @dataclass(frozen=True)
@@ -312,15 +318,8 @@ class InverseSpiralStretch(MapFamily):
     def inner_radius(self) -> float:
         return self.q**self.k
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        pts = _as_points(z)
-        r = _check_annulus(pts, self.inner_radius, 1.0, self.label)
-        return self._piece.eval(pts, r)
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        r = _check_annulus(pts, self.inner_radius, 1.0, self.label)
-        return self._piece.wirtinger(pts, r)
+    def _jet(self, pts: np.ndarray):
+        return self._piece.jet(pts, _check_annulus(pts, self.inner_radius, 1.0, self.label))
 
     def pullback_radius(self, radius: float) -> float:
         """``radius**k``, for an image radius strictly inside ``(q, 1)``."""
@@ -345,6 +344,7 @@ class PiecewiseRadialStretch(MapFamily):
     every value gains a leading rung axis, ``(R, *z.shape)``, and row ``i``
     has the bits of ``PiecewiseRadialStretch(q, k, eps[i])``.  The break
     circle does not depend on ``eps``, so the rungs share their checks.
+    Each piece's jet is written into three preallocated outputs.
     """
 
     q: float
@@ -392,40 +392,18 @@ class PiecewiseRadialStretch(MapFamily):
     def break_radii(self) -> tuple[float, ...]:
         return (self.break_radius,)
 
-    def _split(self, z: np.ndarray, breaks: bool):
-        """``(pts, r, shape, pieces)`` for an evaluation at ``z``.
-
-        ``pts`` and ``r`` are the checked points and their radii, ``shape``
-        the shape of each output, and ``pieces`` holds ``(piece, on, at)``
-        for each piece with points: its points ``pts[on]`` fill ``out[at]``.
-        """
-        pts = _as_points(z)
+    def _jet(self, pts: np.ndarray):
         r = _check_annulus(pts, self.q, 1.0, self.label)
-        if breaks:
-            _check_breaks(r, self.break_radii(), _CIRCLE, self.label)
         stacked = isinstance(self.eps, tuple)
-        outer = r >= self.break_radius
-        pieces = [
-            (piece, on, (slice(None), on) if stacked else on)
-            for piece, on in ((self._outer, outer), (self._inner, ~outer))
-            if np.any(on)
-        ]
         shape = ((len(self.eps),) if stacked else ()) + pts.shape
-        return pts, r, shape, pieces
-
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        pts, r, shape, pieces = self._split(z, breaks=False)
-        out = np.empty(shape, dtype=np.complex128)
-        for piece, on, at in pieces:
-            out[at] = piece.eval(pts[on], r[on])
-        return out
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts, r, shape, pieces = self._split(z, breaks=True)
-        fz, fzb = (np.empty(shape, dtype=np.complex128) for _ in range(2))
-        for piece, on, at in pieces:
-            fz[at], fzb[at] = piece.wirtinger(pts[on], r[on])
-        return fz, fzb
+        jet = tuple(np.empty(shape, dtype=np.complex128) for _ in range(3))
+        outer = r >= self.break_radius
+        for piece, on in ((self._outer, outer), (self._inner, ~outer)):
+            if np.any(on):
+                at = (slice(None), on) if stacked else on
+                for out, part in zip(jet, piece.jet(pts[on], r[on])):
+                    out[at] = part
+        return jet
 
 
 @dataclass(frozen=True)
@@ -459,13 +437,9 @@ class LinearStretch(MapFamily):
     def mu(self) -> complex:
         return self.fzb / self.fz
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        pts = _as_points(z)
-        x, y = pts.real, pts.imag
-        return self.k * x + 1j * (self.n * x + y)
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _constant_pair(_as_points(z), self.fz, self.fzb)
+    def _jet(self, pts: np.ndarray):
+        x = pts.real
+        return _affine_jet(self.k * x + 1j * (self.n * x + pts.imag), self.fz, self.fzb)
 
 
 @dataclass(frozen=True)
@@ -495,31 +469,14 @@ class PiecewiseLinearStretch(MapFamily):
     def break_abscissae(self) -> tuple[float, ...]:
         return (0.5,)
 
-    def _slopes(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x < 0.5, self.k + self.root_eps, self.k - self.root_eps)
-
-    def _g(self, x: np.ndarray) -> np.ndarray:
-        return np.where(
-            x < 0.5,
-            (self.k + self.root_eps) * x,
-            (self.k - self.root_eps) * x + self.root_eps,
-        )
-
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        pts = _as_points(z)
+    def _jet(self, pts: np.ndarray):
         x = pts.real
         _check_strip(x, 1.0, self.label)
-        return self._g(x) + 1j * pts.imag
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        x = pts.real
-        _check_strip(x, 1.0, self.label)
-        _check_breaks(x, self.break_abscissae(), _LINE, self.label)
-        slope = self._slopes(x)
-        fz = (slope + 1.0) / 2.0 + 0.0j
-        fzb = (slope - 1.0) / 2.0 + 0.0j
-        return fz.astype(np.complex128), fzb.astype(np.complex128)
+        left = x < 0.5
+        slope = np.where(left, self.k + self.root_eps, self.k - self.root_eps)
+        sx = slope * x
+        g = np.where(left, sx, sx + self.root_eps)
+        return g + 1j * pts.imag, (slope + 1.0) / 2.0 + 0.0j, (slope - 1.0) / 2.0 + 0.0j
 
 
 @dataclass(frozen=True)
@@ -543,11 +500,8 @@ class Rotation(MapFamily):
     def factor(self) -> complex:
         return cmath.exp(1j * self.beta)
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        return self.factor * _as_points(z)
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _constant_pair(_as_points(z), self.factor, 0.0)
+    def _jet(self, pts: np.ndarray):
+        return _affine_jet(self.factor * pts, self.factor, 0.0)
 
     def pullback_radius(self, radius: float) -> float:
         return radius
@@ -565,11 +519,8 @@ class IdentityMap(MapFamily):
     def rotation_equivariant(self) -> bool:
         return True
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        return _as_points(z).copy()
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _constant_pair(_as_points(z), 1.0, 0.0)
+    def _jet(self, pts: np.ndarray):
+        return _affine_jet(pts.copy(), 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -580,11 +531,8 @@ class ConjugationMap(MapFamily):
     def label(self) -> str:
         return "conjugation"
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        return np.conj(_as_points(z))
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _constant_pair(_as_points(z), 0.0, 1.0)
+    def _jet(self, pts: np.ndarray):
+        return _affine_jet(np.conj(pts), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -595,7 +543,9 @@ class Composition(MapFamily):
     radial profile; if the inner map cannot pull them back, the composition
     is refused rather than silently mislocating the discontinuity set.  Break
     lines (abscissae) are kept only from the inner map: an outer map with
-    break lines is refused, since no family pulls abscissae back.
+    break lines is refused, since no family pulls abscissae back.  A point
+    is checked against this pulled-back break set, and each map is evaluated
+    once per call.
     """
 
     outer: MapFamily
@@ -627,18 +577,14 @@ class Composition(MapFamily):
     def rotation_equivariant(self) -> bool:
         return self.outer.rotation_equivariant and self.inner.rotation_equivariant
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        return self.outer.eval_many(self.inner.eval_many(z))
-
-    def wirtinger_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = _as_points(z)
-        hz, hzb = self.inner.wirtinger_many(pts)
-        w = self.inner.eval_many(pts)
-        gw, gwb = self.outer.wirtinger_many(w)
+    def _jet(self, pts: np.ndarray):
+        w, hz, hzb = self.inner._jet(pts)
+        # the inner map's values are the outer map's points: checked as finite
+        f, gw, gwb = self.outer._jet(_as_points(w))
         # np.multiply, not ``*``: on operands of 256 KiB or more numpy would
         # multiply into the ``np.conj`` temporary in place, with a complex
         # loop whose last bits differ, so a value would depend on how many
         # points share the call.
         fz = np.multiply(gw, hz) + np.multiply(gwb, np.conj(hzb))
         fzb = np.multiply(gw, hzb) + np.multiply(gwb, np.conj(hz))
-        return fz, fzb
+        return f, fz, fzb

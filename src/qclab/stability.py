@@ -35,6 +35,7 @@ from .geometry import (
 from .functionals import (
     Density,
     _in_steps,
+    _integrate_gauged,
     _l1_distances,
     _mean_distortions,
     _relative_excess,
@@ -154,7 +155,11 @@ def _bound_report(lemma: str, lhs: float, rhs: float, constants: dict) -> AuditR
 
 def _gauged_excess(f: MapFamily, fstar: LinearStretch, gauge: ConvexGauge, grid: QuadratureGrid):
     """``(K, K*, integral phi(K), integral phi(K*))``: ``K`` at every cell centre,
-    and the affine reference's one distortion ``K*`` at the first alone."""
+    and the affine reference's one distortion ``K*`` at the first alone.
+
+    ``integral phi(K)`` runs the checks of every gauged mean distortion
+    (``functionals._integrate_gauged``): undefined ``K`` and an overflowing
+    ``phi(K)`` are degenerate experiments."""
     if not isinstance(fstar, LinearStretch):
         raise InputError(
             f"reference must be a LinearStretch, got {type(fstar).__name__}; "
@@ -163,7 +168,7 @@ def _gauged_excess(f: MapFamily, fstar: LinearStretch, gauge: ConvexGauge, grid:
     (k_star,), _ = distortion_many(fstar, grid.centers[:1])
     k_star = float(k_star)
     K, _ = _in_steps(lambda p: distortion_many(f, p), grid.centers)
-    i_phi = integrate(grid, np.asarray(gauge.evaluate(K), dtype=np.float64))
+    (i_phi,) = _integrate_gauged(grid, K[None], gauge)
     i_star = integrate(grid, np.full(grid.n_cells, gauge.evaluate(k_star)))
     return K, k_star, i_phi, i_star
 

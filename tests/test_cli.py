@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,48 @@ class TestExitCodes:
         res = run("audit", "--lemma", "gn-gap", "--q", "0.5", "--k", "2",
                   "--winding", "1", "--grid", "128x128")
         assert res.returncode == 0
+
+
+_OVERFLOW = "degenerate experiment: the gauged distortion overflows a float under gauge power:1100"
+_UNDEFINED = "cells have no defined distortion"
+_UNRESOLVED = "error: the 1/|w|^2 density is under-resolved"
+_GRID = ("--grid", "16x16")
+
+
+class TestFaultExitCodes:
+    """Each fault class gives one exit code on every subcommand that reaches it."""
+
+    CASES = {
+        # phi(K) overflows a float: a degenerate experiment
+        "overflow-distortion": (("distortion", "--map", "gstar", "--gauge", "power:1100"), 3, _OVERFLOW),
+        "overflow-fit": (("fit", "--gauge", "power:1100"), 3, _OVERFLOW),
+        "overflow-gn-gap": (("audit", "--lemma", "gn-gap", "--gauge", "power:1100"), 3, _OVERFLOW),
+        "overflow-k-l2": (("audit", "--lemma", "k-l2", "--gauge", "power:1100"), 3, _OVERFLOW),
+        "overflow-k-mean": (("audit", "--lemma", "k-mean", "--gauge", "power:1100"), 3, _OVERFLOW),
+        # K exceeds 2**43 on every cell: a degenerate experiment
+        "undefined-distortion": (("distortion", "--map", "fstar", "--k", "1e16"), 3, _UNDEFINED),
+        "undefined-gn-gap": (("audit", "--lemma", "gn-gap", "--k", "1e16"), 3, _UNDEFINED),
+        "undefined-k-l2": (("audit", "--lemma", "k-l2", "--k", "1e16"), 3, _UNDEFINED),
+        "undefined-k-mean": (("audit", "--lemma", "k-mean", "--k", "1e16"), 3, _UNDEFINED),
+        # the ladder refuses its image annulus [q**k, 1] before any map runs
+        "undefined-fit": (("fit", "--k", "1e16"), 2, "underflows at --q 0.5 --k 1e+16"),
+        # a radial cell wider than its inner radius: bad input
+        "unresolved-distortion": (
+            ("distortion", "--map", "gstar", "--density", "invsq", "--q", "1e-5"), 2, _UNRESOLVED
+        ),
+        "unresolved-fit": (("fit", "--q", "1e-5"), 2, _UNRESOLVED),
+        "unresolved-gn-gap": (("audit", "--lemma", "gn-gap", "--q", "1e-5"), 2, _UNRESOLVED),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_fault_exit_code(self, name, capsys):
+        argv, code, message = self.CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, *_GRID]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestFitOutput:

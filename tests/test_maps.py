@@ -14,12 +14,14 @@ from qclab.errors import (
     UnsupportedVariantError,
     require_real,
 )
+from qclab import maps
 from qclab.maps import (
     Composition,
     ConjugationMap,
     IdentityMap,
     InverseSpiralStretch,
     LinearStretch,
+    MapFamily,
     PiecewiseLinearStretch,
     PiecewiseRadialStretch,
     Rotation,
@@ -268,7 +270,8 @@ class TestPiecewiseRadialStretch:
     def test_stacked_rungs_have_the_bits_of_one_rung_maps(self, q, k, fracs, theta):
         # the ladder evaluates its candidates on the ring radii of the source
         # annulus, and (inside Phi) on the inverse reference's image of the
-        # ring radii of the image annulus
+        # ring radii of the image annulus; each row of the stacked jet has the
+        # bits of its one-rung jet
         eps = tuple(f * min(0.1, (k - 1.0) ** 2) for f in fracs)
         assume(len(set(eps)) == len(eps))
 
@@ -283,12 +286,10 @@ class TestPiecewiseRadialStretch:
         rings = build_polar_grid(AnnulusDomain(q), 64, 1, stacked.break_radii())
         image = build_polar_grid(AnnulusDomain(q**k), 64, 1, (math.sqrt(q) ** k,))
         for pts in (rings.primary_mid + 0j, inverse.eval_many(image.primary_mid + 0j)):
-            got = (stacked.eval_many(pts), *stacked.wirtinger_many(pts))
-            assert all(v.shape == (len(eps), pts.size) for v in got)
+            got = stacked.jet_many(pts)
+            assert len(got) == 3 and all(v.shape == (len(eps), pts.size) for v in got)
             for i, e in enumerate(eps):
-                one = candidate(e)
-                want = (one.eval_many(pts), *one.wirtinger_many(pts))
-                for g, w in zip(got, want):
+                for g, w in zip(got, candidate(e).jet_many(pts)):
                     assert g[i].tobytes() == w.tobytes(), (i, e)
 
 
@@ -416,6 +417,81 @@ class TestComposition:
         g2 = Composition(ConjugationMap(), g1)
         w = annulus_points(0.5, n=4)
         assert np.allclose(g2.eval_many(w), np.conj(g1.eval_many(w)), atol=1e-13)
+
+
+class Spy(MapFamily):
+    """Wraps a family and counts the evaluations of its jet."""
+
+    def __init__(self, family):
+        self.family = family
+        self.calls = 0
+
+    @property
+    def label(self):
+        return self.family.label
+
+    def break_radii(self):
+        return self.family.break_radii()
+
+    def pullback_radius(self, radius):
+        return self.family.pullback_radius(radius)
+
+    def _jet(self, pts):
+        self.calls += 1
+        return self.family._jet(pts)
+
+
+def phi_eps():
+    return Composition(PiecewiseRadialStretch(0.5, 2.0, 0.01), InverseSpiralStretch(0.5, 2.0))
+
+
+class TestOneJet:
+    """A family writes one ``_jet``; ``MapFamily`` serves every evaluator from it."""
+
+    def test_only_map_family_defines_the_evaluators(self):
+        classes = [
+            c for c in vars(maps).values()
+            if isinstance(c, type) and issubclass(c, MapFamily) and c.__module__ == maps.__name__
+        ]
+        for cls in classes:
+            defined = {"eval_many", "wirtinger_many", "jet_many", "_jet"} & set(vars(cls))
+            if cls is MapFamily:
+                assert defined == {"eval_many", "wirtinger_many", "jet_many", "_jet"}
+            else:
+                assert defined == {"_jet"}, cls.__name__
+
+    @pytest.mark.parametrize("method", ["eval_many", "wirtinger_many", "jet_many"])
+    def test_composition_evaluates_each_map_once(self, method):
+        outer, inner = Spy(PiecewiseRadialStretch(0.5, 2.0, 0.01)), Spy(InverseSpiralStretch(0.5, 2.0))
+        pts = annulus_points(0.25, n=8)
+        got = getattr(Composition(outer, inner), method)(pts)
+        assert (outer.calls, inner.calls) == (1, 1)
+        want = getattr(phi_eps(), method)(pts)
+        if method == "eval_many":
+            got, want = (got,), (want,)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize(
+        "family, on, off, message",
+        [
+            (PiecewiseRadialStretch(0.5, 2.0, 0.01), math.sqrt(0.5) * np.exp(0.5j), 1e-9,
+             "geps requested on its break circle"),
+            (PiecewiseLinearStretch(2.0, 0.01), 0.5 + 0.25j, 1e-9,
+             "feps requested on its break line"),
+            # the composite is checked at its own pulled-back break radius 0.5
+            (phi_eps(), 0.5 * np.exp(0.5j), 1e-9,
+             r"geps o gstar-inverse requested on its break circle \|w\| = 0\.5"),
+        ],
+        ids=["piecewise-radial", "piecewise-linear", "phi-eps"],
+    )
+    def test_value_is_defined_on_a_break_and_derivatives_are_not(self, family, on, off, message):
+        # a radial break is left and right of the point along its ray
+        side = on / abs(on) if family.break_radii() else 1.0
+        at, lo, hi = family.eval_many([on, on - off * side, on + off * side])
+        assert np.isfinite(at) and abs(at - lo) < 1e-8 and abs(at - hi) < 1e-8
+        for method in (family.wirtinger_many, family.jet_many):
+            with pytest.raises(BreakSetError, match=message):
+                method(on)
 
 
 class TestFiniteDifferenceHelper:

@@ -78,11 +78,8 @@ class TestAlphaStar:
         class Collapse(MapFamily):
             label = "collapse"
 
-            def eval_many(self, z):
-                return z - np.conj(z)
-
-            def wirtinger_many(self, z):
-                return np.ones_like(z), -np.ones_like(z)
+            def _jet(self, pts):
+                return pts - np.conj(pts), np.ones_like(pts), -np.ones_like(pts)
 
         rep = audit_alignment(Collapse(), FSTAR, strip_grid())
         assert rep.r < 1e-13 and rep.alpha == 0.0
@@ -390,9 +387,9 @@ class TestLadderRungs:
 
             monkeypatch.setattr(owner, attr, counted)
 
-        for cls in (Composition, InverseSpiralStretch, PiecewiseRadialStretch, SpiralStretch):
-            for attr in ("eval_many", "wirtinger_many"):
-                count(cls, attr, f"{cls.__name__}.{attr}")
+        families = (Composition, InverseSpiralStretch, PiecewiseRadialStretch, SpiralStretch)
+        for cls in families:
+            count(cls, "_jet", cls.__name__)
         for module in (geometry, functionals):
             count(module, "integrate_rings", "integrate_rings")
 
@@ -406,11 +403,18 @@ class TestLadderRungs:
         assert calls(6) == two
         # the reference and rung rows on each grid, then l1 and the dbar mass
         assert two["integrate_rings"] == 4
-        assert two["InverseSpiralStretch.eval_many"] == 1
-        # one deficit pass per family over both grids, and one for the mass;
-        # at theta 0.7 the twist is a SpiralStretch in the deficit and mass
-        assert two["PiecewiseRadialStretch.wirtinger_many"] == 2
-        assert two["SpiralStretch.wirtinger_many"] == (1 if theta == 0.0 else 3)
+        # each map is evaluated once per quantity, value and Wirtinger pair
+        # together: the rungs once each in the deficit (over both grids), in
+        # l1 and in the mass, and the inverse reference once, in the mass.
+        # At theta 0.7 the rungs are the Composition of a SpiralStretch twist
+        # after them, which Phi composes again with the inverse reference.
+        if theta == 0.0:
+            want = {"Composition": 1, "SpiralStretch": 2}
+        else:
+            want = {"Composition": 4, "SpiralStretch": 5}
+        assert {cls.__name__: two[cls.__name__] for cls in families} == {
+            **want, "InverseSpiralStretch": 1, "PiecewiseRadialStretch": 3
+        }
 
     @pytest.mark.parametrize("k, theta, error, message", [
         # q**k underflows: the image annulus [q**k, 1] is refused by name,
