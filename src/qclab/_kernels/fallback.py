@@ -48,8 +48,11 @@ _TARGET_STEP = 4
 
 
 def _put(dst, srcs, start: int, stop: int) -> None:
-    """Write terms ``start:stop`` of the rows of ``srcs[0]`` (times ``srcs[1]``) into ``dst``."""
-    views = [x[..., start:stop].reshape(dst.shape) for x in srcs]
+    """Write terms ``start:stop`` of the rows of ``srcs[0]`` (times ``srcs[1]``) into ``dst``.
+
+    ``srcs[1]`` may be one row, broadcast over the rows of ``srcs[0]``."""
+    tail = dst.shape[srcs[0].ndim - 1 :]
+    views = [x[..., start:stop].reshape(*x.shape[:-1], *tail) for x in srcs]
     if len(views) == 1:
         dst[...] = views[0]
     else:
@@ -57,7 +60,7 @@ def _put(dst, srcs, start: int, stop: int) -> None:
 
 
 def _blocks(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """The rows of ``a`` (times ``b``, when given) as zero-led blocks.
+    """The rows of ``a`` (times the one row ``b``, when given) as zero-led blocks.
 
     ``a`` has shape ``(*lead, n)``; the result has shape ``(*lead, nb, 1 +
     BLOCK)`` with ``nb = ceil(n / BLOCK)``.  Block ``k`` of a row holds a
@@ -75,7 +78,7 @@ def _blocks(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 
 def _columns(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Lay the rows of ``a`` (times ``b``, when given) out as block columns.
+    """Lay the rows of ``a`` (times the one row ``b``, when given) out as block columns.
 
     ``a`` has shape ``(*lead, n)``; the result has shape ``(BLOCK, *lead, nb)``
     with ``nb = ceil(n / BLOCK)``, holding term ``j`` of block ``k`` of a row
@@ -173,13 +176,19 @@ def ordered_sum(values: np.ndarray) -> float:
     return float(ordered_sums(np.atleast_1d(values)))
 
 
-def ordered_dot(weights: np.ndarray, values: np.ndarray) -> float:
-    """Dot product: elementwise multiply, then the canonical sum."""
+def ordered_dot(weights: np.ndarray, values: np.ndarray) -> float | np.ndarray:
+    """Dot product: elementwise multiply, then the canonical sum.
+
+    ``values`` may have leading axes of rows, over which the one row of
+    ``weights`` is broadcast: the result is then one dot product per row,
+    each with the bits of its own call.
+    """
     w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
     v = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    if w.shape != v.shape:
-        raise ValueError("weights and values must have the same shape")
-    return float(_row_sums(w, v))
+    if w.ndim != 1 or v.shape[-1:] != w.shape:
+        raise ValueError("weights must be one row as long as the rows of values")
+    sums = _row_sums(v, w)
+    return float(sums) if v.ndim == 1 else sums
 
 
 def _pompeiu_columns(cols, wr, wi, dead, n):

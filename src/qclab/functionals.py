@@ -15,7 +15,8 @@ inside a cell is refused rather than silently degraded.
 On a polar grid the integrands of rotation-equivariant maps depend only on
 ``|w|``, so ``mean_distortion``, ``l1_distance`` and ``phi_dbar_mass``
 evaluate them once per ring rather than once per cell (the ring path, chosen
-by ``_sampling``; nothing a caller sets selects it).  Their evaluators,
+by ``_sampling``; nothing a caller sets selects it), and ``integrate`` reads
+the ring samples by their count.  Their evaluators,
 ``_mean_distortions``, ``_l1_distances`` and ``pompeiu._phi_dbar_masses``,
 also take a family with a leading rung axis, as the epsilon ladder builds
 it, and return one value per rung; the public functions are their one-rung
@@ -43,13 +44,7 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .gauges import ConvexGauge
-from .geometry import (
-    QuadratureGrid,
-    RectangleDomain,
-    _break_tol,
-    integrate,
-    integrate_rings,
-)
+from .geometry import QuadratureGrid, RectangleDomain, _break_tol, integrate
 from .maps import (
     LinearStretch,
     MapFamily,
@@ -178,21 +173,21 @@ def _in_steps(fn, pts: np.ndarray):
     return outs[0] if isinstance(got, np.ndarray) else outs
 
 
-def _sampling(grid: QuadratureGrid, *families: MapFamily):
-    """Where to evaluate an integrand built from ``families``, and how to sum it.
+def _sampling(grid: QuadratureGrid, *families: MapFamily) -> np.ndarray:
+    """Where to evaluate an integrand built from ``families``.
 
-    Returns ``(points, integrator, cells_per_point)``.  On a polar grid where
-    every family is rotation-equivariant, the integrand depends only on
-    ``|w|``: it is evaluated once per ring at the midpoint radius
-    ``grid.primary_mid + 0j`` (not ``|center|``, which rounds differently in
-    the last bits) and summed by ``integrate_rings`` (the ring path).  The
-    angular midpoint sum of such an integrand is exact, so this changes the
-    reduction order, not the quadrature.  Every other grid and family is
-    evaluated at each cell center and summed by ``integrate``.
+    On a polar grid where every family is rotation-equivariant, the
+    integrand depends only on ``|w|``: it is evaluated once per ring at the
+    midpoint radius ``grid.primary_mid + 0j`` (not ``|center|``, which
+    rounds differently in the last bits), and ``integrate`` reads the ring
+    samples by their count (the ring path).  The angular midpoint sum of such
+    an integrand is exact, so this changes the reduction order, not the
+    quadrature.  Every other grid and family is evaluated at each cell
+    center.
     """
     if grid.coordinate_kind == "polar" and all(f.rotation_equivariant for f in families):
-        return grid.primary_mid + 0j, integrate_rings, grid.n_secondary
-    return grid.centers, integrate, 1
+        return grid.primary_mid + 0j
+    return grid.centers
 
 
 def _one_rung(values):
@@ -215,22 +210,20 @@ def _integrate_gauged(
     grid: QuadratureGrid,
     K: np.ndarray,
     gauge: ConvexGauge,
-    integrator=integrate,
     weight: np.ndarray | None = None,
-):
+) -> np.ndarray:
     """``integral phi(K) / weight`` over ``grid``, one integral per row of ``K``.
 
-    ``K`` is sampled as ``integrator`` reads it: at every cell centre for
-    ``integrate``, or once per ring for ``integrate_rings``.  A row with
-    undefined ``K`` is refused, then a ``K`` outside the gauge's domain, then
-    a ``phi(K)`` that overflows (``GaugeOverflowError``, naming its first
-    cell and centre); each check names the first offending row.
+    ``K`` holds cell or ring samples, as ``integrate`` reads them.  A row
+    with undefined ``K`` is refused, then a ``K`` outside the gauge's
+    domain, then a ``phi(K)`` that overflows (``GaugeOverflowError``, naming
+    its first cell and centre); each check names the first offending row.
     """
-    cells_per_point = grid.n_secondary if integrator is integrate_rings else 1
+    cells_per_sample = grid.n_cells // K.shape[-1]
     for n_undefined in np.count_nonzero(np.isnan(K), axis=-1):
         if n_undefined:
             raise DegenerateExperimentError(
-                f"{n_undefined * cells_per_point} of {grid.n_cells} cells have "
+                f"{n_undefined * cells_per_sample} of {grid.n_cells} cells have "
                 "no defined distortion: f_z or f_zbar is not finite, or |f_z| "
                 "and |f_zbar| agree to within rounding (both underflow to 0, "
                 "or K exceeds 2**43)"
@@ -239,9 +232,7 @@ def _integrate_gauged(
     if weight is not None:
         values = values / weight
     try:
-        if integrator is integrate_rings:
-            return integrate_rings(grid, values)
-        return [integrate(grid, row) for row in values]
+        return integrate(grid, values)
     except NonFiniteSampleError as exc:  # K is defined: phi(K) overflowed
         message = f"the gauged distortion overflows a float under gauge {gauge.label}"
         raise GaugeOverflowError(f"{message}: {exc}", exc.cell_index, exc.center) from None
@@ -262,7 +253,7 @@ def _mean_distortions(
     ``_sampling``) are joined and each family is evaluated once over them; a
     point's value does not depend on the other points of the call, so each
     grid's slice has the bits of its own call.  On each grid the rows of all
-    the families are one ring reduction, or one ``integrate`` per row.
+    the families are one ``integrate`` call.
 
     The checks run in this order: the density on every grid, every
     family's breaks on every grid, then each family's point checks as it is
@@ -287,22 +278,20 @@ def _mean_distortions(
                     f"{float(edges[i])!r}; refine the grid until no radial cell "
                     "is wider than its inner radius, or use a larger --q"
                 )
-    samplings = [_sampling(grid, *families) for grid in grids]
+    pts = [_sampling(grid, *families) for grid in grids]
     for family in families:
         for grid in grids:
             _check_breaks_honored(family, grid)
-    pts = [p for p, _, _ in samplings]
     joined = pts[0] if len(pts) == 1 else np.concatenate(pts)
     evaluated = (_in_steps(functools.partial(distortion_many, f), joined) for f in families)
     K_all, degenerate_all = map(_rows, zip(*evaluated))
     bounds = np.cumsum([0] + [len(p) for p in pts]).tolist()
     results = []
-    for grid, (grid_pts, integrator, cells_per_point), lo, hi in zip(
-        grids, samplings, bounds, bounds[1:]
-    ):
+    for grid, grid_pts, lo, hi in zip(grids, pts, bounds, bounds[1:]):
         weight = np.abs(grid_pts) ** 2 if density is Density.INVERSE_SQUARE else None
-        totals = _integrate_gauged(grid, K_all[:, lo:hi], gauge, integrator, weight)
-        n_degenerate = np.count_nonzero(degenerate_all[:, lo:hi], axis=-1) * cells_per_point
+        totals = _integrate_gauged(grid, K_all[:, lo:hi], gauge, weight)
+        cells_per_sample = grid.n_cells // (hi - lo)
+        n_degenerate = np.count_nonzero(degenerate_all[:, lo:hi], axis=-1) * cells_per_sample
         rows = []
         for value, n_deg in zip(totals, n_degenerate):
             warning = None
@@ -385,9 +374,8 @@ def _l1_distances(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> np.ndarra
     ``a`` and ``b`` are each evaluated once, whatever the number of rungs
     (see ``_mean_distortions``).
     """
-    pts, integrator, _ = _sampling(grid, a, b)
-    values = _in_steps(lambda p: np.abs(a.eval_many(p) - b.eval_many(p)), pts)
-    return np.atleast_1d(integrator(grid, values))
+    values = _in_steps(lambda p: np.abs(a.eval_many(p) - b.eval_many(p)), _sampling(grid, a, b))
+    return np.atleast_1d(integrate(grid, values))
 
 
 def l1_distance(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> float:

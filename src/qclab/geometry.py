@@ -19,10 +19,10 @@ The rest is derived on first use.  Cell weights are exact areas,
 ``r_mid * dr = (r_hi^2 - r_lo^2)/2``) and ``dx * dy`` on cartesian grids, one
 per primary line.  Cells are ordered primary-axis slow, secondary-axis fast.
 All reductions use the fixed-order kernels in ``qclab._kernels``, so every
-integral is reproducible to the bit.  ``integrate_rings`` integrates a
-polar-grid integrand given once per ring (at the midpoint radii
-``primary_mid``), for integrands that do not depend on the angle, and reads
-only the partition.
+integral is reproducible to the bit.  ``integrate`` is the one grid integral.
+It reads its samples by their length: one per cell, or on a polar grid one
+per ring (at the midpoint radii ``primary_mid``), for integrands that do not
+depend on the angle; ring samples read only the partition.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "image_annulus",
     "integrate",
     "integrate_complex",
-    "integrate_rings",
 ]
 
 _SNAP_REL = 1e-12
@@ -342,75 +341,59 @@ def half_resolution_shape(n_primary: int, n_secondary: int) -> tuple[int, int]:
     return half
 
 
-def _check_finite(grid: QuadratureGrid, values: np.ndarray, stride: int = 1) -> None:
-    """Refuse non-finite samples, naming the first offending cell.
+def integrate(grid: QuadratureGrid, values) -> float | np.ndarray:
+    """Deterministic ``sum(weights * values)`` for real samples.
 
-    ``values[i]`` stands for the cells ``i * stride`` to ``i * stride +
-    stride - 1``; the first of them is reported.
+    The length of the last axis says what the samples are: ``n_cells``
+    values are one per cell; on a polar grid, ``n_primary`` values are one
+    per ring, each weighted by the ring's area, ``n_secondary`` times its
+    cell weight.  The midpoint rule in angle integrates an integrand that is
+    constant on each ring exactly, so both forms agree up to the order of the
+    reduction.  Leading axes are rows (one per rung): the result is a float
+    for a single row and one integral per row otherwise, each with the bits
+    of its own one-row call.  A non-finite sample is refused at the first
+    cell it stands for, in the first row that has one; complex samples are
+    refused, not cut to their real parts.
     """
-    bad = ~np.isfinite(values)  # a complex value needs both parts finite
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        idx = i * stride
-        center = grid.center(idx)
-        raise NonFiniteSampleError(
-            f"non-finite sample {values[i]!r} at cell {idx} (center {center!r})",
-            cell_index=idx,
-            center=center,
-        )
-
-
-def _cell_samples(grid: QuadratureGrid, v: np.ndarray) -> np.ndarray:
-    """``v``, after checking it holds one finite sample per cell."""
-    if v.shape != (grid.n_cells,):
-        raise InputError(
-            f"expected {grid.n_cells} samples, got array of shape {v.shape}"
-        )
-    _check_finite(grid, v)
-    return v
-
-
-def _real(values) -> np.ndarray:
-    """``values`` as float64; complex ones are refused, not cut to real parts."""
     v = np.asarray(values)
     if np.iscomplexobj(v):
         raise InputError("complex samples in a real integral; use integrate_complex")
-    return v.astype(np.float64, copy=False)
-
-
-def integrate(grid: QuadratureGrid, values: np.ndarray) -> float:
-    """Deterministic ``sum(weights * values)`` for real samples."""
-    return ordered_dot(grid.weights, _cell_samples(grid, _real(values)))
-
-
-def integrate_complex(grid: QuadratureGrid, values: np.ndarray) -> complex:
-    """Deterministic ``sum(weights * values)`` for complex samples."""
-    v = _cell_samples(grid, np.asarray(values, dtype=np.complex128))
-    re = ordered_dot(grid.weights, np.ascontiguousarray(v.real))
-    im = ordered_dot(grid.weights, np.ascontiguousarray(v.imag))
-    return complex(re, im)
-
-
-def integrate_rings(grid: QuadratureGrid, values: np.ndarray) -> float | np.ndarray:
-    """``integrate`` for a polar-grid integrand that is constant on each ring.
-
-    ``values[..., i]`` is the integrand on ring ``i``; it is weighted by the
-    ring's area, ``n_secondary`` times its cell weight.  The midpoint rule in
-    angle integrates such an integrand exactly, so this equals ``integrate``
-    on the broadcast values up to the order of the reduction.  It reads only
-    the grid's partition.  A leading rung axis, ``(R, n_primary)`` values,
-    gives one integral per rung from one row reduction, each with the bits
-    of its own one-rung call.  A non-finite value is reported at the first
-    cell of its ring, for the first rung that has one.
-    """
-    v = _real(values)
-    if grid.coordinate_kind != "polar" or v.shape[-1:] != (grid.n_primary,):
+    v = v.astype(np.float64, copy=False)
+    n = v.shape[-1] if v.ndim else None
+    if n == grid.n_cells:
+        stride = 1
+    elif n == grid.n_primary and grid.coordinate_kind == "polar":
+        stride = grid.n_secondary
+    else:
         raise InputError(
-            f"expected {grid.n_primary} ring samples on a polar grid, got array "
-            f"of shape {v.shape}"
+            f"expected {grid.n_cells} cell samples or, on a polar grid, "
+            f"{grid.n_primary} ring samples, got array of shape {v.shape}"
         )
-    if not np.isfinite(v).all():
-        for rung in v.reshape(-1, grid.n_primary):
-            _check_finite(grid, rung, grid.n_secondary)
-    sums = ordered_sums(np.multiply(grid.line_weights * grid.n_secondary, v))
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:  # in row order, so the first bad sample of the first bad row
+        idx = int(bad[0]) % n * stride
+        center = grid.center(idx)
+        raise NonFiniteSampleError(
+            f"non-finite sample {v.flat[bad[0]]!r} at cell {idx} (center {center!r})",
+            cell_index=idx,
+            center=center,
+        )
+    if stride == 1:
+        sums = ordered_dot(grid.weights, v)
+    else:
+        sums = ordered_sums(grid.line_weights * grid.n_secondary * v)
     return float(sums) if v.ndim == 1 else sums
+
+
+def integrate_complex(grid: QuadratureGrid, values) -> complex:
+    """Deterministic ``sum(weights * values)`` for complex cell or ring samples.
+
+    ``integrate`` of the real and the imaginary rows of ``values``, read in
+    place, so a non-finite sample is reported by its first non-finite part,
+    in the real row first.
+    """
+    v = np.ascontiguousarray(values, dtype=np.complex128)
+    if v.ndim != 1:
+        raise InputError(f"expected one row of complex samples, got array of shape {v.shape}")
+    re, im = integrate(grid, v.view(np.float64).reshape(-1, 2).T)
+    return complex(re, im)

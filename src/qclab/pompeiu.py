@@ -36,7 +36,7 @@ import numpy as np
 
 from ._kernels import ordered_sum, ordered_sums, pompeiu_sum_many
 from .errors import AccuracyError, InputError, UnsupportedVariantError, require_real
-from .functionals import _in_steps, _one_rung, _sampling
+from .functionals import _check_breaks_honored, _in_steps, _one_rung, _sampling
 from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
@@ -179,7 +179,11 @@ class DbarField:
 
 
 def dbar_field(family: MapFamily, grid: QuadratureGrid) -> DbarField:
-    """Sample the ``dbar`` derivative of a map on all grid cells."""
+    """Sample the ``dbar`` derivative of a map on all grid cells.
+
+    The grid must honour the map's break set, as ``mean_distortion``'s does.
+    """
+    _check_breaks_honored(family, grid)
     values = _in_steps(lambda p: family.wirtinger_many(p)[1], grid.centers)
     return DbarField(family=family, grid=grid, values=values)
 
@@ -381,9 +385,8 @@ def _phi_dbar_masses(
         )
     phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
     grid = grid_for(phi, image_annulus(gstar.q, gstar.k), n_radial, n_angular)
-    pts, integrator, _ = _sampling(grid, phi)
-    values = _in_steps(lambda p: np.abs(phi.wirtinger_many(p)[1]), pts)
-    return np.atleast_1d(integrator(grid, values))
+    values = _in_steps(lambda p: np.abs(phi.wirtinger_many(p)[1]), _sampling(grid, phi))
+    return np.atleast_1d(integrate(grid, values))
 
 
 def phi_dbar_mass(

@@ -34,6 +34,7 @@ from .geometry import (
 )
 from .functionals import (
     Density,
+    _check_breaks_honored,
     _in_steps,
     _integrate_gauged,
     _l1_distances,
@@ -101,6 +102,7 @@ def audit_alignment(
             "reference has zero Beltrami coefficient; the alignment direction "
             "is undefined (use k > 1)"
         )
+    _check_breaks_honored(f, grid)
     fz, fzb = _in_steps(f.wirtinger_many, grid.centers)
     integrand = mu / abs(mu) * fz + fzb
     total = integrate_complex(grid, integrand)
@@ -157,18 +159,19 @@ def _gauged_excess(f: MapFamily, fstar: LinearStretch, gauge: ConvexGauge, grid:
     """``(K, K*, integral phi(K), integral phi(K*))``: ``K`` at every cell centre,
     and the affine reference's one distortion ``K*`` at the first alone.
 
-    ``integral phi(K)`` runs the checks of every gauged mean distortion
-    (``functionals._integrate_gauged``): undefined ``K`` and an overflowing
-    ``phi(K)`` are degenerate experiments."""
+    The grid must honour ``f``'s break set, and ``integral phi(K)`` runs the
+    checks of every gauged mean distortion (``functionals._integrate_gauged``):
+    undefined ``K`` and an overflowing ``phi(K)`` are degenerate experiments."""
     if not isinstance(fstar, LinearStretch):
         raise InputError(
             f"reference must be a LinearStretch, got {type(fstar).__name__}; "
             "these audits require a constant-distortion reference"
         )
+    _check_breaks_honored(f, grid)
     (k_star,), _ = distortion_many(fstar, grid.centers[:1])
     k_star = float(k_star)
     K, _ = _in_steps(lambda p: distortion_many(f, p), grid.centers)
-    (i_phi,) = _integrate_gauged(grid, K[None], gauge)
+    (i_phi,) = _integrate_gauged(grid, K[None], gauge).tolist()
     i_star = integrate(grid, np.full(grid.n_cells, gauge.evaluate(k_star)))
     return K, k_star, i_phi, i_star
 

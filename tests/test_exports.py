@@ -39,13 +39,19 @@ def test_root_holds_only_the_kernel_lane():
     assert public == {"backend_name"}
 
 
-def test_benchmark_tracer_patches_and_restores_its_names():
-    # perfbench/layers.py wraps these names by attribute; a deleted one would
-    # break only the benchmark, which the tier-1 suite does not run
+def _tracer_layers():
+    """The benchmark's tracer, ``perfbench/layers.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_benchmark_tracer_patches_and_restores_its_names():
+    # perfbench/layers.py wraps these names by attribute; a deleted one would
+    # break only the benchmark, which the tier-1 suite does not run
+    layers = _tracer_layers()
     importlib.import_module("qclab.cli")  # loads every module the tracer patches
     importlib.import_module("qclab._kernels.fallback")  # perfbench/run.py reads it
     tracer = layers.Tracer()
@@ -57,6 +63,21 @@ def test_benchmark_tracer_patches_and_restores_its_names():
         for owner, attr in entries:
             assert vars(owner)[attr] is not before[owners.index(owner)][attr], attr
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_benchmark_tracer_attributes_the_ladder_ring_reductions_to_integrate():
+    # one grid integral: the tracer wraps geometry.integrate, so the ring
+    # reductions are not left in the self time of run_ladder
+    from qclab.stability import LadderConfig, run_ladder
+
+    layers = _tracer_layers()
+    tracer = layers.Tracer()
+    with layers.install(tracer):
+        run_ladder(LadderConfig(n_radial=64, n_angular=32))
+    # the reference and rung rows on the full and the half grid, l1 and the
+    # dbar mass
+    assert tracer.calls["geometry.integrate"] == 4
+    assert tracer.self_s["geometry.integrate"] > 0.0
 
 
 SRC = Path(qclab.__file__).resolve().parent

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import cartesian, polar
+from qclab._kernels import ordered_dot, ordered_sums
 from qclab.errors import InputError, NonFiniteSampleError
 from qclab.functionals import Density, _sampling, mean_distortion
 from qclab.gauges import ConvexGauge
@@ -18,7 +19,6 @@ from qclab.geometry import (
     build_polar_grid,
     integrate,
     integrate_complex,
-    integrate_rings,
 )
 from qclab.maps import IdentityMap, SpiralStretch
 from qclab.pompeiu import annulus_trace, offset_targets
@@ -241,9 +241,8 @@ class TestRings:
         r = g.primary_mid
         edges = g.primary_edges
         assert r.tolist() == (0.5 * (edges[:-1] + edges[1:])).tolist()
-        pts, integrator, cells_per_point = _sampling(g, SpiralStretch(0.5, 2.0))
+        pts = _sampling(g, SpiralStretch(0.5, 2.0))
         assert pts.tolist() == (r + 0j).tolist()
-        assert integrator is integrate_rings and cells_per_point == g.n_secondary
         np.testing.assert_allclose(
             np.abs(g.centers).reshape(g.n_primary, g.n_secondary),
             np.broadcast_to(r[:, None], (g.n_primary, g.n_secondary)),
@@ -254,14 +253,14 @@ class TestRings:
         g = polar(0.3, 13, 6, breaks=(0.55,))
         ring_values = np.cos(g.primary_mid) + 2.0
         want = integrate(g, np.repeat(ring_values, g.n_secondary))
-        assert integrate_rings(g, ring_values) == pytest.approx(want, rel=1e-15)
+        assert integrate(g, ring_values) == pytest.approx(want, rel=1e-15)
 
     def test_nonfinite_ring_is_reported_at_its_first_cell(self):
         g = polar(0.5, 4, 8)
         vals = np.ones(g.n_primary)
         vals[2] = np.nan
         with pytest.raises(NonFiniteSampleError) as err:
-            integrate_rings(g, vals)
+            integrate(g, vals)
         assert err.value.cell_index == 16
         assert err.value.center == complex(g.centers[16])
         assert "at cell 16 " in str(err.value)
@@ -275,7 +274,7 @@ class TestRings:
         tracemalloc.start()
         try:
             with pytest.raises(NonFiniteSampleError) as err:
-                integrate_rings(g, vals)
+                integrate(g, vals)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -288,9 +287,9 @@ class TestRings:
         g = polar(0.3, 13, 6, breaks=(0.55,))
         rng = np.random.default_rng(7)
         rows = rng.uniform(0.5, 2.0, size=(5, g.n_primary))
-        got = integrate_rings(g, rows)
+        got = integrate(g, rows)
         assert got.shape == (5,)
-        assert [v.hex() for v in got.tolist()] == [integrate_rings(g, r).hex() for r in rows]
+        assert [v.hex() for v in got.tolist()] == [integrate(g, r).hex() for r in rows]
 
     def test_nonfinite_ring_is_reported_for_the_first_offending_rung(self):
         g = polar(0.5, 4, 8)
@@ -298,20 +297,78 @@ class TestRings:
         vals[1, 3] = np.nan
         vals[2, 0] = np.inf
         with pytest.raises(NonFiniteSampleError) as err:
-            integrate_rings(g, vals)
+            integrate(g, vals)
         assert err.value.cell_index == 3 * 8
         assert "nan" in str(err.value)
 
     def test_integrate_rings_refuses_complex_samples(self):
         g = polar(0.5, 32, 32)
         with pytest.raises(InputError, match="integrate_complex"):
-            integrate_rings(g, np.full(g.n_primary, 1.0 + 2.0j))
+            integrate(g, np.full(g.n_primary, 1.0 + 2.0j))
 
     def test_rings_need_a_polar_grid_and_one_value_per_ring(self):
         with pytest.raises(InputError):
-            integrate_rings(cartesian(1.0, 4, 4), np.ones(4))
+            integrate(cartesian(1.0, 4, 4), np.ones(4))
         with pytest.raises(InputError):
-            integrate_rings(polar(0.5, 4, 4), np.ones(16))
+            integrate(polar(0.5, 4, 4), np.ones(8))
+
+
+class TestShapeRule:
+    """``integrate`` reads cell or ring samples by the length of the last axis."""
+
+    def test_one_angular_cell_reads_cells_and_rings_alike(self):
+        # n_cells == n_primary: either reading gives the same bits
+        g = polar(0.3, 13, 1, breaks=(0.55,))
+        v = np.random.default_rng(3).uniform(0.5, 2.0, g.n_cells)
+        cells = ordered_dot(g.weights, v)
+        rings = float(ordered_sums(g.line_weights * g.n_secondary * v))
+        assert integrate(g, v).hex() == cells.hex() == rings.hex()
+
+    @pytest.mark.parametrize("grid", [polar(0.5, 4, 3), cartesian(1.0, 4, 3)],
+                             ids=["polar", "cartesian"])
+    @pytest.mark.parametrize("n", [0, 5, 11, 13])
+    def test_a_length_of_neither_count_is_refused(self, grid, n):
+        message = r"expected 12 cell samples or, on a polar grid, 4 ring samples"
+        with pytest.raises(InputError, match=message):
+            integrate(grid, np.ones(n))
+        with pytest.raises(InputError, match=message):
+            integrate(grid, np.ones((2, n)))
+        with pytest.raises(InputError, match=message):
+            integrate(grid, 1.0)
+
+    def test_stacked_cell_rows_have_their_one_row_bits(self):
+        # the stack is past the kernels' along/across crossover, each row is not
+        g = polar(0.5, 128, 128)
+        rows = np.random.default_rng(11).uniform(-1.0, 2.0, size=(3, g.n_cells))
+        got = integrate(g, rows)
+        assert got.shape == (3,)
+        assert [v.hex() for v in got.tolist()] == [integrate(g, r).hex() for r in rows]
+
+    def test_nonfinite_cell_is_reported_for_the_first_offending_row(self):
+        g = cartesian(1.0, 4, 4)
+        rows = np.ones((3, g.n_cells))
+        rows[1, 9] = np.nan
+        rows[2, 2] = np.inf
+        with pytest.raises(NonFiniteSampleError) as err:
+            integrate(g, rows)
+        assert err.value.cell_index == 9
+        assert "nan" in str(err.value)
+
+    @pytest.mark.parametrize("grid", [polar(0.25, 37, 129), cartesian(2.0, 512, 512)],
+                             ids=["polar", "cartesian-512"])
+    def test_integrate_complex_has_the_bits_of_two_dot_products(self, grid):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=grid.n_cells) + 1j * rng.normal(size=grid.n_cells)
+        re = ordered_dot(grid.weights, np.ascontiguousarray(v.real))
+        im = ordered_dot(grid.weights, np.ascontiguousarray(v.imag))
+        got = integrate_complex(grid, v)
+        assert (got.real.hex(), got.imag.hex()) == (re.hex(), im.hex())
+
+    def test_integrate_complex_takes_one_row(self):
+        # two rows of 6 cells must not be read as the 12 cells of this grid
+        g = polar(0.5, 4, 3)
+        with pytest.raises(InputError, match="one row of complex samples"):
+            integrate_complex(g, np.ones((2, 6), dtype=complex))
 
 
 class TestSampling:

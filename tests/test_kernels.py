@@ -318,6 +318,31 @@ def test_row_sums_match_reference_at_the_crossover(rows, scans):
     assert not np.signbit(got.ravel()[0])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(lambda: _with_zeros(_rand(3 * 1000, 8).reshape(3, -1)), id="below"),
+        pytest.param(lambda: _with_zeros(_rand(3 * (ALONG_MAX // 2), 9).reshape(3, -1)), id="above"),
+        pytest.param(lambda: _cauchy_parts(1, ALONG_MAX // 2 + 3, 10)[0], id="strided-complex"),
+    ],
+)
+def test_ordered_dot_rows_share_one_weight_row(rows):
+    # the rows form: each row has the bits of its own one-row call
+    v = rows()
+    w = _rand(v.shape[-1], 12)
+    got = fallback.ordered_dot(w, v)
+    assert got.shape == v.shape[:-1]
+    assert _bits(got) == _bits(np.array([fallback.ordered_dot(w, row) for row in v]))
+    assert _bits(got) == _bits(np.array([_reference_sum((w * row).tolist()) for row in v]))
+
+
+def test_ordered_dot_needs_one_weight_row_as_long_as_the_rows():
+    with pytest.raises(ValueError):
+        fallback.ordered_dot(np.ones(3), np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        fallback.ordered_dot(np.ones((2, 3)), np.ones((2, 3)))
+
+
 def _along_totals(a, b=None):
     return fallback._tree(fallback._along(fallback._blocks(a, b)))
 

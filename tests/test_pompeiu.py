@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import cartesian, polar, traced_peak
 from qclab.errors import AccuracyError, InputError, UnsupportedVariantError
-from qclab.geometry import AnnulusDomain, build_polar_grid
+from qclab.geometry import AnnulusDomain, build_polar_grid, image_annulus
 from qclab.maps import (
     Composition,
     ConjugationMap,
@@ -272,6 +272,16 @@ class TestDbarField:
         field, peak = traced_peak(dbar_field, family, grid)
         assert peak <= field.values.nbytes + 8 * 2**20
         assert field.values.tobytes() == family.wirtinger_many(grid.centers)[1].tobytes()
+
+    def test_a_grid_that_splits_the_break_is_refused(self):
+        # unrefused, phi-eps:0.01 reconstructs from such a 256x256 grid with
+        # a residual about 15 times that on the grid that honours its break
+        family = Composition(
+            PiecewiseRadialStretch(0.5, 2.0, 1e-2), InverseSpiralStretch(0.5, 2.0, 0.0)
+        )
+        grid = build_polar_grid(image_annulus(0.5, 2.0), 64, 64)
+        with pytest.raises(InputError, match="does not honor the mandatory break at 0.5"):
+            dbar_field(family, grid)
 
 
 class TestKernelMass:

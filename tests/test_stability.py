@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import cartesian, polar
-from qclab import functionals, geometry, stability
+from qclab import functionals, geometry, pompeiu, stability
 from qclab.errors import DegenerateExperimentError, InputError, UnsupportedVariantError
-from qclab.functionals import deficit
+from qclab.functionals import deficit, mean_distortion
 from qclab.gauges import ConvexGauge
 from qclab.maps import (
     Composition,
@@ -187,6 +187,40 @@ class TestReferenceIsAffine:
         f = PiecewiseLinearStretch(2.0, 1e-2)
         with pytest.raises(InputError, match="reference must be a LinearStretch, got"):
             audit(f, reference, SQUARE, strip_grid(breaks=(0.5,)))
+
+
+class TestReportTypes:
+    @pytest.mark.parametrize("audit", [audit_k_l2, audit_k_mean])
+    def test_numbers_are_python_floats(self, audit):
+        # the CSV writer prints a numpy scalar as its repr, np.float64(...)
+        rep = audit(PiecewiseLinearStretch(2.0, 1e-2), FSTAR, SQUARE, strip_grid(breaks=(0.5,)))
+        numbers = [rep.lhs, rep.rhs, rep.ratio, *rep.constants.values()]
+        assert [type(x) for x in numbers] == [float] * len(numbers)
+
+
+class TestBreakContract:
+    """Every audit that differentiates ``f`` on the caller's grid refuses a grid
+    that splits ``f``'s break, with ``mean_distortion``'s refusal, before any
+    map is evaluated."""
+
+    @pytest.mark.parametrize("audit", [
+        lambda f, grid: audit_k_l2(f, FSTAR, SQUARE, grid),
+        lambda f, grid: audit_k_mean(f, FSTAR, SQUARE, grid),
+        lambda f, grid: audit_alignment(f, FSTAR, grid),
+    ], ids=["k-l2", "k-mean", "alignment"])
+    def test_a_grid_that_splits_the_break_is_refused(self, audit, monkeypatch):
+        f = PiecewiseLinearStretch(2.0, 0.01)
+        grid = cartesian(1.0, 63, 16)  # no edge at the break x = 0.5
+        with pytest.raises(InputError) as want:
+            mean_distortion(f, SQUARE, grid)
+
+        def evaluated(*args):
+            raise AssertionError("a map was evaluated")
+
+        monkeypatch.setattr(PiecewiseLinearStretch, "_jet", evaluated)
+        with pytest.raises(InputError, match="does not honor the mandatory break") as err:
+            audit(f, grid)
+        assert str(err.value) == str(want.value)
 
 
 class TestTaylor:
@@ -390,8 +424,8 @@ class TestLadderRungs:
         families = (Composition, InverseSpiralStretch, PiecewiseRadialStretch, SpiralStretch)
         for cls in families:
             count(cls, "_jet", cls.__name__)
-        for module in (geometry, functionals):
-            count(module, "integrate_rings", "integrate_rings")
+        for module in (geometry, functionals, pompeiu):
+            count(module, "integrate", "integrate")
 
         def calls(n_rungs):
             counts.clear()
@@ -402,7 +436,7 @@ class TestLadderRungs:
         two = calls(2)
         assert calls(6) == two
         # the reference and rung rows on each grid, then l1 and the dbar mass
-        assert two["integrate_rings"] == 4
+        assert two["integrate"] == 4
         # each map is evaluated once per quantity, value and Wirtinger pair
         # together: the rungs once each in the deficit (over both grids), in
         # l1 and in the mass, and the inverse reference once, in the mass.
