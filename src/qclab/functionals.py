@@ -6,30 +6,33 @@ grids only).  ``deficit`` compares a candidate map against a reference spiral
 stretch on the same grid, so the quadrature bias largely cancels.
 ``conformal_transfer_check`` verifies the chart identity that moves the
 weighted annulus integral to an unweighted rectangle integral, on a map and
-its strip twin.  ``distortion_many`` is the one pointwise rule
-``(f_z, f_zbar) -> K`` that all of them use.
+its strip twin.  ``_distortion`` is the one pointwise rule
+``(f_z, f_zbar) -> K`` that all of them use; ``distortion_many`` applies it
+to a map at given points.
 
-Grids must honor a map's break set: integrating a map whose derivative jumps
-inside a cell is refused rather than silently degraded.
-
-On a polar grid the integrands of rotation-equivariant maps depend only on
-``|w|``, so ``mean_distortion``, ``l1_distance`` and ``phi_dbar_mass``
-evaluate them once per ring rather than once per cell (the ring path, chosen
-by ``_sampling``; nothing a caller sets selects it), and ``integrate`` reads
-the ring samples by their count.  Their evaluators,
-``_mean_distortions``, ``_l1_distances`` and ``pompeiu._phi_dbar_masses``,
-also take a family with a leading rung axis, as the epsilon ladder builds
-it, and return one value per rung; the public functions are their one-rung
-case.  ``_mean_distortions`` also takes several families and several grids:
-each family is evaluated once over the joined points of every grid.  Every
-gauged mean distortion (``mean_distortion``, ``distortion``'s value and
-error estimate, the ladder's deficits) is a call of it.
+``_sampled`` is the one evaluator of maps on grids: every functional, field
+and audit here, in ``qclab.pompeiu`` and in ``qclab.stability`` samples its
+maps through it.  It refuses a grid that does not honour a map's break set
+(integrating a map whose derivative jumps inside a cell would silently
+degrade the sum), picks the points, and takes each map's jet once over the
+points of every grid it is given, a fixed number of points at a time.  On a
+polar grid the integrands of rotation-equivariant maps depend only on
+``|w|``, so it samples them once per ring rather than once per cell (the
+ring path; only the dbar field and the alignment audit, whose samples depend
+on more than ``|w|``, keep cell centres), and ``integrate`` reads the ring
+samples by their count.  ``_mean_distortions``, ``_l1_distances`` and
+``pompeiu._phi_dbar_masses`` also take a family with a leading rung axis, as
+the epsilon ladder builds it, and return one value per rung; the public
+functions are their one-rung case.  ``_mean_distortions`` also takes several
+families and several grids.  Every gauged mean distortion
+(``mean_distortion``, ``distortion``'s value and error estimate, the
+ladder's deficits) is a call of it.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,7 +109,11 @@ def distortion_many(
     that is the orientation, is not certain.  The guard also covers both
     moduli underflowing to 0.
     """
-    fz, fzb = family.wirtinger_many(np.asarray(pts, dtype=np.complex128))
+    return _distortion(*family.jet_many(pts)[1:])
+
+
+def _distortion(fz: np.ndarray, fzb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``distortion_many``'s rule on a Wirtinger pair: ``(K, degenerate_mask)``."""
     afz = np.abs(fz)
     afzb = np.abs(fzb)
     den = afz - afzb
@@ -119,15 +126,6 @@ def distortion_many(
     return K, degenerate
 
 
-def _check_breaks_honored(family: MapFamily, grid: QuadratureGrid) -> None:
-    for b in grid.breaks_of(family):
-        if np.min(np.abs(grid.primary_edges - b)) > _break_tol(b):
-            raise InputError(
-                f"grid does not honor the mandatory break at {b!r}; rebuild it "
-                f"with this break in its partition"
-            )
-
-
 @dataclass(frozen=True)
 class MeanDistortionResult:
     """Value and diagnostics of a gauged mean-distortion integral."""
@@ -137,7 +135,7 @@ class MeanDistortionResult:
     warning: str | None
 
 
-# Points per step of ``_in_steps``: whole ``BLOCK``s, so a step's scratch is
+# Points per step of ``_sampled``: whole ``BLOCK``s, so a step's scratch is
 # fixed however many cells a grid has.  ``dbar_field`` on the 512x512
 # ``phi-eps`` field, median of 15 (2-core x86-64 VM, numpy 2.4): 0.087 s at
 # 1,024 points, 0.049 at 4,096, 0.045 at 8,192, 0.048 at 16,384 and 0.069 at
@@ -146,48 +144,57 @@ class MeanDistortionResult:
 _CELL_STEP = 128 * BLOCK
 
 
-def _in_steps(fn, pts: np.ndarray):
-    """``fn(pts)``, evaluated ``_CELL_STEP`` points at a time.
+def _sampled(
+    families: tuple[MapFamily, ...], grids: tuple[QuadratureGrid, ...], fn, cells: bool = False
+) -> list[tuple[np.ndarray, np.ndarray | tuple[np.ndarray, ...]]]:
+    """``(points, fn(*jets))`` on each grid: the one evaluator of maps on grids.
 
-    ``fn`` maps a vector of points to an array, or a tuple of arrays, with
-    one value per point on the last axis (a rung axis may lead).  Each
-    step's values are written into one preallocated output per array, so
-    beside the outputs at most one step's scratch is live.  Map values do
-    not depend on how many points share a call, so the outputs have the bits
-    of ``fn(pts)``.  Each step runs the families' own domain and break
-    checks; the first offending point of the first offending step is
-    reported.  Up to ``_CELL_STEP`` points (the ring path's one point per
-    ring) pass through as a single call.
+    A grid that splits a family's break is refused first, each family on
+    each grid in order: a midpoint sum across a jump of the derivative would
+    be silently degraded.  On a polar grid where every family is
+    rotation-equivariant, an integrand built from them depends only on
+    ``|w|``; unless ``cells`` is set (for samples that depend on more), it is
+    sampled once per ring at the midpoint radius ``grid.primary_mid + 0j``
+    (not ``|center|``, which rounds differently in the last bits), and
+    ``integrate`` reads the ring samples by their count (the ring path).  The
+    angular midpoint sum of such an integrand is exact, so this changes the
+    reduction order, not the quadrature.  Other grids are sampled at their
+    cell centres.
+
+    The grids' points are joined and, ``_CELL_STEP`` points at a time, each
+    family's ``jet_many`` (with its point checks) is taken once and ``fn``
+    applied.  ``fn`` returns an array, or a tuple of arrays, with one value
+    per point on the last axis (a rung axis may lead), written into one
+    preallocated output each, so beside the outputs one step's scratch is
+    live.  A map's values do not depend on how many points share a call, so
+    each grid's samples have the bits of one call on its own points.  A
+    point check fails at the first offending step, family by family within
+    it.
     """
-    n = pts.shape[0]
-    if n <= _CELL_STEP:
-        return fn(pts)
+    for grid, b in ((g, b) for f in families for g in grids for b in g.breaks_of(f)):
+        if np.min(np.abs(grid.primary_edges - b)) > _break_tol(b):
+            raise InputError(
+                f"grid does not honor the mandatory break at {b!r}; rebuild it "
+                f"with this break in its partition"
+            )
+    rings = not cells and all(f.rotation_equivariant for f in families)
+    pts = [g.primary_mid + 0j if rings and g.coordinate_kind == "polar" else g.centers
+           for g in grids]
+    joined = pts[0] if len(pts) == 1 else np.concatenate(pts)
     outs = None
-    for lo in range(0, n, _CELL_STEP):
-        got = fn(pts[lo : lo + _CELL_STEP])
+    for lo in range(0, len(joined), _CELL_STEP):
+        got = fn(*(f.jet_many(joined[lo : lo + _CELL_STEP]) for f in families))
         parts = (got,) if isinstance(got, np.ndarray) else got
+        if len(joined) <= _CELL_STEP:  # one step: its arrays are the outputs
+            outs = parts
+            break
         if outs is None:
-            outs = tuple(np.empty((*p.shape[:-1], n), dtype=p.dtype) for p in parts)
+            outs = [np.empty((*p.shape[:-1], len(joined)), dtype=p.dtype) for p in parts]
         for out, part in zip(outs, parts):
             out[..., lo : lo + _CELL_STEP] = part
-    return outs[0] if isinstance(got, np.ndarray) else outs
-
-
-def _sampling(grid: QuadratureGrid, *families: MapFamily) -> np.ndarray:
-    """Where to evaluate an integrand built from ``families``.
-
-    On a polar grid where every family is rotation-equivariant, the
-    integrand depends only on ``|w|``: it is evaluated once per ring at the
-    midpoint radius ``grid.primary_mid + 0j`` (not ``|center|``, which
-    rounds differently in the last bits), and ``integrate`` reads the ring
-    samples by their count (the ring path).  The angular midpoint sum of such
-    an integrand is exact, so this changes the reduction order, not the
-    quadrature.  Every other grid and family is evaluated at each cell
-    center.
-    """
-    if grid.coordinate_kind == "polar" and all(f.rotation_equivariant for f in families):
-        return grid.primary_mid + 0j
-    return grid.centers
+    ends = itertools.accumulate(len(p) for p in pts)
+    cuts = [tuple(out[..., hi - len(p) : hi] for out in outs) for p, hi in zip(pts, ends)]
+    return [(p, cut[0] if isinstance(got, np.ndarray) else cut) for p, cut in zip(pts, cuts)]
 
 
 def _one_rung(values):
@@ -249,19 +256,17 @@ def _mean_distortions(
     Returns one list per grid, in grid order, with one result per row: a
     plain family is one row, and a family with a rung axis (a
     ``PiecewiseRadialStretch`` with a tuple of ``eps``, or a ``Composition``
-    over one) is one row per rung, in rung order.  The grids' points (see
-    ``_sampling``) are joined and each family is evaluated once over them; a
-    point's value does not depend on the other points of the call, so each
-    grid's slice has the bits of its own call.  On each grid the rows of all
-    the families are one ``integrate`` call.
+    over one) is one row per rung, in rung order.  Each family is evaluated
+    once over the points of every grid (see ``_sampled``), and on each grid
+    the rows of all the families are one ``integrate`` call.
 
-    The checks run in this order: the density on every grid, every
-    family's breaks on every grid, then each family's point checks as it is
-    evaluated, and then, grid by grid, those of ``_integrate_gauged``.  A
-    ``1/|w|^2`` grid with a radial cell wider than its inner radius is
-    refused: the midpoint rule is far from its asymptotic regime there, and
-    the half-grid error estimate errs with it (``g*`` at ``q = 1e-5`` on 256
-    rings is off by 18 times its estimate).
+    The checks run in this order: the density on every grid, then those of
+    ``_sampled`` (every family's breaks on every grid, then the families'
+    point checks step by step), and then, grid by grid, those of
+    ``_integrate_gauged``.  A ``1/|w|^2`` grid with a radial cell wider than
+    its inner radius is refused: the midpoint rule is far from its
+    asymptotic regime there, and the half-grid error estimate errs with it
+    (``g*`` at ``q = 1e-5`` on 256 rings is off by 18 times its estimate).
     """
     if not isinstance(density, Density):
         raise InputError(f"density {density!r} is not a Density; use Density.parse")
@@ -278,20 +283,16 @@ def _mean_distortions(
                     f"{float(edges[i])!r}; refine the grid until no radial cell "
                     "is wider than its inner radius, or use a larger --q"
                 )
-    pts = [_sampling(grid, *families) for grid in grids]
-    for family in families:
-        for grid in grids:
-            _check_breaks_honored(family, grid)
-    joined = pts[0] if len(pts) == 1 else np.concatenate(pts)
-    evaluated = (_in_steps(functools.partial(distortion_many, f), joined) for f in families)
-    K_all, degenerate_all = map(_rows, zip(*evaluated))
-    bounds = np.cumsum([0] + [len(p) for p in pts]).tolist()
+
+    def distortions(*jets):
+        return tuple(map(_rows, zip(*(_distortion(*jet[1:]) for jet in jets))))
+
     results = []
-    for grid, grid_pts, lo, hi in zip(grids, pts, bounds, bounds[1:]):
+    for grid, (grid_pts, (K, degenerate)) in zip(grids, _sampled(families, grids, distortions)):
         weight = np.abs(grid_pts) ** 2 if density is Density.INVERSE_SQUARE else None
-        totals = _integrate_gauged(grid, K_all[:, lo:hi], gauge, weight)
-        cells_per_sample = grid.n_cells // (hi - lo)
-        n_degenerate = np.count_nonzero(degenerate_all[:, lo:hi], axis=-1) * cells_per_sample
+        totals = _integrate_gauged(grid, K, gauge, weight)
+        cells_per_sample = grid.n_cells // K.shape[-1]
+        n_degenerate = np.count_nonzero(degenerate, axis=-1) * cells_per_sample
         rows = []
         for value, n_deg in zip(totals, n_degenerate):
             warning = None
@@ -316,7 +317,7 @@ def mean_distortion(
     Orientation-reversing cells count as ``K = 1`` and are reported in
     ``degenerate_cells``; cells where ``K`` is undefined raise
     :class:`DegenerateExperimentError`.  Rotation-equivariant families on a
-    polar grid take the ring path (see ``_sampling``); counts are in cells
+    polar grid take the ring path (see ``_sampled``); counts are in cells
     either way.
     """
     (results,) = _mean_distortions((family,), gauge, (grid,), density)
@@ -371,18 +372,18 @@ def _relative_excess(num_cand: float, num_ref: float) -> DeficitResult:
 def _l1_distances(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> np.ndarray:
     """``l1_distance`` of every rung of ``a`` from ``b``, in rung order.
 
-    ``a`` and ``b`` are each evaluated once, whatever the number of rungs
-    (see ``_mean_distortions``).
+    ``a`` and ``b`` are each evaluated once, whatever the number of rungs.
     """
-    values = _in_steps(lambda p: np.abs(a.eval_many(p) - b.eval_many(p)), _sampling(grid, a, b))
+    ((_, values),) = _sampled((a, b), (grid,), lambda ja, jb: np.abs(ja[0] - jb[0]))
     return np.atleast_1d(integrate(grid, values))
 
 
 def l1_distance(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> float:
     """``integral |a - b|`` over the grid (uniform density).
 
+    The grid must honour both maps' breaks, as ``mean_distortion``'s does.
     Two rotation-equivariant maps on a polar grid take the ring path (see
-    ``_sampling``).
+    ``_sampled``).
     """
     return float(_one_rung(_l1_distances(a, b, grid)))
 

@@ -6,11 +6,13 @@ own domain check.  It reports the discontinuity sets of its derivatives
 (break radii on annuli, break abscissae on rectangles) and, where a
 ``Composition`` needs it, pulls an image break radius back to the source.
 ``MapFamily`` serves every caller from ``_jet`` and adds the checks no
-family repeats: ``eval_many``, ``wirtinger_many`` and ``jet_many`` refuse
-non-finite points, and ``wirtinger_many`` and ``jet_many`` refuse a point on
-a break, where the derivatives jump.  ``eval_many`` does not, since every
-map is continuous there.  A ``Composition`` evaluates each of its maps once
-per call and is checked against its own break set.
+family repeats: ``eval_many`` and ``jet_many`` refuse non-finite points, and
+``jet_many`` refuses a point on a break, where the derivatives jump.
+``eval_many`` does not, since every map is continuous there: it serves the
+values off the grid (boundary traces, reconstruction targets), and
+``jet_many`` the grid samples of ``qclab.functionals._sampled``.  A
+``Composition`` evaluates each of its maps once per call and is checked
+against its own break set.
 ``InverseSpiralStretch`` is the one inverse family: ``Phi`` is built from
 it, while the strip map ``Psi`` is never built (see ``qclab.pompeiu``).
 
@@ -96,10 +98,6 @@ class MapFamily(abc.ABC):
                         f"derivative of {self.label} requested on its break {noun} = {b!r}"
                     )
         return jet
-
-    def wirtinger_many(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """``(f_z, f_zbar)`` on a vector of points, none of them on a break."""
-        return self.jet_many(z)[1:]
 
     def eval_many(self, z) -> np.ndarray:
         """The map's values on a vector of points, its breaks included."""

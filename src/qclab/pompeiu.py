@@ -24,7 +24,11 @@ same bits whichever entry point computed them.
 ``psi_dbar_mass`` and ``phi_dbar_mass`` are the scalar ``dbar`` functionals of
 a candidate map measured against its reference stretch: ``Psi`` by the
 chain rule on the source square, ``Phi`` as a composition on the image
-annulus.  A non-finite target point is an ``InputError`` that names it.
+annulus.  These and ``dbar_field`` sample their maps through
+``functionals._sampled``, the one evaluator of maps on grids; the boundary
+trace and the exact values at the targets, which lie off the grid, are
+``eval_many`` calls.  A non-finite target point is an ``InputError`` that
+names it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from ._kernels import ordered_sum, ordered_sums, pompeiu_sum_many
 from .errors import AccuracyError, InputError, UnsupportedVariantError, require_real
-from .functionals import _check_breaks_honored, _in_steps, _one_rung, _sampling
+from .functionals import _one_rung, _sampled
 from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
@@ -183,8 +187,7 @@ def dbar_field(family: MapFamily, grid: QuadratureGrid) -> DbarField:
 
     The grid must honour the map's break set, as ``mean_distortion``'s does.
     """
-    _check_breaks_honored(family, grid)
-    values = _in_steps(lambda p: family.wirtinger_many(p)[1], grid.centers)
+    ((_, values),) = _sampled((family,), (grid,), lambda jet: jet[2], cells=True)
     return DbarField(family=family, grid=grid, values=values)
 
 
@@ -360,12 +363,10 @@ def psi_dbar_mass(
     if not isinstance(fstar, LinearStretch):
         raise InputError("fstar must be a LinearStretch")
     grid = grid_for(f, RectangleDomain(width=1.0), n_x, n_y)
-
-    def mass(p):
-        fz, fzb = f.wirtinger_many(p)
-        return np.abs(fstar.fz * fzb - fstar.fzb * fz)
-
-    return integrate(grid, _in_steps(mass, grid.centers)) / fstar.k
+    ((_, mass),) = _sampled(
+        (f,), (grid,), lambda jet: np.abs(fstar.fz * jet[2] - fstar.fzb * jet[1])
+    )
+    return integrate(grid, mass) / fstar.k
 
 
 def _phi_dbar_masses(
@@ -385,7 +386,7 @@ def _phi_dbar_masses(
         )
     phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
     grid = grid_for(phi, image_annulus(gstar.q, gstar.k), n_radial, n_angular)
-    values = _in_steps(lambda p: np.abs(phi.wirtinger_many(p)[1]), _sampling(grid, phi))
+    ((_, values),) = _sampled((phi,), (grid,), lambda jet: np.abs(jet[2]))
     return np.atleast_1d(integrate(grid, values))
 
 

@@ -34,13 +34,12 @@ from .geometry import (
 )
 from .functionals import (
     Density,
-    _check_breaks_honored,
-    _in_steps,
+    _distortion,
     _integrate_gauged,
     _l1_distances,
     _mean_distortions,
     _relative_excess,
-    distortion_many,
+    _sampled,
 )
 from .maps import Composition, LinearStretch, MapFamily, PiecewiseRadialStretch, SpiralStretch
 from .pompeiu import _phi_dbar_masses
@@ -102,8 +101,7 @@ def audit_alignment(
             "reference has zero Beltrami coefficient; the alignment direction "
             "is undefined (use k > 1)"
         )
-    _check_breaks_honored(f, grid)
-    fz, fzb = _in_steps(f.wirtinger_many, grid.centers)
+    ((_, (fz, fzb)),) = _sampled((f,), (grid,), lambda jet: jet[1:], cells=True)
     integrand = mu / abs(mu) * fz + fzb
     total = integrate_complex(grid, integrand)
     r = abs(total)
@@ -156,8 +154,9 @@ def _bound_report(lemma: str, lhs: float, rhs: float, constants: dict) -> AuditR
 
 
 def _gauged_excess(f: MapFamily, fstar: LinearStretch, gauge: ConvexGauge, grid: QuadratureGrid):
-    """``(K, K*, integral phi(K), integral phi(K*))``: ``K`` at every cell centre,
-    and the affine reference's one distortion ``K*`` at the first alone.
+    """``(K, K*, integral phi(K), integral phi(K*))``: ``K`` at the grid's
+    points (``functionals._sampled``: once per ring for a rotation-equivariant
+    ``f`` on a polar grid), and the affine reference's one distortion ``K*``.
 
     The grid must honour ``f``'s break set, and ``integral phi(K)`` runs the
     checks of every gauged mean distortion (``functionals._integrate_gauged``):
@@ -167,10 +166,9 @@ def _gauged_excess(f: MapFamily, fstar: LinearStretch, gauge: ConvexGauge, grid:
             f"reference must be a LinearStretch, got {type(fstar).__name__}; "
             "these audits require a constant-distortion reference"
         )
-    _check_breaks_honored(f, grid)
-    (k_star,), _ = distortion_many(fstar, grid.centers[:1])
+    (k_star,), _ = _distortion(np.array([fstar.fz]), np.array([fstar.fzb]))
     k_star = float(k_star)
-    K, _ = _in_steps(lambda p: distortion_many(f, p), grid.centers)
+    ((_, K),) = _sampled((f,), (grid,), lambda jet: _distortion(*jet[1:])[0])
     (i_phi,) = _integrate_gauged(grid, K[None], gauge).tolist()
     i_star = integrate(grid, np.full(grid.n_cells, gauge.evaluate(k_star)))
     return K, k_star, i_phi, i_star

@@ -1,11 +1,13 @@
 """The public surface: every exported name exists, none is listed twice, the
 package root re-exports nothing but the kernel lane, every name the
-benchmark's tracer patches exists, and no private module-level name is left
-unused."""
+benchmark's tracer patches exists, the benchmark's gate passes the program's
+outputs, no private module-level name is left unused, and maps are evaluated
+on grids in one module."""
 
 import ast
 import importlib
 import importlib.util
+import itertools
 import pkgutil
 import sys
 import types
@@ -39,13 +41,19 @@ def test_root_holds_only_the_kernel_lane():
     assert public == {"backend_name"}
 
 
+def _perfbench(name):
+    """The benchmark's ``perfbench/<name>.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracer_layers():
-    """The benchmark's tracer, ``perfbench/layers.py``, loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+    """The benchmark's tracer, ``perfbench/layers.py``."""
+    return _perfbench("layers")
 
 
 def test_benchmark_tracer_patches_and_restores_its_names():
@@ -78,6 +86,22 @@ def test_benchmark_tracer_attributes_the_ladder_ring_reductions_to_integrate():
     # dbar mass
     assert tracer.calls["geometry.integrate"] == 4
     assert tracer.self_s["geometry.integrate"] > 0.0
+
+
+@pytest.mark.parametrize("workload", ["ladder", "reconstruct"])
+def test_benchmark_gate_passes_the_first_cycle(workload, tmp_path):
+    # the benchmark runs these ops in process and refuses outputs that fail
+    # its gate (a wrong exit code, or a value off the paper's closed forms);
+    # a cycle is three ops, as perfbench/run.py counts them
+    import qclab.cli
+
+    workloads = _perfbench("workloads")
+    out = tmp_path / "out.json"
+    for op in itertools.islice(workloads.op_stream(workload, 1), 3):
+        for call in op.calls:
+            out.unlink(missing_ok=True)
+            rc = qclab.cli.main([*call.argv, "--format", "json", "--out", str(out)])
+            workloads.gate(call, rc, out.read_bytes())
 
 
 SRC = Path(qclab.__file__).resolve().parent
@@ -126,3 +150,17 @@ def test_every_private_module_level_name_is_used():
             if not used:
                 unused.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_maps_are_evaluated_on_grids_in_functionals_alone():
+    # one evaluator of maps on grids: every jet_many call is in functionals
+    # (_sampled, and distortion_many on the caller's points)
+    callers = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "jet_many"
+    }
+    assert callers == {"functionals.py"}

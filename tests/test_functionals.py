@@ -310,6 +310,16 @@ class TestL1Distance:
         )
         assert val == pytest.approx(0.025, abs=1e-14)
 
+    def test_a_grid_that_splits_the_break_is_refused(self):
+        # unrefused, this grid read 0.0218521 where grid_for's reads 0.0218519
+        f = PiecewiseRadialStretch(0.5, 2.0, 0.01)
+        grid = build_polar_grid(AnnulusDomain(0.5), 63, 8)  # no edge at sqrt(q)
+        with pytest.raises(InputError) as want:
+            mean_distortion(f, ConvexGauge.square(), grid)
+        with pytest.raises(InputError, match="does not honor the mandatory break") as err:
+            l1_distance(f, SpiralStretch(0.5, 2.0), grid)
+        assert str(err.value) == str(want.value)
+
 
 def _under_resolves_inverse_square(grid):
     """Whether some radial cell is wider than its inner radius."""
@@ -333,7 +343,7 @@ def _cell_dbar_mass(g, gstar, n_radial, n_angular):
     phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
     domain = AnnulusDomain(gstar.q**gstar.k)
     grid = build_polar_grid(domain, n_radial, n_angular, breaks=phi.break_radii())
-    return integrate(grid, np.abs(phi.wirtinger_many(grid.centers)[1]))
+    return integrate(grid, np.abs(phi.jet_many(grid.centers)[2]))
 
 
 class TestRingPath:
@@ -470,7 +480,7 @@ class TestRungAxis:
                 call()
 
     def test_rings_past_one_step_keep_their_bits(self):
-        # 9,001 rings reach _in_steps' outputs in two steps, under the rung axis
+        # 9,001 rings reach _sampled's outputs in two steps, under the rung axis
         eps = (1e-3, 1e-2)
         gauge, density = ConvexGauge.square(), Density.INVERSE_SQUARE
         stacked = PiecewiseRadialStretch(0.5, 2.0, eps)

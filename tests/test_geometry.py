@@ -9,7 +9,7 @@ import pytest
 from conftest import cartesian, polar
 from qclab._kernels import ordered_dot, ordered_sums
 from qclab.errors import InputError, NonFiniteSampleError
-from qclab.functionals import Density, _sampling, mean_distortion
+from qclab.functionals import Density, _sampled, mean_distortion
 from qclab.gauges import ConvexGauge
 from qclab.geometry import (
     AnnulusDomain,
@@ -241,7 +241,7 @@ class TestRings:
         r = g.primary_mid
         edges = g.primary_edges
         assert r.tolist() == (0.5 * (edges[:-1] + edges[1:])).tolist()
-        pts = _sampling(g, SpiralStretch(0.5, 2.0))
+        ((pts, _),) = _sampled((SpiralStretch(0.5, 2.0),), (g,), lambda jet: jet[1])
         assert pts.tolist() == (r + 0j).tolist()
         np.testing.assert_allclose(
             np.abs(g.centers).reshape(g.n_primary, g.n_secondary),

@@ -80,7 +80,7 @@ def wirtinger_fd(family, z, h=1e-5):
 def assert_fd_agrees(family, pts, h=1e-6, tol=5e-6):
     """Analytic Wirtinger pair vs the 5-point stencil, pointwise."""
     pts = np.atleast_1d(pts)
-    for z, fz, fzb in zip(pts, *family.wirtinger_many(pts)):
+    for z, fz, fzb in zip(pts, *family.jet_many(pts)[1:]):
         gz, gzb = wirtinger_fd(family, complex(z), h=h)
         scale = max(1.0, abs(fz), abs(fzb))
         assert abs(fz - gz) <= tol * scale, f"{family.label} f_z at {z}"
@@ -235,16 +235,16 @@ class TestPiecewiseRadialStretch:
     def test_wirtinger_on_break_is_refused(self):
         g = PiecewiseRadialStretch(0.5, 2.0, 0.01)
         with pytest.raises(BreakSetError):
-            g.wirtinger_many(g.break_radius * np.exp(0.5j))
+            g.jet_many(g.break_radius * np.exp(0.5j))
 
     def test_distortion_by_piece(self):
         eps = 0.04
         g = PiecewiseRadialStretch(0.5, 2.0, eps)
         se = math.sqrt(eps)
-        (fz,), (fzb,) = g.wirtinger_many(0.6 * np.exp(1j))
+        (fz,), (fzb,) = g.jet_many(0.6 * np.exp(1j))[1:]
         K_inner = (abs(fz) + abs(fzb)) / (abs(fz) - abs(fzb))
         assert K_inner == pytest.approx(2.0 - se, rel=1e-12)
-        (fz,), (fzb,) = g.wirtinger_many(0.9 * np.exp(1j))
+        (fz,), (fzb,) = g.jet_many(0.9 * np.exp(1j))[1:]
         K_outer = (abs(fz) + abs(fzb)) / (abs(fz) - abs(fzb))
         assert K_outer == pytest.approx(2.0 + se, rel=1e-12)
 
@@ -323,7 +323,7 @@ class TestLinearFamilies:
     def test_piecewise_linear_break_guard(self):
         f = PiecewiseLinearStretch(2.0, 0.01)
         with pytest.raises(BreakSetError):
-            f.wirtinger_many(0.5 + 0.25j)
+            f.jet_many(0.5 + 0.25j)
 
     def test_strip_domain_guard(self):
         # the affine reference map is global; only the piecewise family
@@ -353,13 +353,13 @@ def test_strip_accepts_its_closed_interval_with_tolerance(family, top):
 class TestSmallMaps:
     def test_identity(self):
         m = IdentityMap()
-        (fz,), (fzb,) = m.wirtinger_many(0.3 + 0.2j)
+        (fz,), (fzb,) = m.jet_many(0.3 + 0.2j)[1:]
         assert (fz, fzb) == (1.0 + 0j, 0.0 + 0j)
         assert m.eval_many(0.3 + 0.2j)[0] == 0.3 + 0.2j
 
     def test_conjugation(self):
         m = ConjugationMap()
-        (fz,), (fzb,) = m.wirtinger_many(0.3 + 0.2j)
+        (fz,), (fzb,) = m.jet_many(0.3 + 0.2j)[1:]
         assert (fz, fzb) == (0.0 + 0j, 1.0 + 0j)
         assert m.eval_many(1j)[0] == -1j
 
@@ -454,13 +454,13 @@ class TestOneJet:
             if isinstance(c, type) and issubclass(c, MapFamily) and c.__module__ == maps.__name__
         ]
         for cls in classes:
-            defined = {"eval_many", "wirtinger_many", "jet_many", "_jet"} & set(vars(cls))
+            defined = {"eval_many", "jet_many", "_jet"} & set(vars(cls))
             if cls is MapFamily:
-                assert defined == {"eval_many", "wirtinger_many", "jet_many", "_jet"}
+                assert defined == {"eval_many", "jet_many", "_jet"}
             else:
                 assert defined == {"_jet"}, cls.__name__
 
-    @pytest.mark.parametrize("method", ["eval_many", "wirtinger_many", "jet_many"])
+    @pytest.mark.parametrize("method", ["eval_many", "jet_many"])
     def test_composition_evaluates_each_map_once(self, method):
         outer, inner = Spy(PiecewiseRadialStretch(0.5, 2.0, 0.01)), Spy(InverseSpiralStretch(0.5, 2.0))
         pts = annulus_points(0.25, n=8)
@@ -489,9 +489,8 @@ class TestOneJet:
         side = on / abs(on) if family.break_radii() else 1.0
         at, lo, hi = family.eval_many([on, on - off * side, on + off * side])
         assert np.isfinite(at) and abs(at - lo) < 1e-8 and abs(at - hi) < 1e-8
-        for method in (family.wirtinger_many, family.jet_many):
-            with pytest.raises(BreakSetError, match=message):
-                method(on)
+        with pytest.raises(BreakSetError, match=message):
+            family.jet_many(on)
 
 
 class TestFiniteDifferenceHelper:
@@ -594,7 +593,7 @@ def _hex(values):
 def test_map_bits_are_pinned(name):
     family, pts = GOLDEN_CASES[name]
     pts = np.asarray(pts, dtype=np.complex128)
-    fz, fzb = family.wirtinger_many(pts)
+    fz, fzb = family.jet_many(pts)[1:]
     got = {"eval": _hex(family.eval_many(pts)), "fz": _hex(fz), "fzb": _hex(fzb)}
     assert got == GOLDEN_MAPS[name]
 
@@ -627,7 +626,7 @@ def test_values_do_not_depend_on_batch_length(name):
     pts = np.resize(np.asarray(golden, dtype=np.complex128), jitter.size) * jitter
 
     def outputs(z):
-        return (family.eval_many(z), *family.wirtinger_many(z), *distortion_many(family, z))
+        return (family.eval_many(z), *family.jet_many(z)[1:], *distortion_many(family, z))
 
     whole = outputs(pts)
     sliced = [outputs(pts[lo : lo + 1000]) for lo in range(0, pts.size, 1000)]

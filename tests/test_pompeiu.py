@@ -271,7 +271,7 @@ class TestDbarField:
         grid.centers  # the input, built before the measurement
         field, peak = traced_peak(dbar_field, family, grid)
         assert peak <= field.values.nbytes + 8 * 2**20
-        assert field.values.tobytes() == family.wirtinger_many(grid.centers)[1].tobytes()
+        assert field.values.tobytes() == family.jet_many(grid.centers)[2].tobytes()
 
     def test_a_grid_that_splits_the_break_is_refused(self):
         # unrefused, phi-eps:0.01 reconstructs from such a 256x256 grid with

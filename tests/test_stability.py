@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import cartesian, polar
-from qclab import functionals, geometry, pompeiu, stability
+from qclab import functionals, geometry, pompeiu
 from qclab.errors import DegenerateExperimentError, InputError, UnsupportedVariantError
 from qclab.functionals import deficit, mean_distortion
 from qclab.gauges import ConvexGauge
@@ -41,6 +41,16 @@ FSTAR = LinearStretch(2.0)
 
 def strip_grid(n=128, breaks=()):
     return cartesian(1.0, n, max(n // 8, 8), breaks=breaks)
+
+
+def refuse_evaluation(monkeypatch):
+    """Make every evaluation of a map, on a grid or off it, fail the test."""
+
+    def evaluated(*args):
+        raise AssertionError("a map was evaluated")
+
+    for method in ("jet_many", "eval_many"):
+        monkeypatch.setattr(MapFamily, method, evaluated)
 
 
 class TestAlphaStar:
@@ -122,19 +132,19 @@ class TestAlignment:
     def test_report_bits_are_pinned(self, name, monkeypatch):
         family, want = self.GOLDEN[name]
         calls = []
-        wirtinger_many = Composition.wirtinger_many
+        jet_many = Composition.jet_many
 
         def counted(self, z):
             calls.append(self)
-            return wirtinger_many(self, z)
+            return jet_many(self, z)
 
-        monkeypatch.setattr(Composition, "wirtinger_many", counted)
+        monkeypatch.setattr(Composition, "jet_many", counted)
         grid = cartesian(1.0, 32, 16, breaks=(0.5,))
         rep = audit_alignment(family, LinearStretch(3.0, 0.2), grid)
         got = (rep.alpha, rep.r, rep.real_part_gap, rep.imag_part_mass, rep.absdiff_mass)
         assert tuple(v.hex() for v in got) == want
         assert rep.passed
-        assert calls == [family]  # the Wirtinger pair is evaluated once
+        assert calls == [family]  # the jet is taken once
 
 
 class TestKL2:
@@ -174,16 +184,13 @@ class TestKMean:
 
 
 class TestReferenceIsAffine:
-    """``audit_k_l2`` and ``audit_k_mean`` read ``K*`` at one point, so a
-    reference whose distortion could vary is refused before any map runs."""
+    """``audit_k_l2`` and ``audit_k_mean`` read ``K*`` from one Wirtinger pair,
+    so a reference whose distortion could vary is refused before any map runs."""
 
     @pytest.mark.parametrize("audit", [audit_k_l2, audit_k_mean])
     @pytest.mark.parametrize("reference", [PiecewiseLinearStretch(2.0, 1e-2), SpiralStretch(0.5, 2.0)])
     def test_refused_before_f_is_evaluated(self, audit, reference, monkeypatch):
-        def evaluated(*args):
-            raise AssertionError("a map was evaluated")
-
-        monkeypatch.setattr(stability, "distortion_many", evaluated)
+        refuse_evaluation(monkeypatch)
         f = PiecewiseLinearStretch(2.0, 1e-2)
         with pytest.raises(InputError, match="reference must be a LinearStretch, got"):
             audit(f, reference, SQUARE, strip_grid(breaks=(0.5,)))
@@ -466,10 +473,7 @@ class TestLadderRungs:
 
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_refused_image_annulus_evaluates_no_map(self, theta, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a map was evaluated")
-
-        monkeypatch.setattr(functionals, "distortion_many", refuse)
+        refuse_evaluation(monkeypatch)
         config = LadderConfig(k=1100.0, theta=theta, n_radial=16, n_angular=16)
         with pytest.raises(InputError, match="underflows"):
             run_ladder(config)
