@@ -16,9 +16,11 @@ against its own break set.
 ``InverseSpiralStretch`` is the one inverse family: ``Phi`` is built from
 it, while the strip map ``Psi`` is never built (see ``qclab.pompeiu``).
 
-Radial families share one core: ``h(w) = A * w * |w|**(s-1) * exp(i*c*log|w|)``
-whose derivatives are ``h_w = (s+1+ic)/2 * h/w`` and
-``h_wbar = (s-1+ic)/2 * h/conj(w)``, so their distortion is constant.
+Radial families evaluate one power law, ``_radial_jet``:
+``h(w) = A * w * |w|**(s-1) * exp(i*c*log|w|)``, whose derivatives are
+``h_w = (s+1+ic)/2 * h/w`` and ``h_wbar = (s-1+ic)/2 * h/conj(w)``, so its
+distortion is constant.  The two-speed family picks each point's ``A`` and
+``s`` from its piece and evaluates the law once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import abc
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import (
     UnsupportedVariantError,
     require_real,
 )
-from .geometry import _break_tol
+from .geometry import _break_tol, image_annulus
 
 __all__ = [
     "Composition",
@@ -170,54 +171,22 @@ def _per_rung(fn, value):
     return fn(value)
 
 
-@dataclass(frozen=True)
-class _PowerPiece:
-    """One smooth radial piece ``h(w) = amp * w * |w|**(s-1) * exp(i*c*log|w|)``.
+def _radial_jet(w: np.ndarray, r: np.ndarray, amp, s, c: float):
+    """``(h, h_w, h_wbar)`` of ``h(w) = amp * w * |w|**(s-1) * exp(i*c*log|w|)``.
 
-    ``amp`` and ``s`` are scalars, or equal-length tuples with one entry per
-    rung: then each value gains a leading rung axis, ``(R, m)`` for ``m``
-    points.  The constants of a rung are Python scalars either way and enter
-    as an ``(R, 1)`` column, so each product's loop sees the strides of the
-    one-rung call, and every rung has the bits of its own piece.  They are
-    built on first use and kept, like the pieces of the families that own
-    them, so no evaluation rebuilds them.
+    ``r`` is ``|w|``.  ``amp`` and ``s`` are scalars, or arrays that
+    broadcast against ``w``: one constant per point, or per rung and point.
     """
+    logr = np.log(r)
+    h = amp * w * np.exp((s - 1.0) * logr + 1j * c * logr)
+    return h, 0.5 * (s + 1.0 + 1j * c) * h / w, 0.5 * (s - 1.0 + 1j * c) * h / np.conj(w)
 
-    amp: complex | tuple[complex, ...]
-    s: float | tuple[float, ...]
-    c: float
 
-    def _constant(self, fn):
-        """``fn(amp, s)``: a scalar, or an ``(R, 1)`` column of one per rung."""
-        if not isinstance(self.s, tuple):
-            return fn(self.amp, self.s)
-        return np.array([fn(a, s) for a, s in zip(self.amp, self.s)])[:, None]
-
-    @cached_property
-    def _constants(self) -> tuple:
-        """``(amp, s - 1, beta, gamma)``, each a ``_constant``."""
-        return tuple(
-            self._constant(fn)
-            for fn in (
-                lambda a, s: a,
-                lambda a, s: s - 1.0,
-                lambda a, s: 0.5 * (s + 1.0 + 1j * self.c),
-                lambda a, s: 0.5 * (s - 1.0 + 1j * self.c),
-            )
-        )
-
-    def jet(self, w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(h, h_w, h_wbar)`` at the points ``w`` of modulus ``r``."""
-        logr = np.log(r)
-        amp, s_minus_1, beta, gamma = self._constants
-        h = amp * w * np.exp(s_minus_1 * logr + 1j * self.c * logr)
-        return h, beta * h / w, gamma * h / np.conj(w)
-
-    @property
-    def distortion(self) -> float:
-        beta = abs(0.5 * (self.s + 1.0 + 1j * self.c))
-        gamma = abs(0.5 * (self.s - 1.0 + 1j * self.c))
-        return (beta + gamma) / (beta - gamma)
+def _radial_distortion(s: float, c: float) -> float:
+    """The constant distortion of the radial power law with exponent ``s`` and twist ``c``."""
+    beta = abs(0.5 * (s + 1.0 + 1j * c))
+    gamma = abs(0.5 * (s - 1.0 + 1j * c))
+    return (beta + gamma) / (beta - gamma)
 
 
 @dataclass(frozen=True)
@@ -250,10 +219,6 @@ class SpiralStretch(MapFamily):
     def c(self) -> float:
         return (self.theta + 2.0 * math.pi * self.winding) / math.log(self.q)
 
-    @cached_property
-    def _piece(self) -> _PowerPiece:
-        return _PowerPiece(amp=1.0 + 0.0j, s=float(self.k), c=self.c)
-
     @property
     def label(self) -> str:
         if self.theta == 0.0 and self.winding == 0:
@@ -268,10 +233,11 @@ class SpiralStretch(MapFamily):
 
     @property
     def distortion(self) -> float:
-        return self._piece.distortion
+        return _radial_distortion(float(self.k), self.c)
 
     def _jet(self, pts: np.ndarray):
-        return self._piece.jet(pts, _check_annulus(pts, self.q, 1.0, self.label))
+        r = _check_annulus(pts, self.q, 1.0, self.label)
+        return _radial_jet(pts, r, 1.0 + 0.0j, float(self.k), self.c)
 
 
 @dataclass(frozen=True)
@@ -280,7 +246,8 @@ class InverseSpiralStretch(MapFamily):
 
     Maps the annulus ``[q**k, 1]`` back onto ``[q, 1]``:
     ``h(w) = w * |w|**(1/k - 1) * exp(i*c*log|w|)`` with
-    ``c = -theta / (k*log(q))``.
+    ``c = -theta / (k*log(q))``.  Its domain comes from
+    ``qclab.geometry.image_annulus``, which refuses a ``q**k`` that underflows.
     """
 
     q: float
@@ -288,21 +255,16 @@ class InverseSpiralStretch(MapFamily):
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        require_real(self.q, "q must be in (0, 1)", lambda v: 0.0 < v < 1.0)
-        require_real(self.k, "k must be >= 1", lambda v: v >= 1.0)
+        image_annulus(self.q, self.k)
         require_real(self.theta, "theta must be a finite real number")
 
     @property
     def c(self) -> float:
         return -self.theta / (self.k * math.log(self.q))
 
-    @cached_property
-    def _piece(self) -> _PowerPiece:
-        return _PowerPiece(amp=1.0 + 0.0j, s=1.0 / self.k, c=self.c)
-
     @property
     def distortion(self) -> float:
-        return self._piece.distortion
+        return _radial_distortion(1.0 / self.k, self.c)
 
     @property
     def label(self) -> str:
@@ -317,7 +279,8 @@ class InverseSpiralStretch(MapFamily):
         return self.q**self.k
 
     def _jet(self, pts: np.ndarray):
-        return self._piece.jet(pts, _check_annulus(pts, self.inner_radius, 1.0, self.label))
+        r = _check_annulus(pts, self.inner_radius, 1.0, self.label)
+        return _radial_jet(pts, r, 1.0 + 0.0j, 1.0 / self.k, self.c)
 
     def pullback_radius(self, radius: float) -> float:
         """``radius**k``, for an image radius strictly inside ``(q, 1)``."""
@@ -336,13 +299,14 @@ class PiecewiseRadialStretch(MapFamily):
     ``k - sqrt(eps)`` (with amplitude ``q**sqrt(eps)`` to keep the image
     anchored at ``q**k``); above it the exponent is ``k + sqrt(eps)``.  The
     two pieces agree on the break circle, and the distortion is the constant
-    ``k -/+ sqrt(eps)`` on the inner/outer piece.
+    ``k -/+ sqrt(eps)`` on the inner/outer piece.  Each point takes its
+    piece's amplitude and exponent, and the power law is evaluated once.
 
     ``eps`` may also be a tuple of rungs, as the epsilon ladder uses it: then
     every value gains a leading rung axis, ``(R, *z.shape)``, and row ``i``
-    has the bits of ``PiecewiseRadialStretch(q, k, eps[i])``.  The break
+    has the bits of ``PiecewiseRadialStretch(q, k, eps[i])``.  A rung's
+    constants are a column that broadcasts against the points, and the break
     circle does not depend on ``eps``, so the rungs share their checks.
-    Each piece's jet is written into three preallocated outputs.
     """
 
     q: float
@@ -371,37 +335,18 @@ class PiecewiseRadialStretch(MapFamily):
     def break_radius(self) -> float:
         return math.sqrt(self.q)
 
-    @cached_property
-    def _inner(self) -> _PowerPiece:
-        return _PowerPiece(
-            amp=_per_rung(lambda root: complex(self.q**root), self.root_eps),
-            s=_per_rung(lambda root: self.k - root, self.root_eps),
-            c=0.0,
-        )
-
-    @cached_property
-    def _outer(self) -> _PowerPiece:
-        return _PowerPiece(
-            amp=_per_rung(lambda root: 1.0 + 0.0j, self.root_eps),
-            s=_per_rung(lambda root: self.k + root, self.root_eps),
-            c=0.0,
-        )
-
     def break_radii(self) -> tuple[float, ...]:
         return (self.break_radius,)
 
     def _jet(self, pts: np.ndarray):
         r = _check_annulus(pts, self.q, 1.0, self.label)
-        stacked = isinstance(self.eps, tuple)
-        shape = ((len(self.eps),) if stacked else ()) + pts.shape
-        jet = tuple(np.empty(shape, dtype=np.complex128) for _ in range(3))
+        # a rung's constants form a column of shape (R, 1, ..., 1)
+        column = np.shape(self.eps) + (1,) * pts.ndim
+        root = np.reshape(self.root_eps, column)
+        inner_amp = np.reshape(_per_rung(lambda v: complex(self.q**v), self.root_eps), column)
         outer = r >= self.break_radius
-        for piece, on in ((self._outer, outer), (self._inner, ~outer)):
-            if np.any(on):
-                at = (slice(None), on) if stacked else on
-                for out, part in zip(jet, piece.jet(pts[on], r[on])):
-                    out[at] = part
-        return jet
+        amp = np.where(outer, 1.0 + 0.0j, inner_amp)
+        return _radial_jet(pts, r, amp, np.where(outer, self.k + root, self.k - root), 0.0)
 
 
 @dataclass(frozen=True)

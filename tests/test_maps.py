@@ -29,7 +29,7 @@ from qclab.maps import (
 )
 from qclab.functionals import distortion_many
 from qclab.geometry import AnnulusDomain, RectangleDomain, build_polar_grid
-from qclab.stability import run_flat_gauge_ladder
+from qclab.stability import LadderConfig, run_flat_gauge_ladder
 
 # Each draw seeds its own generator, so a test's points do not depend on
 # which tests ran before it.
@@ -193,6 +193,14 @@ class TestInverseSpiralStretch:
         h = InverseSpiralStretch(0.5, 3.0, theta=0.4)
         assert h.distortion == pytest.approx(g.distortion, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2000.0, 1050.0])  # q**k is 0.0, then subnormal
+    def test_an_inner_radius_that_underflows_is_refused(self, k):
+        with pytest.raises(InputError, match=r"inner radius q\*\*k = .* underflows"):
+            InverseSpiralStretch(0.5, k)
+
+    def test_inner_radius_is_that_of_the_image_annulus(self):
+        assert InverseSpiralStretch(0.5, 2.0).inner_radius == 0.25
+
 
 class TestPiecewiseRadialStretch:
     def test_validation(self):
@@ -291,6 +299,23 @@ class TestPiecewiseRadialStretch:
             for i, e in enumerate(eps):
                 for g, w in zip(got, candidate(e).jet_many(pts)):
                     assert g[i].tobytes() == w.tobytes(), (i, e)
+
+
+    @pytest.mark.parametrize(
+        "eps, shape",
+        [((1e-4, 1e-3, 1e-2), (3, 2)), ((1e-4, 1e-2), (2, 2)), ((1e-4, 1e-3, 1e-2), (0,))],
+    )
+    def test_stacked_rungs_keep_the_shape_of_the_points(self, eps, shape):
+        # the points' first axis has the rung count's length, so a rung
+        # column that broadcast against it would go unseen in the shape
+        pts = annulus_points(0.5, n=math.prod(shape)).reshape(shape)
+        stacked = PiecewiseRadialStretch(0.5, 2.0, eps)
+        got = (stacked.eval_many(pts), *stacked.jet_many(pts))
+        assert all(v.shape == (len(eps), *shape) for v in got)
+        for i, e in enumerate(eps):
+            one = PiecewiseRadialStretch(0.5, 2.0, e)
+            for g, w in zip(got, (one.eval_many(pts), *one.jet_many(pts))):
+                assert g[i].tobytes() == w.tobytes(), (i, e)
 
 
 class TestLinearFamilies:
@@ -612,7 +637,19 @@ def test_every_exported_family_is_pinned():
     assert families <= pinned
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+# The epsilon ladder's stacked families at its defaults (q = 0.5, k = 2):
+# the five rungs, and the rungs twisted by theta = 0.7 on the grid and
+# composed with the inverse reference in Phi.
+LADDER_RUNGS = PiecewiseRadialStretch(0.5, 2.0, LadderConfig().eps_values)
+BATCH_CASES = {
+    **GOLDEN_CASES,
+    "ladder-rungs": (LADDER_RUNGS, ANNULUS),
+    "ladder-rungs-twisted": (Composition(SpiralStretch(0.25, 1.0, 0.7), LADDER_RUNGS), ANNULUS),
+    "ladder-rungs-phi": (Composition(LADDER_RUNGS, InverseSpiralStretch(0.5, 2.0)), WIDE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_values_do_not_depend_on_batch_length(name):
     """One call on 20,480 points has the bits of the same points in 1,000-point calls.
 
@@ -620,7 +657,7 @@ def test_values_do_not_depend_on_batch_length(name):
     them inside each family's domain and off its breaks.  Operands this long
     are where numpy may compute a product in place in a temporary.
     """
-    family, golden = GOLDEN_CASES[name]
+    family, golden = BATCH_CASES[name]
     rng = np.random.default_rng(SEED)
     jitter = 1.0 + 0.02 * (rng.uniform(-1, 1, 20_480) + 1j * rng.uniform(-1, 1, 20_480))
     pts = np.resize(np.asarray(golden, dtype=np.complex128), jitter.size) * jitter
@@ -631,7 +668,7 @@ def test_values_do_not_depend_on_batch_length(name):
     whole = outputs(pts)
     sliced = [outputs(pts[lo : lo + 1000]) for lo in range(0, pts.size, 1000)]
     for i, got in enumerate(whole):
-        assert got.tobytes() == np.concatenate([s[i] for s in sliced]).tobytes(), i
+        assert got.tobytes() == np.concatenate([s[i] for s in sliced], axis=-1).tobytes(), i
 
 
 ROTATION_EQUIVARIANT = {

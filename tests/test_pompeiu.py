@@ -32,7 +32,7 @@ from qclab.maps import (
     PiecewiseRadialStretch,
     SpiralStretch,
 )
-from qclab.stability import audit_alignment
+from qclab.stability import LadderConfig, audit_alignment, run_ladder
 from qclab.pompeiu import (
     BoundaryTrace,
     annulus_trace,
@@ -282,6 +282,17 @@ class TestDbarField:
         grid = build_polar_grid(image_annulus(0.5, 2.0), 64, 64)
         with pytest.raises(InputError, match="does not honor the mandatory break at 0.5"):
             dbar_field(family, grid)
+
+
+class TestLadderScratch:
+    # ``run_ladder``'s traced peak at its defaults (512x512, five rungs):
+    # 516,411-519,848 bytes at theta 0 and 705,073-705,537 at theta 0.7,
+    # three calls in each of two processes (numpy 2.4, the first call of a
+    # process the highest).  The bound allows 15% above the highest.
+    @pytest.mark.parametrize("theta, measured", [(0.0, 519_848), (0.7, 705_537)])
+    def test_peak_is_bounded(self, theta, measured):
+        _, peak = traced_peak(run_ladder, LadderConfig(theta=theta))
+        assert peak <= 1.15 * measured
 
 
 class TestKernelMass:
