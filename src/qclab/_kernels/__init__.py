@@ -1,11 +1,16 @@
 """Reduction kernels: the canonical, deterministic summation order.
 
-Every reduction in the package goes through these numpy kernels, so every
-number it produces has the same bits on every install.  ``ordered_sum``
-reduces one vector; ``ordered_sums`` (the canonical sum of every row),
-``ordered_dot`` (the dot product of one weight row with one or more rows)
-and ``pompeiu_sum_many`` (the area sum at many targets) are the batched
-kernels, and ``pompeiu_sum`` is the single-target area sum.
+Every reduction in the package goes through these numpy kernels, in one
+fixed summation order, so a rerun reproduces every bit.  The kernels use
+only ``+ - * /``, but the last bits of their inputs (map values,
+logarithms, powers) follow numpy's SIMD dispatch on the CPU, and the
+ladders' log-log fits go through LAPACK, which follows the BLAS; so two
+installs may differ in a result's last bits.
+
+``ordered_sum`` reduces one vector; ``ordered_sums`` (the canonical sum of
+every row), ``ordered_dot`` (the dot product of one weight row with one or
+more rows) and ``pompeiu_sum_many`` (the area sum at many targets) are the
+batched kernels, and ``pompeiu_sum`` is the single-target area sum.
 
 Each block of ``BLOCK`` values is summed in sequence while the exact error
 of every step is accumulated; that error is computed as TwoSum, which

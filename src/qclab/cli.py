@@ -55,7 +55,7 @@ from .maps import (
     PiecewiseRadialStretch,
     SpiralStretch,
 )
-from .pompeiu import annulus_trace, dbar_field, offset_targets, reconstruct_many
+from .pompeiu import annulus_trace, dbar_field, offset_targets, reconstruct
 from .stability import (
     LadderConfig,
     audit_alignment,
@@ -304,7 +304,7 @@ def cmd_reconstruct(args) -> int:
     trace = annulus_trace(family, domain, args.nodes)
     fld = dbar_field(family, grid)
     targets = offset_targets(grid, args.points, args.seed, margin=args.margin)
-    results = reconstruct_many(trace, fld, targets)
+    results = reconstruct(trace, fld, targets)
     rows = [
         {
             "target_re": r.target.real,

@@ -20,13 +20,14 @@ polar grid the integrands of rotation-equivariant maps depend only on
 ``|w|``, so it samples them once per ring rather than once per cell (the
 ring path; only the dbar field and the alignment audit, whose samples depend
 on more than ``|w|``, keep cell centres), and ``integrate`` reads the ring
-samples by their count.  ``_mean_distortions``, ``_l1_distances`` and
-``pompeiu._phi_dbar_masses`` also take a family with a leading rung axis, as
-the epsilon ladder builds it, and return one value per rung; the public
-functions are their one-rung case.  ``_mean_distortions`` also takes several
+samples by their count.  ``l1_distance``, ``pompeiu.phi_dbar_mass`` and
+``_mean_distortions`` also take a family with a leading rung axis, as the
+epsilon ladder builds it, and give one value per rung, as ``integrate``
+gives one integral per row.  ``_mean_distortions`` also takes several
 families and several grids.  Every gauged mean distortion
 (``mean_distortion``, ``distortion``'s value and error estimate, the
-ladder's deficits) is a call of it.
+ladder's deficits) is a call of it; ``mean_distortion`` and ``deficit``
+return one record each, and refuse a family of several rungs.
 """
 
 from __future__ import annotations
@@ -369,23 +370,17 @@ def _relative_excess(num_cand: float, num_ref: float) -> DeficitResult:
     )
 
 
-def _l1_distances(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> np.ndarray:
-    """``l1_distance`` of every rung of ``a`` from ``b``, in rung order.
-
-    ``a`` and ``b`` are each evaluated once, whatever the number of rungs.
-    """
-    ((_, values),) = _sampled((a, b), (grid,), lambda ja, jb: np.abs(ja[0] - jb[0]))
-    return np.atleast_1d(integrate(grid, values))
-
-
-def l1_distance(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> float:
+def l1_distance(a: MapFamily, b: MapFamily, grid: QuadratureGrid) -> float | np.ndarray:
     """``integral |a - b|`` over the grid (uniform density).
 
     The grid must honour both maps' breaks, as ``mean_distortion``'s does.
     Two rotation-equivariant maps on a polar grid take the ring path (see
-    ``_sampled``).
+    ``_sampled``).  A float for a plain ``a``; for an ``a`` with a rung
+    axis, one distance per rung in rung order, with ``a`` and ``b`` each
+    evaluated once.
     """
-    return float(_one_rung(_l1_distances(a, b, grid)))
+    ((_, values),) = _sampled((a, b), (grid,), lambda ja, jb: np.abs(ja[0] - jb[0]))
+    return integrate(grid, values)
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,8 @@ def image_annulus(q: float, k: float) -> AnnulusDomain:
     inner = q**k
     if inner < sys.float_info.min:
         raise InputError(
-            f"the inner radius q**k = {inner!r} underflows at --q {q!r} --k {k!r}; "
-            "use a smaller --k or a larger --q"
+            f"the inner radius q**k = {inner!r} underflows at q = {q!r}, k = {k!r}; "
+            "use a smaller k or a larger q"
         )
     return AnnulusDomain(inner)
 

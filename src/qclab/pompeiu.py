@@ -14,20 +14,21 @@ so the leading term of the hole error cancels and the error is second order:
 at each doubling of a ``conj`` grid from 64x64 to 256x256 the median residual
 falls about fourfold.
 
-Both terms are batched across targets: ``reconstruct_many`` finds every
+Both terms are batched across targets: ``reconstruct`` finds every
 target's excluded patch (as at most a few cell indices), then makes one
-``pompeiu_sum_many`` kernel call for the area term and one
-``cauchy_boundary`` call for the boundary term.  ``pompeiu_area`` and
-``reconstruct`` are its one-target case, so each target's sums have the
-same bits whichever entry point computed them.
+``cauchy_boundary`` call for the boundary term and one ``pompeiu_area`` call
+(one ``pompeiu_sum_many`` kernel call) for the area term.  Each takes a
+scalar target, giving one value or result, or a sequence, giving a list;
+a target's sums have the same bits either way.
 
-``psi_dbar_mass`` and ``phi_dbar_mass`` are the scalar ``dbar`` functionals of
-a candidate map measured against its reference stretch: ``Psi`` by the
-chain rule on the source square, ``Phi`` as a composition on the image
-annulus.  These and ``dbar_field`` sample their maps through
-``functionals._sampled``, the one evaluator of maps on grids; the boundary
-trace and the exact values at the targets, which lie off the grid, are
-``eval_many`` calls.  A non-finite target point is an ``InputError`` that
+``psi_dbar_mass`` and ``phi_dbar_mass`` are the ``dbar`` functionals of a
+candidate map measured against its reference stretch: ``Psi`` by the chain
+rule on the source square, ``Phi`` as a composition on the image annulus.
+``phi_dbar_mass`` gives one mass per rung for a candidate with a rung axis,
+as the epsilon ladder builds it.  These and ``dbar_field`` sample their maps
+through ``functionals._sampled``, the one evaluator of maps on grids; the
+boundary trace and the exact values at the targets, which lie off the grid,
+are ``eval_many`` calls.  A non-finite target point is an ``InputError`` that
 names it.
 """
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from ._kernels import ordered_sum, ordered_sums, pompeiu_sum_many
 from .errors import AccuracyError, InputError, UnsupportedVariantError, require_real
-from .functionals import _one_rung, _sampled
+from .functionals import _sampled
 from .geometry import (
     AnnulusDomain,
     QuadratureGrid,
@@ -71,7 +72,6 @@ __all__ = [
     "pompeiu_area",
     "psi_dbar_mass",
     "reconstruct",
-    "reconstruct_many",
 ]
 
 
@@ -228,8 +228,12 @@ def _exclusion_cells(grid: QuadratureGrid, w: complex) -> np.ndarray:
     return (rows[:, None] * nsec + cols[None, :]).ravel()
 
 
-def _area_many(field: DbarField, targets) -> list[complex]:
-    """``pompeiu_area`` at every target, in one kernel call."""
+def pompeiu_area(field: DbarField, targets) -> complex | list[complex]:
+    """``(1/pi) * sum f_zbar * weight / (center - w)`` off each target's 3x3 patch.
+
+    One value for a scalar target, a list for a sequence, from one kernel
+    call across the targets.
+    """
     pts = _targets(targets)
     grid = field.grid
     v = np.asarray(field.values, dtype=np.complex128)
@@ -243,12 +247,8 @@ def _area_many(field: DbarField, targets) -> list[complex]:
         pts.imag,
         [_exclusion_cells(grid, w) for w in pts],
     )
-    return [complex(a, b) / math.pi for a, b in zip(re.tolist(), im.tolist())]
-
-
-def pompeiu_area(field: DbarField, w: complex) -> complex:
-    """``(1/pi) * sum f_zbar * weight / (center - w)`` off the 3x3 patch."""
-    return _area_many(field, w)[0]
+    values = [complex(a, b) / math.pi for a, b in zip(re.tolist(), im.tolist())]
+    return values if np.ndim(targets) else values[0]
 
 
 @dataclass(frozen=True)
@@ -272,22 +272,19 @@ def _near_breaks(field: DbarField, targets: list[complex]) -> list[bool]:
 
 
 def reconstruct(
-    trace: BoundaryTrace, field: DbarField, w: complex
-) -> ReconstructionResult:
-    """Recover ``family(w)`` from its boundary trace and ``dbar`` field."""
-    return reconstruct_many(trace, field, [w])[0]
-
-
-def reconstruct_many(
     trace: BoundaryTrace, field: DbarField, targets
-) -> list[ReconstructionResult]:
-    """``reconstruct`` at every target, with the sums batched across targets."""
+) -> ReconstructionResult | list[ReconstructionResult]:
+    """Recover ``family(w)`` from its boundary trace and ``dbar`` field.
+
+    One result for a scalar target, a list for a sequence; the boundary and
+    the area sums are each batched across the targets.
+    """
     pts = _targets(targets)
     boundary = cauchy_boundary(trace, pts).tolist()
-    area = _area_many(field, pts)
+    area = pompeiu_area(field, pts)
     exact = field.family.eval_many(pts).tolist()
     ws = pts.tolist()
-    return [
+    results = [
         ReconstructionResult(
             target=w,
             value=b - a,
@@ -297,6 +294,7 @@ def reconstruct_many(
         )
         for w, b, a, e, near in zip(ws, boundary, area, exact, _near_breaks(field, ws))
     ]
+    return results if np.ndim(targets) else results[0]
 
 
 def kernel_mass(grid: QuadratureGrid, xi: complex) -> float:
@@ -369,14 +367,22 @@ def psi_dbar_mass(
     return integrate(grid, mass) / fstar.k
 
 
-def _phi_dbar_masses(
-    g: MapFamily, gstar: SpiralStretch, n_radial: int, n_angular: int
-) -> np.ndarray:
-    """``phi_dbar_mass`` of every rung of ``g``, in rung order.
+def phi_dbar_mass(
+    g: MapFamily,
+    gstar: SpiralStretch,
+    n_radial: int = 512,
+    n_angular: int = 256,
+) -> float | np.ndarray:
+    """``dbar`` mass of ``Phi = g after gstar^{-1}`` on the image annulus.
 
-    The grid's break is the pullback of ``g``'s break circle, which no rung
-    moves, so one grid and one evaluation of the inverse reference serve
-    every rung (see ``functionals._mean_distortions``).
+    ``Phi`` compares a candidate annulus map with its reference spiral stretch
+    on the image annulus ``[q**k, 1]``; the mass is the plain integral of
+    ``|Phi_wbar|`` there.  Exactly zero when ``g`` is the reference itself.
+    A rotation-equivariant ``g`` takes the ring path of ``mean_distortion``.
+    A float for a plain ``g``; for a ``g`` with a rung axis, one mass per
+    rung in rung order, from one grid and one evaluation of the inverse
+    reference (the grid's break is the pullback of ``g``'s break circle,
+    which no rung moves).
     """
     if not isinstance(gstar, SpiralStretch):
         raise InputError("gstar must be a SpiralStretch")
@@ -387,20 +393,4 @@ def _phi_dbar_masses(
     phi = Composition(g, InverseSpiralStretch(gstar.q, gstar.k, gstar.theta))
     grid = grid_for(phi, image_annulus(gstar.q, gstar.k), n_radial, n_angular)
     ((_, values),) = _sampled((phi,), (grid,), lambda jet: np.abs(jet[2]))
-    return np.atleast_1d(integrate(grid, values))
-
-
-def phi_dbar_mass(
-    g: MapFamily,
-    gstar: SpiralStretch,
-    n_radial: int = 512,
-    n_angular: int = 256,
-) -> float:
-    """``dbar`` mass of ``Phi = g after gstar^{-1}`` on the image annulus.
-
-    ``Phi`` compares a candidate annulus map with its reference spiral stretch
-    on the image annulus ``[q**k, 1]``; the mass is the plain integral of
-    ``|Phi_wbar|`` there.  Exactly zero when ``g`` is the reference itself.
-    A rotation-equivariant ``g`` takes the ring path of ``mean_distortion``.
-    """
-    return float(_one_rung(_phi_dbar_masses(g, gstar, n_radial, n_angular)))
+    return integrate(grid, values)

@@ -36,13 +36,13 @@ from .functionals import (
     Density,
     _distortion,
     _integrate_gauged,
-    _l1_distances,
     _mean_distortions,
     _relative_excess,
     _sampled,
+    l1_distance,
 )
 from .maps import Composition, LinearStretch, MapFamily, PiecewiseRadialStretch, SpiralStretch
-from .pompeiu import _phi_dbar_masses
+from .pompeiu import phi_dbar_mass
 
 __all__ = [
     "AlignmentReport",
@@ -141,16 +141,19 @@ class AuditReport:
     passed: bool
 
 
-def _safe_ratio(lhs: float, rhs: float) -> float:
+def _report(lemma: str, lhs: float, rhs: float, constants: dict, passed: bool) -> AuditReport:
+    """An ``AuditReport`` with ``ratio = lhs / rhs``, or for ``rhs == 0``
+    ``inf`` when ``lhs > 0`` and 0 otherwise."""
     if rhs == 0.0:
-        return math.inf if lhs > 0.0 else 0.0
-    return lhs / rhs
+        ratio = math.inf if lhs > 0.0 else 0.0
+    else:
+        ratio = lhs / rhs
+    return AuditReport(lemma, float(lhs), float(rhs), ratio, constants, bool(passed))
 
 
 def _bound_report(lemma: str, lhs: float, rhs: float, constants: dict) -> AuditReport:
     """The audit of ``lhs <= rhs``, up to a relative 1e-8 and an absolute 1e-15."""
-    passed = bool(lhs <= rhs * (1.0 + 1e-8) + 1e-15)
-    return AuditReport(lemma, float(lhs), float(rhs), _safe_ratio(lhs, rhs), constants, passed)
+    return _report(lemma, lhs, rhs, constants, lhs <= rhs * (1.0 + 1e-8) + 1e-15)
 
 
 def _gauged_excess(f: MapFamily, fstar: LinearStretch, gauge: ConvexGauge, grid: QuadratureGrid):
@@ -255,20 +258,14 @@ def audit_taylor(
         )
     min_gap = float(np.min(gaps))
     worst = int(np.argmin(gaps))
-    return AuditReport(
-        lemma="taylor",
-        lhs=min_gap,
-        rhs=-1e-12,
-        ratio=_safe_ratio(min_gap, -1e-12),
-        constants={
-            "c": c_used,
-            "n_pairs": float(samples),
-            "seed": float(seed),
-            "worst_s": float(s[worst]),
-            "worst_t": float(t[worst]),
-        },
-        passed=bool(min_gap >= -1e-12),
-    )
+    constants = {
+        "c": c_used,
+        "n_pairs": float(samples),
+        "seed": float(seed),
+        "worst_s": float(s[worst]),
+        "worst_t": float(t[worst]),
+    }
+    return _report("taylor", min_gap, -1e-12, constants, min_gap >= -1e-12)
 
 
 def audit_theta(samples: int = 10000, seed: int = 0) -> AuditReport:
@@ -286,19 +283,13 @@ def audit_theta(samples: int = 10000, seed: int = 0) -> AuditReport:
     min_gap1 = float(np.min(gap1))
     max_identity = float(np.max(np.abs(gap2) / (1.0 + z.imag**2)))
     passed = min_gap1 >= -1e-12 and max_identity <= 1e-12
-    return AuditReport(
-        lemma="theta",
-        lhs=min_gap1,
-        rhs=-1e-12,
-        ratio=_safe_ratio(min_gap1, -1e-12),
-        constants={
-            "n_samples": float(samples),
-            "seed": float(seed),
-            "scale": 10.0,
-            "max_identity_defect": max_identity,
-        },
-        passed=bool(passed),
-    )
+    constants = {
+        "n_samples": float(samples),
+        "seed": float(seed),
+        "scale": 10.0,
+        "max_identity_defect": max_identity,
+    }
+    return _report("theta", min_gap1, -1e-12, constants, passed)
 
 
 def audit_gn_gap(
@@ -326,19 +317,13 @@ def audit_gn_gap(
     ((n_row, zero_row),) = _mean_distortions((g_n, g_0), gauge, (grid,), Density.INVERSE_SQUARE)
     lhs, rhs = n_row.value, zero_row.value
     gap = lhs - rhs
-    return AuditReport(
-        lemma="gn-gap",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        ratio=_safe_ratio(lhs, rhs),
-        constants={
-            "gap": float(gap),
-            "K_n": g_n.distortion,
-            "K_0": g_0.distortion,
-            "winding": float(winding),
-        },
-        passed=bool(gap > 1e-6),
-    )
+    constants = {
+        "gap": float(gap),
+        "K_n": g_n.distortion,
+        "K_0": g_0.distortion,
+        "winding": float(winding),
+    }
+    return _report("gn-gap", lhs, rhs, constants, gap > 1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -407,6 +392,14 @@ def _check_ladder_eps(eps_values: tuple[float, ...], k: float) -> None:
         raise InputError(f"eps values must be distinct, got {list(eps_values)!r}")
 
 
+def _loglog_fit(xs, ys) -> tuple[float, float, float]:
+    """Least-squares line through ``(log x, log y)``: ``(slope, intercept,
+    max_residual)``, the residual the largest ``|log y - line(log x)|``."""
+    x, y = np.log(xs), np.log(ys)
+    slope, intercept = np.polyfit(x, y, 1)
+    return float(slope), float(intercept), float(np.max(np.abs(y - (slope * x + intercept))))
+
+
 def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
     """Run the epsilon ladder and fit the stability exponent.
 
@@ -453,8 +446,8 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
             (reference, rungs), config.gauge, (grid, half_grid), Density.INVERSE_SQUARE
         )
     )
-    l1 = _l1_distances(rungs, reference, grid)
-    mass = _phi_dbar_masses(rungs, reference, config.n_radial, max(1, config.n_angular // 2))
+    l1 = l1_distance(rungs, reference, grid)
+    mass = phi_dbar_mass(rungs, reference, config.n_radial, max(1, config.n_angular // 2))
     rows = []
     for eps, full, half, dist, dbar in zip(config.eps_values, d_full, d_half, l1, mass):
         noise = abs(full - half) / 3.0
@@ -475,16 +468,10 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
             "fewer than two distinct deficits rise above the quadrature noise "
             "floor to fit a slope; refine the grid or use larger, wider-spaced eps"
         )
-    x = np.log([r.deficit for r in usable])
-    y = np.log([r.l1 for r in usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    max_residual = float(np.max(np.abs(y - (slope * x + intercept))))
-    return FitReport(
-        rows=tuple(rows),
-        slope=float(slope),
-        intercept=float(intercept),
-        max_residual=max_residual,
+    slope, intercept, max_residual = _loglog_fit(
+        [r.deficit for r in usable], [r.l1 for r in usable]
     )
+    return FitReport(tuple(rows), slope, intercept, max_residual)
 
 
 @dataclass(frozen=True)
@@ -550,7 +537,7 @@ def run_flat_gauge_ladder(
     reference = SpiralStretch(q, k, 0.0, 0)
     rungs = PiecewiseRadialStretch(q, k, tuple(eps_values))
     grid = grid_for(rungs, domain, n_radial, n_angular)
-    l1 = _l1_distances(rungs, reference, grid)
+    l1 = l1_distance(rungs, reference, grid)
 
     rows = []
     for eps, dist in zip(eps_values, l1):
@@ -572,9 +559,5 @@ def run_flat_gauge_ladder(
             )
         )
 
-    x = np.log([r.eps for r in rows])
-    y = np.log([r.l1 for r in rows])
-    slope, intercept = np.polyfit(x, y, 1)
-    return FlatLadderReport(
-        rows=tuple(rows), slope=float(slope), intercept=float(intercept)
-    )
+    slope, intercept, _ = _loglog_fit([r.eps for r in rows], [r.l1 for r in rows])
+    return FlatLadderReport(tuple(rows), slope, intercept)

@@ -37,7 +37,7 @@ from qclab.pompeiu import (
     kernel_mass,
     offset_targets,
     psi_dbar_mass,
-    reconstruct_many,
+    reconstruct,
 )
 from qclab.stability import (
     LadderConfig,
@@ -170,14 +170,14 @@ def test_08_reconstruction_and_kernel_mass():
     dom = AnnulusDomain(0.25)
     g_small = polar(0.25, 128, 128)
     trace = annulus_trace(IdentityMap(), dom, 1024)
-    ident = reconstruct_many(
+    ident = reconstruct(
         trace, dbar_field(IdentityMap(), g_small), offset_targets(g_small, 8, seed=1)
     )
     ident_max = max(r.residual for r in ident)
 
     g_big = polar(0.25, 512, 512)
     trace_c = annulus_trace(ConjugationMap(), dom, 1024)
-    conj = reconstruct_many(
+    conj = reconstruct(
         trace_c,
         dbar_field(ConjugationMap(), g_big),
         offset_targets(g_big, 32, seed=0, margin=0.1),

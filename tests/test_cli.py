@@ -97,7 +97,7 @@ class TestExitCodes:
         # (k-1)**2 overflows a float at this k; q**k underflows
         res = run("fit", "--k", "1e308", "--grid", "16x16")
         assert res.returncode == 2
-        assert "underflows at --q 0.5 --k 1e+308" in res.stderr
+        assert "underflows at q = 0.5, k = 1e+308" in res.stderr
         assert res.stdout == ""
 
     def test_underflowed_distortion_is_degenerate(self):
@@ -199,7 +199,7 @@ class TestFaultExitCodes:
         "undefined-k-l2": (("audit", "--lemma", "k-l2", "--k", "1e16"), 3, _UNDEFINED),
         "undefined-k-mean": (("audit", "--lemma", "k-mean", "--k", "1e16"), 3, _UNDEFINED),
         # the ladder refuses its image annulus [q**k, 1] before any map runs
-        "undefined-fit": (("fit", "--k", "1e16"), 2, "underflows at --q 0.5 --k 1e+16"),
+        "undefined-fit": (("fit", "--k", "1e16"), 2, "underflows at q = 0.5, k = 1e+16"),
         # a radial cell wider than its inner radius: bad input
         "unresolved-distortion": (
             ("distortion", "--map", "gstar", "--density", "invsq", "--q", "1e-5"), 2, _UNRESOLVED
@@ -460,7 +460,7 @@ class TestReconstruct:
     def test_underflowing_inner_radius_names_the_options(self, capsys):
         assert main(["reconstruct", "--field", "conj", "--k", "2000"]) == 2
         captured = capsys.readouterr()
-        assert "underflows at --q 0.5 --k 2000.0" in captured.err
+        assert "underflows at q = 0.5, k = 2000.0" in captured.err
         assert "inner_radius" not in captured.err
         assert captured.out == ""
 

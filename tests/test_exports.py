@@ -88,6 +88,30 @@ def test_benchmark_tracer_attributes_the_ladder_ring_reductions_to_integrate():
     assert tracer.self_s["geometry.integrate"] > 0.0
 
 
+def test_benchmark_tracer_attributes_the_workloads_to_their_named_spans(tmp_path):
+    # the CLI and the ladder run the public functions the tracer patches, so
+    # their spans read the work rather than leaving it in cli or run_ladder
+    import qclab.cli
+    from qclab.stability import LadderConfig, run_ladder
+
+    layers = _tracer_layers()
+    tracer = layers.Tracer()
+    argv = ["reconstruct", "--field", "conj", "--grid", "64x64", "--nodes", "256",
+            "--points", "4", "--out", str(tmp_path / "out.csv")]
+    with layers.install(tracer):
+        assert qclab.cli.main(argv) == 0
+    spans = ("pompeiu.reconstruct", "pompeiu.pompeiu_area", "pompeiu.cauchy_boundary",
+             "pompeiu.dbar_field")
+    assert {name: tracer.calls[name] for name in spans} == dict.fromkeys(spans, 1)
+
+    tracer = layers.Tracer()
+    with layers.install(tracer):
+        run_ladder(LadderConfig(n_radial=64, n_angular=32))
+    spans = ("functionals.l1_distance", "pompeiu.phi_dbar_mass")
+    assert {name: tracer.calls[name] for name in spans} == dict.fromkeys(spans, 1)
+    assert tracer.calls["geometry.integrate"] == 4
+
+
 @pytest.mark.parametrize("workload", ["ladder", "reconstruct"])
 def test_benchmark_gate_passes_the_first_cycle(workload, tmp_path):
     # the benchmark runs these ops in process and refuses outputs that fail

@@ -28,7 +28,6 @@ from qclab.errors import (
 )
 from qclab.functionals import (
     Density,
-    _l1_distances,
     _mean_distortions,
     conformal_transfer_check,
     deficit,
@@ -472,12 +471,30 @@ class TestRungAxis:
         grid = polar(0.5, 16, 4, breaks=stacked.break_radii())
         calls = (
             lambda: mean_distortion(stacked, ConvexGauge.square(), grid),
-            lambda: l1_distance(stacked, reference, grid),
-            lambda: phi_dbar_mass(stacked, reference, 16, 4),
+            lambda: deficit(stacked, reference, ConvexGauge.square(), grid),
         )
         for call in calls:
             with pytest.raises(InputError, match="one-rung family, got 2 rungs"):
                 call()
+
+    @pytest.mark.parametrize("eps", [(1e-3, 1e-2), (1e-4, 3e-3, 1e-2), (1e-3,)])
+    def test_stacked_distances_and_masses_have_their_one_rung_bits(self, eps):
+        # one value per rung, as integrate gives one integral per row; a
+        # one-rung tuple keeps its rung axis
+        stacked = PiecewiseRadialStretch(0.5, 2.0, eps)
+        reference = SpiralStretch(0.5, 2.0)
+        grid = polar(0.5, 16, 4, breaks=stacked.break_radii())
+        l1 = l1_distance(stacked, reference, grid)
+        mass = phi_dbar_mass(stacked, reference, 16, 4)
+        assert isinstance(l1, np.ndarray) and l1.shape == (len(eps),)
+        assert isinstance(mass, np.ndarray) and mass.shape == (len(eps),)
+        for i, e in enumerate(eps):
+            one = PiecewiseRadialStretch(0.5, 2.0, e)
+            one_l1 = l1_distance(one, reference, grid)
+            one_mass = phi_dbar_mass(one, reference, 16, 4)
+            assert isinstance(one_l1, float) and isinstance(one_mass, float)
+            assert l1[i].hex() == one_l1.hex()
+            assert mass[i].hex() == one_mass.hex()
 
     def test_rings_past_one_step_keep_their_bits(self):
         # 9,001 rings reach _sampled's outputs in two steps, under the rung axis
@@ -486,7 +503,7 @@ class TestRungAxis:
         stacked = PiecewiseRadialStretch(0.5, 2.0, eps)
         reference = SpiralStretch(0.5, 2.0)
         grid = polar(0.5, 9000, 1, breaks=stacked.break_radii())
-        l1 = _l1_distances(stacked, reference, grid)
+        l1 = l1_distance(stacked, reference, grid)
         (means,) = _mean_distortions((stacked,), gauge, (grid,), density)
         for i, e in enumerate(eps):
             one = PiecewiseRadialStretch(0.5, 2.0, e)

@@ -130,7 +130,7 @@ def test_fallback_kernels_match_pinned_bits(n):
     assert tuple(float(x).hex() for x in got) == GOLDEN_KERNELS[n]
 
 
-# reconstruct_many on a 64x64 polar grid of the q = 0.5, k = 2 annulus,
+# reconstruct on a 64x64 polar grid of the q = 0.5, k = 2 annulus,
 # 1024 trace nodes, offset_targets(grid, 6, seed=1): (value.real, value.imag).
 GOLDEN_RECONSTRUCT = {
     "conj": [
@@ -153,7 +153,7 @@ GOLDEN_RECONSTRUCT = {
 
 
 @pytest.mark.parametrize("field", sorted(GOLDEN_RECONSTRUCT))
-def test_reconstruct_many_matches_pinned_bits(field):
+def test_reconstruct_matches_pinned_bits(field):
     from qclab.geometry import AnnulusDomain, build_polar_grid
     from qclab.maps import (
         Composition,
@@ -161,7 +161,7 @@ def test_reconstruct_many_matches_pinned_bits(field):
         InverseSpiralStretch,
         PiecewiseRadialStretch,
     )
-    from qclab.pompeiu import annulus_trace, dbar_field, offset_targets, reconstruct_many
+    from qclab.pompeiu import annulus_trace, dbar_field, offset_targets, reconstruct
 
     if field == "conj":
         family = ConjugationMap()
@@ -171,7 +171,7 @@ def test_reconstruct_many_matches_pinned_bits(field):
         )
     domain = AnnulusDomain(0.25)
     grid = build_polar_grid(domain, 64, 64, breaks=family.break_radii())
-    results = reconstruct_many(
+    results = reconstruct(
         annulus_trace(family, domain, 1024),
         dbar_field(family, grid),
         offset_targets(grid, 6, seed=1),

@@ -35,6 +35,7 @@ from qclab.maps import (
 from qclab.stability import LadderConfig, audit_alignment, run_ladder
 from qclab.pompeiu import (
     BoundaryTrace,
+    ReconstructionResult,
     annulus_trace,
     cauchy_boundary,
     dbar_field,
@@ -44,7 +45,6 @@ from qclab.pompeiu import (
     pompeiu_area,
     psi_dbar_mass,
     reconstruct,
-    reconstruct_many,
     _exclusion_cells,
 )
 
@@ -175,25 +175,44 @@ class TestReconstruction:
         trace = annulus_trace(ConjugationMap(), DOM, 512)
         field = dbar_field(ConjugationMap(), g)
         pts = offset_targets(g, 4, seed=2)
-        many = reconstruct_many(trace, field, pts)
+        many = reconstruct(trace, field, pts)
         for w, r in zip(pts, many):
             one = reconstruct(trace, field, w)
             assert one == r
             area = pompeiu_area(field, w)
             assert r.value == complex(cauchy_boundary(trace, [w])[0]) - area
 
+    def test_a_scalar_target_gives_one_value_and_a_sequence_a_list(self):
+        g = polar(0.25, 32, 32)
+        trace = annulus_trace(ConjugationMap(), DOM, 512)
+        field = dbar_field(ConjugationMap(), g)
+        w = complex(offset_targets(g, 1, seed=4)[0])
+
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        area, listed = pompeiu_area(field, w), pompeiu_area(field, [w])
+        assert isinstance(area, complex) and isinstance(listed, list)
+        assert [bits(a) for a in listed] == [bits(area)]
+        one, listed = reconstruct(trace, field, w), reconstruct(trace, field, [w])
+        assert isinstance(one, ReconstructionResult) and isinstance(listed, list)
+        assert [(bits(r.value), r.residual.hex()) for r in listed] == [
+            (bits(one.value), one.residual.hex())
+        ]
+        assert listed == [one]
+
     def test_identity_is_exact(self):
         g = polar(0.25, 128, 128)
         trace = annulus_trace(IdentityMap(), DOM, 1024)
         field = dbar_field(IdentityMap(), g)
-        results = reconstruct_many(trace, field, offset_targets(g, 8, seed=1))
+        results = reconstruct(trace, field, offset_targets(g, 8, seed=1))
         assert max(r.residual for r in results) < 1e-10
 
     def test_conjugation_residual_scale(self):
         g = polar(0.25, 128, 128)
         trace = annulus_trace(ConjugationMap(), DOM, 1024)
         field = dbar_field(ConjugationMap(), g)
-        results = reconstruct_many(trace, field, offset_targets(g, 16, seed=3))
+        results = reconstruct(trace, field, offset_targets(g, 16, seed=3))
         med = float(np.median([r.residual for r in results]))
         assert med < 1e-4
 
@@ -205,7 +224,7 @@ class TestReconstruction:
         medians = []
         for n in (64, 128, 256):
             g = polar(0.25, n, n)
-            results = reconstruct_many(
+            results = reconstruct(
                 trace, dbar_field(ConjugationMap(), g), offset_targets(g, 32, seed=0)
             )
             medians.append(float(np.median([r.residual for r in results])))
@@ -247,7 +266,7 @@ class TestReconstruction:
         g = polar(q**k, 256, 256, breaks=phi.break_radii())
         trace = annulus_trace(phi, dom, 1024)
         field = dbar_field(phi, g)
-        results = reconstruct_many(trace, field, offset_targets(g, 32, seed=5))
+        results = reconstruct(trace, field, offset_targets(g, 32, seed=5))
         med = float(np.median([r.residual for r in results]))
         assert med < 1e-2  # comfortably: measured ~3e-6
 
@@ -321,13 +340,13 @@ class TestKernelMass:
         lambda w: kernel_mass(polar(0.25, 16, 16), w),
         lambda w: cauchy_boundary(annulus_trace(IdentityMap(), DOM, 64), [0.5, w]),
         lambda w: pompeiu_area(dbar_field(ConjugationMap(), polar(0.25, 16, 16)), w),
-        lambda w: reconstruct_many(
+        lambda w: reconstruct(
             annulus_trace(ConjugationMap(), DOM, 64),
             dbar_field(ConjugationMap(), polar(0.25, 16, 16)),
             [0.5, w],
         ),
     ],
-    ids=["kernel_mass", "cauchy_boundary", "pompeiu_area", "reconstruct_many"],
+    ids=["kernel_mass", "cauchy_boundary", "pompeiu_area", "reconstruct"],
 )
 def test_nonfinite_target_is_refused_by_name(entry, bad):
     message = re.escape(f"target {complex(bad)!r} is not finite")

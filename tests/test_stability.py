@@ -461,10 +461,10 @@ class TestLadderRungs:
         # q**k underflows: the image annulus [q**k, 1] is refused by name,
         # at every theta, before the reference or the twist is evaluated
         # (at k = 1e13 the reference's K would also exceed 2**43)
-        (1e13, 0.7, InputError, "underflows at --q 0.5 --k 10000000000000.0"),
-        (1100.0, 0.5, InputError, "underflows at --q 0.5 --k 1100.0"),
-        (1e13, 0.0, InputError, "underflows at --q 0.5 --k 10000000000000.0"),
-        (1100.0, 0.0, InputError, "underflows at --q 0.5 --k 1100.0"),
+        (1e13, 0.7, InputError, "underflows at q = 0.5, k = 10000000000000.0"),
+        (1100.0, 0.5, InputError, "underflows at q = 0.5, k = 1100.0"),
+        (1e13, 0.0, InputError, "underflows at q = 0.5, k = 10000000000000.0"),
+        (1100.0, 0.0, InputError, "underflows at q = 0.5, k = 1100.0"),
     ])
     def test_reference_refusals_precede_the_twist(self, k, theta, error, message):
         config = LadderConfig(k=k, theta=theta, n_radial=16, n_angular=16)
