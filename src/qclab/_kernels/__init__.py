@@ -9,8 +9,10 @@ installs may differ in a result's last bits.
 
 ``ordered_sum`` reduces one vector; ``ordered_sums`` (the canonical sum of
 every row), ``ordered_dot`` (the dot product of one weight row with one or
-more rows) and ``pompeiu_sum_many`` (the area sum at many targets) are the
-batched kernels, and ``pompeiu_sum`` is the single-target area sum.
+more rows) and ``pompeiu_sum_many`` (the area sum at many targets, each over
+its own range of live cells) are the batched kernels, and ``pompeiu_sum`` is
+the single-target area sum.  The Pompeiu area's far rings are summed outside
+these kernels, by series from ``numpy.fft``, whose bits follow numpy's build.
 
 Each block of ``BLOCK`` values is summed in sequence while the exact error
 of every step is accumulated; that error is computed as TwoSum, which

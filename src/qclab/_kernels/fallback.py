@@ -23,6 +23,12 @@ Long inputs, and the ``pompeiu_sum_many`` stream, are scanned across blocks
 (``_across``): the rows are laid out as ``(BLOCK, ..., nb)`` block columns
 and each step is one pass over the ``j``-th term of every block.
 ``_ALONG_MAX`` is the measured crossover between them.
+
+``pompeiu_sum_many`` takes each target's range of live cells (its near zone,
+in the Pompeiu area).  A step of targets scans only the blocks that meet the
+span of its ranges; every other block totals exactly 0.0, which is what its
+all-0.0 terms would give, so a range has the bits of the full sum with the
+cells outside it dead.
 """
 
 from __future__ import annotations
@@ -40,10 +46,12 @@ BLOCK = 64
 _ALONG_MAX = 1 << 15
 
 # Targets per step of pompeiu_sum_many.  It is fixed so that scratch memory
-# does not grow with the number of targets: a step of k targets needs
-# 16 * k * nb floats (the terms, the division temporaries and the scan
-# state), 2 MiB for four targets over 512x512 cells.  Of 1, 2 and 4, four
-# ran the default ``qclab reconstruct`` fastest, by a few percent over two.
+# does not grow with the number of targets: a step of k targets over a span
+# of nb blocks needs 16 * k * nb floats (the terms, the division temporaries
+# and the scan state) and 64 * k * nb flags, at most 3 MiB for four targets
+# over 512x512 cells.  With the near-zone ranges of ``pompeiu_area`` at
+# 512x512 (32 targets), steps of 2, 3 and 4 ran alike, and 6 and 8 about 7%
+# and 25% slower, since the span of a step grows with its targets.
 _TARGET_STEP = 4
 
 
@@ -191,27 +199,26 @@ def ordered_dot(weights: np.ndarray, values: np.ndarray) -> float | np.ndarray:
     return float(sums) if v.ndim == 1 else sums
 
 
-def _pompeiu_columns(cols, wr, wi, dead, n):
+def _pompeiu_columns(cols, wr, wi, off):
     """Yield the Pompeiu terms of targets ``(wr, wi)`` one block column at a time.
 
-    ``cols`` are the block columns of the centers and of ``v * wt``.  Each
-    yielded array has shape ``(k, 2, nb)``: real and imaginary terms of each
-    of the ``k`` targets.  Past-the-end and dead cells hold exactly 0.0.  A
-    dead cell may divide by zero before it is zeroed, so the caller consumes
-    the terms with ``divide`` and ``invalid`` errors ignored.
+    ``cols`` are the block columns of the centers and of ``v * wt``, over
+    the ``nb`` blocks of a window.  ``off[j]``, of shape ``(k, nb)``, is
+    true where term ``j`` of a block is off for a target: dead, outside its
+    range of live cells or past the end.  Each yielded array has shape ``(k,
+    2, nb)``: real and imaginary terms of each of the ``k`` targets, with
+    exactly 0.0 where ``off`` holds.  An off cell may divide by zero before
+    it is zeroed, so the caller consumes the terms with ``divide`` and
+    ``invalid`` errors ignored.
     """
     ccr, cci, cnr, cni = cols
     k, nb = wr.shape[0], ccr.shape[-1]
-    rem = n % BLOCK
     wr = wr[:, None]
     wi = wi[:, None]
     term = np.empty((k, 2, nb))
     re = term[:, 0]
     im = term[:, 1]
     dr, di, den, tmp = (np.empty((k, nb)) for _ in range(4))
-    owner = np.repeat(np.arange(k), [d.size for d in dead])
-    cells = np.concatenate(dead)
-    slot, block = cells % BLOCK, cells // BLOCK
     for j in range(BLOCK):
         np.subtract(ccr[j], wr, out=dr)
         np.subtract(cci[j], wi, out=di)
@@ -226,12 +233,30 @@ def _pompeiu_columns(cols, wr, wi, dead, n):
         np.multiply(cnr[j], di, out=tmp)
         im -= tmp
         im /= den
-        if rem and j >= rem:
-            term[..., -1] = 0.0
-        hit = slot == j
-        if hit.any():
-            term[owner[hit], :, block[hit]] = 0.0
+        np.copyto(term, 0.0, where=off[j][:, None, :])
         yield term
+
+
+def _off_cells(k0: int, k1: int, lo, hi, dead) -> np.ndarray:
+    """Which terms of blocks ``k0:k1`` are off for each target, as ``(BLOCK, k, k1 - k0)``.
+
+    A cell is off for target ``t`` outside ``lo[t]:hi[t]`` and at the
+    indices ``dead[t]``.
+    """
+    # term j of window block b is cell (k0 + b) * BLOCK + j, live for target t
+    # from block ceil((lo[t] - j) / BLOCK) - k0 up to ceil((hi[t] - j) / BLOCK) - k0
+    j = np.arange(BLOCK)[:, None]
+    first = -((j - lo) // BLOCK) - k0
+    stop = -((j - hi) // BLOCK) - k0
+    b = np.arange(k1 - k0)
+    off = b < first[..., None]
+    off |= b >= stop[..., None]
+    owner = np.repeat(np.arange(len(dead)), [d.size for d in dead])
+    cells = np.concatenate(dead)
+    keep = (cells >= k0 * BLOCK) & (cells < k1 * BLOCK)
+    cells = cells[keep]
+    off[cells % BLOCK, owner[keep], cells // BLOCK - k0] = True
+    return off
 
 
 def pompeiu_sum_many(
@@ -243,28 +268,44 @@ def pompeiu_sum_many(
     wr: np.ndarray,
     wi: np.ndarray,
     dead,
+    ranges=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``pompeiu_sum`` for the targets ``(wr[t], wi[t])``, ``t < T``.
 
     ``dead[t]`` holds the indices of the cells that contribute exactly 0.0
-    for target ``t``.  Returns the real and imaginary sums, each of shape
-    ``(T,)``; entry ``t`` has the bits ``pompeiu_sum`` gives for that target.
-    The centers and ``v * wt`` are laid out in block columns once; each step
-    then computes a few targets' terms one column at a time, so the working
-    set stays small and fixed whatever ``T`` is.
+    for target ``t``.  ``ranges[t] = (lo, hi)``, when given, is the run
+    ``lo:hi`` of cells that target ``t`` sums; the cells outside it
+    contribute exactly 0.0 too (no ``ranges`` is every cell).  Returns the
+    real and imaginary sums, each of shape ``(T,)``; entry ``t`` has the
+    bits ``pompeiu_sum`` gives for that target with its dead and
+    out-of-range cells masked.  The centers and ``v * wt`` are laid out in
+    block columns once; each step then computes a few targets' terms one
+    column at a time, over the blocks that meet the span of their ranges
+    only, so the working set stays small and fixed whatever ``T`` is.  The
+    other blocks total exactly 0.0, as they would if computed: a 0.0 term
+    leaves the TwoSum scan and the tree unchanged.
     """
     cr, ci, wt, vr, vi = (np.asarray(x, dtype=np.float64) for x in (cr, ci, wt, vr, vi))
     wr = np.atleast_1d(np.asarray(wr, dtype=np.float64))
     wi = np.atleast_1d(np.asarray(wi, dtype=np.float64))
     dead = [np.asarray(d, dtype=np.intp).ravel() for d in dead]
     n = cr.size
+    n_targets = wr.shape[0]
     if any(x.shape != (n,) for x in (cr, ci, wt, vr, vi)):
         raise ValueError("all cell arrays must have the same length")
-    if wr.ndim != 1 or wi.shape != wr.shape or len(dead) != wr.shape[0]:
+    if wr.ndim != 1 or wi.shape != wr.shape or len(dead) != n_targets:
         raise ValueError("wr, wi and dead must have one entry per target")
     if any(d.size and (d.min() < 0 or d.max() >= n) for d in dead):
         raise ValueError("dead cell index out of range")
-    n_targets = wr.shape[0]
+    if ranges is None:
+        lo, hi = np.zeros(n_targets, dtype=np.intp), np.full(n_targets, n, dtype=np.intp)
+    else:
+        spans = np.asarray(ranges, dtype=np.intp).reshape(-1, 2)
+        if spans.shape[0] != n_targets:
+            raise ValueError("ranges must have one entry per target")
+        lo, hi = spans.T
+        if np.any(lo < 0) or np.any(hi > n) or np.any(lo > hi):
+            raise ValueError("live cell range out of bounds")
     re = np.zeros(n_targets)
     im = np.zeros(n_targets)
     if n == 0:
@@ -272,12 +313,20 @@ def pompeiu_sum_many(
     cols = (_columns(cr), _columns(ci), _columns(vr, wt), _columns(vi, wt))
     nb = cols[0].shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, n_targets, _TARGET_STEP):
-            hi = min(lo + _TARGET_STEP, n_targets)
-            terms = _pompeiu_columns(cols, wr[lo:hi], wi[lo:hi], dead[lo:hi], n)
-            sums = _tree(_across(terms, (hi - lo, 2, nb)))
-            re[lo:hi] = sums[:, 0]
-            im[lo:hi] = sums[:, 1]
+        for a in range(0, n_targets, _TARGET_STEP):
+            b = min(a + _TARGET_STEP, n_targets)
+            first, last = int(lo[a:b].min()), int(hi[a:b].max())
+            if first >= last:
+                continue
+            k0, k1 = first // BLOCK, -(-last // BLOCK)
+            off = _off_cells(k0, k1, lo[a:b], hi[a:b], dead[a:b])
+            window = tuple(c[:, k0:k1] for c in cols)
+            terms = _pompeiu_columns(window, wr[a:b], wi[a:b], off)
+            totals = np.zeros((b - a, 2, nb))
+            totals[..., k0:k1] = _across(terms, (b - a, 2, k1 - k0))
+            sums = _tree(totals)
+            re[a:b] = sums[:, 0]
+            im[a:b] = sums[:, 1]
     return re, im
 
 

@@ -323,6 +323,8 @@ def cmd_reconstruct(args) -> int:
         "median_residual": float(np.median(residuals)),
         "max_residual": float(np.max(residuals)),
         "n_near_break": int(sum(r.near_break for r in results)),
+        "masked_cells": sum(r.masked_cells for r in results),
+        "direct_cells": sum(r.direct_cells for r in results),
     }
     _emit(args, list(rows[0]), rows, summary)
     return 0

@@ -14,12 +14,19 @@ so the leading term of the hole error cancels and the error is second order:
 at each doubling of a ``conj`` grid from 64x64 to 256x256 the median residual
 falls about fourfold.
 
-Both terms are batched across targets: ``reconstruct`` finds every
-target's excluded patch (as at most a few cell indices), then makes one
+Both terms are batched across targets: ``reconstruct`` makes one
 ``cauchy_boundary`` call for the boundary term and one ``pompeiu_area`` call
-(one ``pompeiu_sum_many`` kernel call) for the area term.  Each takes a
-scalar target, giving one value or result, or a sequence, giving a list;
-a target's sums have the same bits either way.
+for the area term.  Each takes a scalar target, giving one value or result,
+or a sequence, giving a list; a target's sums have the same bits either way,
+and in any batch.  On a polar grid with ``M`` angular cells the area splits
+each target's rings at ``c = 2**(-53/M)``.  Its near zone, the rings with
+``c < rho/|w| < 1/c`` and those of its excluded patch (at most a few cell
+indices), is one run of cells, summed term by term: one
+``pompeiu_sum_many`` kernel call takes every target's run and patch.  The
+rings beyond are summed as Laurent series from one ``numpy.fft`` of the
+field (``_far_sums``); their bits follow numpy's FFT build as well as its
+arithmetic.  On a cartesian grid every cell is near.  A target outside the
+annulus is refused by ``reconstruct``, where the representation fails.
 
 ``psi_dbar_mass`` and ``phi_dbar_mass`` are the ``dbar`` functionals of a
 candidate map measured against its reference stretch: ``Psi`` by the chain
@@ -228,15 +235,145 @@ def _exclusion_cells(grid: QuadratureGrid, w: complex) -> np.ndarray:
     return (rows[:, None] * nsec + cols[None, :]).ravel()
 
 
+def _near_rings(grid: QuadratureGrid, pts: np.ndarray, dead: list[np.ndarray]) -> np.ndarray:
+    """The run ``lo:hi`` of primary lines each target sums term by term, as ``(T, 2)``.
+
+    On a polar grid with ``M`` angular cells these are the rings of radius
+    ``c * |w| < rho < |w| / c``, ``c = 2**(-53/M)``, joined with the rings
+    of the target's patch; the series of a ring outside them converges to
+    the last bit in ``M`` terms.  On a cartesian grid every line is near.
+    """
+    n = grid.n_primary
+    if grid.coordinate_kind != "polar":
+        return np.tile(np.array([0, n]), (pts.size, 1))
+    c = 2.0 ** (-53.0 / grid.n_secondary)
+    radius = np.abs(pts)
+    lo = np.searchsorted(grid.primary_mid, c * radius, side="right")
+    hi = np.searchsorted(grid.primary_mid, radius / c, side="left")
+    for t, cells in enumerate(dead):
+        if cells.size:
+            lo[t] = min(lo[t], cells[0] // grid.n_secondary)
+            hi[t] = max(hi[t], cells[-1] // grid.n_secondary + 1)
+    return np.stack([lo, hi], axis=1)
+
+
+# Rings per table of ratio powers in _ring_sweep.  At 512x512, of 4, 8, 16,
+# 32 and 64, sixteen (a 66 KB table) ran _far_sums fastest, and with 64 the
+# benchmark's peak RSS read about 0.5 MB higher.
+_SWEEP_RINGS = 16
+
+
+def _ring_sweep(spec, ratio, order, keep, kn, shift: int) -> dict:
+    """One side's series coefficients, summed over the rings in ``order``.
+
+    Over the rings ``i`` in ``order``, ``coef = spec[i] + ratio[i]**e *
+    coef``, with exponent ``e = n + shift`` at index ``kn[n]`` of the ring's
+    DFT; ``ratio[i]``, the radius of the farther ring over that of the
+    nearer, is at most 1.  Returns ``{i: coef[kn]}`` for the rings in
+    ``keep``, the coefficients in series order ``n``.  The powers of a run
+    of ratios are one sequential ``multiply.accumulate``.
+    """
+    m = spec.shape[1]
+    exps = np.empty(m, dtype=np.intp)
+    exps[kn] = np.arange(m) + shift
+    coef = np.zeros(m, dtype=np.complex128)
+    kept = {}
+    for a in range(0, len(order), _SWEEP_RINGS):
+        run = order[a : a + _SWEEP_RINGS]
+        table = np.empty((len(run), m + 1))
+        table[:, 0] = 1.0
+        table[:, 1:] = ratio[run, None]
+        np.multiply.accumulate(table, axis=1, out=table)
+        # complex with zero imaginary parts: numpy's fastest product here
+        for i, pw in zip(run.tolist(), table[:, exps].astype(np.complex128)):
+            coef *= pw
+            coef += spec[i]
+            if i in keep:
+                kept[i] = coef[kn]
+    return kept
+
+
+def _far_sums(field: DbarField, pts: np.ndarray, rings: np.ndarray) -> np.ndarray:
+    """``sum a / (center - w)`` over the rings outside each target's near run.
+
+    ``a = f_zbar * weight``.  Turned by the half cell, ``w' = w *
+    exp(-i*pi/M)``, ring ``rho`` with DFT ``F`` (one ``fft`` over the
+    ``(N, M)`` field, index mod ``M``) contributes ``exp(-i*pi/M)`` times
+    ``sum_n w'**n rho**(-n-1) F[n+1]`` outside ``|w|`` and ``-sum_n rho**n
+    w'**(-n-1) F[-n]`` inside it, ``n < M``.  Each side's coefficients are
+    summed over rings by a recursion scaled to the nearest ring, whose
+    factors ``(rho_i / rho_j)**n`` never exceed 1, so no power overflows:
+    ``T_i = F_i[n+1] + (rho_i/rho_{i+1})**(n+1) T_{i+1}`` outside and ``U_i =
+    F_i[-n] + (rho_{i-1}/rho_i)**n U_{i-1}`` inside (``_ring_sweep``).  Only
+    the rows a target starts from are kept.  Each target then takes two
+    length-``M`` series, its powers by one sequential ``multiply.accumulate``
+    and its sum by ``ordered_sums``, so its bits do not depend on the other
+    targets.
+    """
+    from numpy import fft  # numpy.fft is imported on first use, not with qclab
+
+    grid = field.grid
+    n_rings, m = grid.n_primary, grid.n_secondary
+    rho = grid.primary_mid
+    spec = np.asarray(field.values, dtype=np.complex128).reshape(n_rings, m)
+    spec = spec * grid.line_weights[:, None]
+    fft.fft(spec, axis=1, out=spec)
+    lo, hi = rings[:, 0], rings[:, 1]
+    n = np.arange(m)
+    ratio = np.ones(n_rings)
+    ratio[:-1] = rho[:-1] / rho[1:]
+    keep = set(hi[hi < n_rings].tolist())
+    order = np.arange(n_rings - 1, min(keep, default=n_rings) - 1, -1)
+    outer = _ring_sweep(spec, ratio, order, keep, (n + 1) % m, 1)
+    ratio = np.roll(ratio, 1)
+    keep = set((lo[lo > 0] - 1).tolist())
+    order = np.arange(max(keep, default=-1) + 1)
+    inner = _ring_sweep(spec, ratio, order, keep, -n % m, 0)
+    del spec
+    turn = complex(np.exp(-1j * math.pi / m))
+    # per target and side: the first power (the scale), the ratio, the row
+    powers = np.zeros((pts.size, 2, m), dtype=np.complex128)
+    rows = np.zeros((pts.size, 2, m), dtype=np.complex128)
+    for t, w in enumerate(pts.tolist()):
+        w = w * turn
+        if hi[t] < n_rings:
+            r = float(rho[hi[t]])
+            powers[t, 0, 0], powers[t, 0, 1:] = turn / r, w / r
+            rows[t, 0] = outer[hi[t]]
+        if lo[t] > 0:
+            r = float(rho[lo[t] - 1])
+            powers[t, 1, 0], powers[t, 1, 1:] = -turn / w, r / w
+            rows[t, 1] = inner[lo[t] - 1]
+    np.multiply.accumulate(powers, axis=2, out=powers)
+    # the products in real arithmetic, whose rounding numpy fixes per element
+    pr, pi_, cr, ci = powers.real, powers.imag, rows.real, rows.imag
+    terms = np.empty((pts.size, 2, 2, m))
+    tmp = np.empty((pts.size, 2, m))
+    np.multiply(pr, cr, out=terms[:, 0])
+    terms[:, 0] -= np.multiply(pi_, ci, out=tmp)
+    np.multiply(pr, ci, out=terms[:, 1])
+    terms[:, 1] += np.multiply(pi_, cr, out=tmp)
+    sums = ordered_sums(terms.reshape(pts.size, 2, 2 * m))
+    return sums[:, 0] + 1j * sums[:, 1]
+
+
 def pompeiu_area(field: DbarField, targets) -> complex | list[complex]:
     """``(1/pi) * sum f_zbar * weight / (center - w)`` off each target's 3x3 patch.
 
-    One value for a scalar target, a list for a sequence, from one kernel
-    call across the targets.
+    One value for a scalar target, a list for a sequence.  The rings near
+    each target (``_near_rings``) go through one ``pompeiu_sum_many`` call
+    across the targets, each over its own run of cells; on a polar grid the
+    rings beyond go through ``_far_sums``, and each target's value is the
+    direct sum plus the far sum.
     """
     pts = _targets(targets)
     grid = field.grid
     v = np.asarray(field.values, dtype=np.complex128)
+    dead = [_exclusion_cells(grid, w) for w in pts]
+    rings = _near_rings(grid, pts, dead)
+    # the far sums first: their transform is freed before the kernel lays
+    # out its block columns, so the two never share the memory peak
+    far = _far_sums(field, pts, rings) if grid.coordinate_kind == "polar" else None
     re, im = pompeiu_sum_many(
         grid.centers.real,
         grid.centers.imag,
@@ -245,21 +382,32 @@ def pompeiu_area(field: DbarField, targets) -> complex | list[complex]:
         v.imag,
         pts.real,
         pts.imag,
-        [_exclusion_cells(grid, w) for w in pts],
+        dead,
+        rings * grid.n_secondary,
     )
+    if far is not None:
+        re += far.real
+        im += far.imag
     values = [complex(a, b) / math.pi for a, b in zip(re.tolist(), im.tolist())]
     return values if np.ndim(targets) else values[0]
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Interior value recovered from boundary + area data, with its residual."""
+    """Interior value recovered from boundary + area data, with its residual.
+
+    ``masked_cells`` counts the cells of the target's patch and
+    ``direct_cells`` the other cells its area sum takes term by term (the
+    rest are summed by ring series).
+    """
 
     target: complex
     value: complex
     exact: complex
     residual: float
     near_break: bool
+    masked_cells: int
+    direct_cells: int
 
 
 def _near_breaks(field: DbarField, targets: list[complex]) -> list[bool]:
@@ -277,13 +425,24 @@ def reconstruct(
     """Recover ``family(w)`` from its boundary trace and ``dbar`` field.
 
     One result for a scalar target, a list for a sequence; the boundary and
-    the area sums are each batched across the targets.
+    the area sums are each batched across the targets.  The representation
+    holds inside the annulus only, so a target outside ``[inner, 1]`` is an
+    ``InputError`` that names it, raised before any sum.
     """
     pts = _targets(targets)
+    inner = trace.domain.inner_radius
+    outside = (np.abs(pts) < inner) | (np.abs(pts) > 1.0)
+    if np.any(outside):
+        w = complex(pts[np.argmax(outside)])
+        raise InputError(f"target {w!r} lies outside the annulus |w| in [{inner!r}, 1]")
     boundary = cauchy_boundary(trace, pts).tolist()
     area = pompeiu_area(field, pts)
     exact = field.family.eval_many(pts).tolist()
     ws = pts.tolist()
+    grid = field.grid
+    dead = [_exclusion_cells(grid, w) for w in pts]
+    masked = [d.size for d in dead]
+    spans = np.diff(_near_rings(grid, pts, dead), axis=1)[:, 0] * grid.n_secondary
     results = [
         ReconstructionResult(
             target=w,
@@ -291,8 +450,12 @@ def reconstruct(
             exact=e,
             residual=abs(b - a - e),
             near_break=near,
+            masked_cells=m,
+            direct_cells=span - m,
         )
-        for w, b, a, e, near in zip(ws, boundary, area, exact, _near_breaks(field, ws))
+        for w, b, a, e, near, m, span in zip(
+            ws, boundary, area, exact, _near_breaks(field, ws), masked, spans.tolist()
+        )
     ]
     return results if np.ndim(targets) else results[0]
 

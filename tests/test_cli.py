@@ -435,6 +435,15 @@ class TestReconstruct:
         assert doc["summary"]["max_residual"] < 1e-2
         assert "n_near_break" in doc["summary"]
 
+    def test_summary_counts_the_masked_and_the_direct_cells(self, capsys):
+        # 32 corner targets mask 4 cells each; of the other 130,944
+        # cell-target pairs, 94,784 are summed term by term and the rest by
+        # ring series.  Neither count depends on the lane or on timing.
+        argv = ["reconstruct", "--field", "conj", "--grid", "64x64", "--format", "json"]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert (summary["masked_cells"], summary["direct_cells"]) == (128, 94_784)
+
     def test_phi_eps_field(self):
         res = run("reconstruct", "--field", "phi-eps:0.01", "--grid", "128x128",
                   "--nodes", "1024", "--points", "8", "--format", "json")

@@ -132,14 +132,18 @@ def test_fallback_kernels_match_pinned_bits(n):
 
 # reconstruct on a 64x64 polar grid of the q = 0.5, k = 2 annulus,
 # 1024 trace nodes, offset_targets(grid, 6, seed=1): (value.real, value.imag).
+# The area sums the rings far from each target by series; that moved the
+# conj values by at most 6 ulps from the all-direct sum, and left the
+# phi-eps ones, whose area term is below their last bit there, unmoved.
+# test_pompeiu.py::TestFarRings bounds the series against the direct sum.
 GOLDEN_RECONSTRUCT = {
     "conj": [
-        ("0x1.13fa2f467f68cp-5", "0x1.5e416b9c972ddp-2"),
+        ("0x1.13fa2f467f686p-5", "0x1.5e416b9c972ddp-2"),
         ("-0x1.d72755fca2695p-3", "-0x1.6090cdaa15650p-2"),
         ("0x1.0535ae05765ecp-1", "-0x1.5d11c878e621fp-2"),
-        ("0x1.2d57fce9855c3p-1", "-0x1.f348581fffdcap-3"),
-        ("-0x1.86a0f6a63180cp-1", "-0x1.36cdb6aa7d6ebp-3"),
-        ("-0x1.a7784960dd494p-1", "-0x1.5ed05d7d6d146p-2"),
+        ("0x1.2d57fce9855c4p-1", "-0x1.f348581fffdcbp-3"),
+        ("-0x1.86a0f6a63180dp-1", "-0x1.36cdb6aa7d6ecp-3"),
+        ("-0x1.a7784960dd494p-1", "-0x1.5ed05d7d6d147p-2"),
     ],
     "phi-eps:1e-3": [
         ("0x1.96a65a32d3541p-4", "-0x1.4f22ddb4f5007p-2"),
@@ -434,3 +438,40 @@ def test_pompeiu_sum_many_rejects_bad_cells():
         fallback.pompeiu_sum_many(one, one, one, one, one, [0.0], [0.0], [[4]])
     with pytest.raises(ValueError):
         fallback.pompeiu_sum_many(one, one, one, one, one, [0.0, 1.0], [0.0], [[], []])
+
+
+@pytest.mark.parametrize("n", [130, 700])
+def test_ranged_pompeiu_sum_many_masks_the_cells_outside_each_range(n):
+    # a range is the full call with the cells outside it added to the dead
+    cr, ci, wt, vr, vi, mask = _pompeiu_inputs(n)
+    patch = np.flatnonzero(mask)
+    ranges = [
+        (5, n - 3),  # not BLOCK-aligned at either end
+        (70, 70),  # empty
+        (n // 2, n // 2 + 1),  # one cell
+        (0, 9),  # disjoint from the next range, in the same step of four
+        (n - 11, n),
+        (fallback.BLOCK, 2 * fallback.BLOCK),  # aligned, in a step of its own
+    ]
+    t = len(ranges)
+    wr = np.linspace(-0.4, 0.6, t)
+    wi = np.linspace(0.3, -0.8, t)
+    dead = [patch] * t
+    re, im = fallback.pompeiu_sum_many(cr, ci, wt, vr, vi, wr, wi, dead, ranges)
+    outside = [np.setdiff1d(np.arange(n), np.arange(lo, hi)) for lo, hi in ranges]
+    want = fallback.pompeiu_sum_many(
+        cr, ci, wt, vr, vi, wr, wi, [np.union1d(patch, o) for o in outside]
+    )
+    assert _bits(re) == _bits(want[0]) and _bits(im) == _bits(want[1])
+    assert (re[1], im[1]) == (0.0, 0.0)
+    assert re[2] != 0.0 or mask[n // 2]
+
+
+def test_pompeiu_sum_many_rejects_bad_ranges():
+    one = np.ones(4)
+    call = lambda ranges: fallback.pompeiu_sum_many(  # noqa: E731
+        one, one, one, one, one, [0.0, 1.0], [0.0, 1.0], [[], []], ranges
+    )
+    for ranges in ([(0, 4)], [(0, 5), (0, 4)], [(-1, 2), (0, 4)], [(3, 2), (0, 4)]):
+        with pytest.raises(ValueError):
+            call(ranges)

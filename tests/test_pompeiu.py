@@ -35,6 +35,7 @@ from qclab.maps import (
 from qclab.stability import LadderConfig, audit_alignment, run_ladder
 from qclab.pompeiu import (
     BoundaryTrace,
+    DbarField,
     ReconstructionResult,
     annulus_trace,
     cauchy_boundary,
@@ -46,7 +47,9 @@ from qclab.pompeiu import (
     psi_dbar_mass,
     reconstruct,
     _exclusion_cells,
+    _near_rings,
 )
+from qclab._kernels import pompeiu_sum_many
 
 DOM = AnnulusDomain(0.25)
 TARGETS = np.array([0.7 + 0.0j, -0.3 + 0.45j, 0.31 - 0.52j])
@@ -354,6 +357,28 @@ def test_nonfinite_target_is_refused_by_name(entry, bad):
         entry(bad)
 
 
+@pytest.mark.parametrize("outside", [0.1, 1.5])
+def test_target_outside_the_annulus_is_refused_before_any_sum(outside, monkeypatch):
+    # unrefused, these read residuals 0.099 and 1.50 on this grid: the
+    # representation holds inside the annulus only
+    import qclab.pompeiu as pompeiu
+
+    trace = annulus_trace(ConjugationMap(), DOM, 1024)
+    field = dbar_field(ConjugationMap(), polar(0.25, 64, 64))
+
+    def no_sum(*args):
+        raise AssertionError("summed before the refusal")
+
+    monkeypatch.setattr(pompeiu, "cauchy_boundary", no_sum)
+    monkeypatch.setattr(pompeiu, "pompeiu_area", no_sum)
+    message = re.escape(f"target {complex(outside)!r} lies outside the annulus |w| in [0.25, 1]")
+    with pytest.raises(InputError, match=message):
+        reconstruct(trace, field, [0.5, outside])
+    # the non-finite check comes first
+    with pytest.raises(InputError, match="is not finite"):
+        reconstruct(trace, field, [outside, math.nan])
+
+
 class TestOffsetTargets:
     def test_deterministic(self):
         g = polar(0.25, 64, 64)
@@ -468,3 +493,98 @@ class TestPompeiuArea:
         g = polar(0.25, 32, 32)
         field = dbar_field(IdentityMap(), g)
         assert pompeiu_area(field, 0.6 + 0.1j) == 0.0
+
+
+def _phi_eps(k, eps=1e-3):
+    return Composition(PiecewiseRadialStretch(0.5, k, eps), InverseSpiralStretch(0.5, k, 0.0))
+
+
+def _direct_area(field, pts):
+    """The area at each target with every cell but its patch summed term by term."""
+    g = field.grid
+    v = field.values
+    re, im = pompeiu_sum_many(
+        g.centers.real, g.centers.imag, g.weights, v.real, v.imag,
+        pts.real, pts.imag, [_exclusion_cells(g, w) for w in pts],
+    )
+    return re + 1j * im
+
+
+class TestFarRings:
+    # (family, inner radius, grid): the CLI's fields at 128^2 and 512^2, a
+    # thin inner ring (q = 0.5, k = 4), 1024 angular cells, whose plain
+    # powers rho**(-n-1) overflow, and 16x4096, where the rings of each
+    # target's patch lie outside the ratio band and must be added to it
+    CASES = {
+        "conj-128": (ConjugationMap(), 0.25, 128, 128),
+        "phi-eps-128": (_phi_eps(2.0), 0.25, 128, 128),
+        "conj-512": (ConjugationMap(), 0.25, 512, 512),
+        "phi-eps-512": (_phi_eps(2.0), 0.25, 512, 512),
+        "phi-eps-k4-512": (_phi_eps(4.0), 0.0625, 512, 512),
+        "conj-1024-angular": (ConjugationMap(), 0.25, 64, 1024),
+        "conj-16x4096": (ConjugationMap(), 0.25, 16, 4096),
+    }
+
+    @pytest.mark.parametrize("noise", [False, True], ids=["field", "noise"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_series_match_the_direct_sum(self, case, noise):
+        # measured at most 2**-51.1 of the scale, phi-eps at 512^2.  The
+        # fields hold angular modes 0 and 2 only, so seeded noise on the
+        # same grid, which holds every mode, checks the others
+        family, inner, n_radial, n_angular = self.CASES[case]
+        g = polar(inner, n_radial, n_angular, breaks=family.break_radii())
+        field = dbar_field(family, g)
+        if noise:
+            re_, im_ = np.random.default_rng(0).normal(size=(2, g.n_cells))
+            field = DbarField(family, g, re_ + 1j * im_)
+        pts = offset_targets(g, 12, seed=7)
+        got = np.asarray(pompeiu_area(field, pts)) * math.pi
+        want = _direct_area(field, pts)
+        a = np.abs(field.values * g.weights)
+        for t, w in enumerate(pts):
+            live = np.ones(g.n_cells, dtype=bool)
+            live[_exclusion_cells(g, w)] = False
+            scale = np.sum(a[live] / np.abs(g.centers[live] - w))
+            assert abs(got[t] - want[t]) <= 2.0**-48 * scale
+        # the far rings are in use: most pairs are summed by series
+        spans = np.diff(_near_rings(g, pts, [_exclusion_cells(g, w) for w in pts]), axis=1)
+        assert spans.sum() < 0.5 * pts.size * n_radial
+
+    def test_a_cartesian_grid_sums_every_cell_directly(self):
+        g = cartesian(1.0, 64, 64)
+        field = dbar_field(ConjugationMap(), g)
+        pts = np.array([0.3 + 0.4j, 0.5 + 0.5j, 0.71 + 0.12j])
+        got = pompeiu_area(field, pts)
+        want = [complex(s) / math.pi for s in _direct_area(field, pts)]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want
+        ]
+
+    def test_each_target_has_its_bits_in_any_batch(self):
+        family = _phi_eps(2.0)
+        g = polar(0.25, 128, 128, breaks=family.break_radii())
+        field = dbar_field(family, g)
+        trace = annulus_trace(family, DOM, 1024)
+        pts = offset_targets(g, 12, seed=3)
+
+        def bits(batch):
+            area = pompeiu_area(field, batch)
+            rec = reconstruct(trace, field, batch)
+            return [(a.real.hex(), a.imag.hex(), r.value.real.hex(), r.value.imag.hex())
+                    for a, r in zip(area, rec)]
+
+        whole = bits(pts)
+        assert [bits([w])[0] for w in pts] == whole
+        assert bits(pts[::-1])[::-1] == whole
+        assert bits(pts[:6]) + bits(pts[6:]) == whole
+
+    @pytest.mark.parametrize("shape", [(512, 512), (64, 4096)])
+    def test_one_ring_transforms_as_its_row_of_the_field(self, shape):
+        rng = np.random.default_rng(1)
+        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        whole = np.fft.fft(field, axis=1)
+        in_place = field.copy()
+        np.fft.fft(in_place, axis=1, out=in_place)
+        assert in_place.tobytes() == whole.tobytes()
+        for i in (0, 1, shape[0] // 2, shape[0] - 1):
+            assert np.fft.fft(field[i]).tobytes() == whole[i].tobytes()
