@@ -246,15 +246,15 @@ class QuadratureGrid:
             return primary * np.exp(1j * secondary)
         return primary + 1j * secondary
 
-    def chart(self, w: complex) -> tuple[float, float]:
-        """Chart coordinates of the point ``w``: the inverse of ``point``.
+    def chart(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """Chart coordinates of the points ``w``: the inverse of ``point``.
 
         ``(|w|, arg w mod 2*pi)`` on polar grids, ``(Re w, Im w)`` on
-        cartesian ones.
+        cartesian ones, each shaped as ``w``.
         """
-        w = complex(w)
+        w = np.asarray(w, dtype=np.complex128)
         if self.coordinate_kind == "polar":
-            return abs(w), math.atan2(w.imag, w.real) % (2.0 * math.pi)
+            return np.abs(w), np.arctan2(w.imag, w.real) % (2.0 * math.pi)
         return w.real, w.imag
 
     def breaks_of(self, family) -> tuple[float, ...]:

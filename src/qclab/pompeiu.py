@@ -18,15 +18,15 @@ Both terms are batched across targets: ``reconstruct`` makes one
 ``cauchy_boundary`` call for the boundary term and one ``pompeiu_area`` call
 for the area term.  Each takes a scalar target, giving one value or result,
 or a sequence, giving a list; a target's sums have the same bits either way,
-and in any batch.  On a polar grid with ``M`` angular cells the area splits
-each target's rings at ``c = 2**(-53/M)``.  Its near zone, the rings with
-``c < rho/|w| < 1/c`` and those of its excluded patch (at most a few cell
-indices), is one run of cells, summed term by term: one
-``pompeiu_sum_many`` kernel call takes every target's run and patch.  The
-rings beyond are summed as Laurent series from one ``numpy.fft`` of the
-field (``_far_sums``); their bits follow numpy's FFT build as well as its
-arithmetic.  On a cartesian grid every cell is near.  A target outside the
-annulus is refused by ``reconstruct``, where the representation fails.
+and in any batch.  The area is summed on annulus grids only.  With ``M``
+angular cells it splits each target's rings at ``c = 2**(-53/M)``.  Its near
+zone, the rings with ``c < rho/|w| < 1/c`` and those of its excluded patch,
+is one run of cells, found for every target in one pass (``_near_zones``)
+and summed term by term in one ``pompeiu_sum_many`` kernel call.  The rings
+beyond are summed as Laurent series from one ``numpy.fft`` of the field
+(``_far_sums``); their bits follow numpy's FFT build as well as its
+arithmetic.  ``reconstruct`` refuses a field and a trace on different
+domains, and a target outside the annulus, where the representation fails.
 
 ``psi_dbar_mass`` and ``phi_dbar_mass`` are the ``dbar`` functionals of a
 candidate map measured against its reference stretch: ``Psi`` by the chain
@@ -201,60 +201,39 @@ def dbar_field(family: MapFamily, grid: QuadratureGrid) -> DbarField:
 _SNAP_CELLS = 1e-9
 
 
-def _exclusion_cells(grid: QuadratureGrid, w: complex) -> np.ndarray:
-    """Indices of the patch of cells around the target, ascending.
+def _near_zones(grid: QuadratureGrid, pts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each target's excluded patch ``dead[t]``, ascending, and its near run ``rings[t]``.
 
-    A cell is excluded when its center lies strictly within 1.5 cell-widths
-    of the target in each axis (measured in index space, so uneven primary
-    spacing from mandatory breaks is handled per cell).  For a target in the
-    interior of a cell this is exactly that cell plus its 8 neighbors.  For a
-    target on a cell edge or corner — where "the containing cell" is
-    ambiguous — it degrades to the symmetric 2-cell-wide block instead, which
-    keeps the patch centered on the target; the omitted-patch term only
-    vanishes to leading order when that symmetry holds.  The secondary axis
-    wraps on polar grids (angle is periodic) and clamps on cartesian grids;
-    the primary axis always clamps.
+    A target's index-space coordinates are its radius interpolated over the
+    ring edges' indices (clamped to the rings) and its angle in angular
+    cells, each snapped to a whole number within ``1e-9``.  Its patch is the
+    cells whose centres lie strictly within 1.5 cells of it on both axes,
+    the angle wrapping: inside a cell, the cell and its 8 neighbours; on an
+    edge or a corner, the symmetric 2-cell-wide block, since the
+    omitted-patch term vanishes to leading order only when the patch is
+    centred on the target.  Its run ``lo:hi`` is the rings of radius ``c *
+    |w| < rho < |w| / c``, ``c = 2**(-53/M)`` with ``M`` angular cells, and
+    those of its patch; beyond them a ring's series converges in ``M`` terms.
     """
-    edges = grid.primary_edges
-    nsec = grid.n_secondary
-    prim, sec = grid.chart(w)
-    u = float(np.interp(prim, edges, np.arange(edges.size, dtype=np.float64)))
-    s = sec / grid.secondary_step
-    if abs(u - round(u)) <= _SNAP_CELLS:
-        u = float(round(u))
-    if abs(s - round(s)) <= _SNAP_CELLS:
-        s = float(round(s))
-    d_prim = np.abs(np.arange(grid.n_primary) + 0.5 - u)
-    d_sec = np.arange(nsec) + 0.5 - s
-    if grid.coordinate_kind == "polar":
-        d_sec = np.abs((d_sec + nsec / 2.0) % nsec - nsec / 2.0)
-    else:
-        d_sec = np.abs(d_sec)
-    rows = np.flatnonzero(d_prim < 1.5)
-    cols = np.flatnonzero(d_sec < 1.5)
-    return (rows[:, None] * nsec + cols[None, :]).ravel()
-
-
-def _near_rings(grid: QuadratureGrid, pts: np.ndarray, dead: list[np.ndarray]) -> np.ndarray:
-    """The run ``lo:hi`` of primary lines each target sums term by term, as ``(T, 2)``.
-
-    On a polar grid with ``M`` angular cells these are the rings of radius
-    ``c * |w| < rho < |w| / c``, ``c = 2**(-53/M)``, joined with the rings
-    of the target's patch; the series of a ring outside them converges to
-    the last bit in ``M`` terms.  On a cartesian grid every line is near.
-    """
-    n = grid.n_primary
-    if grid.coordinate_kind != "polar":
-        return np.tile(np.array([0, n]), (pts.size, 1))
-    c = 2.0 ** (-53.0 / grid.n_secondary)
-    radius = np.abs(pts)
+    n, m = grid.n_primary, grid.n_secondary
+    radius, angle = grid.chart(pts)
+    x = np.stack([np.interp(radius, grid.primary_edges, np.arange(n + 1.0)),
+                  angle / grid.secondary_step])
+    whole = np.round(x)
+    x = np.where(np.abs(x - whole) <= _SNAP_CELLS, whole, x)
+    # the cells j whose centres j + 0.5 lie within 1.5 of x: floor(x) - 1 <= j <= ceil(x)
+    first = np.floor(x).astype(np.intp) - 1
+    last = np.ceil(x).astype(np.intp)
+    first[0], last[0] = np.maximum(first[0], 0), np.minimum(last[0], n - 1)
+    span = first[..., None] + np.arange(3)
+    live = span <= last[..., None]
+    # the angle wraps mod M, so with M < 3 a cell can come twice: unique keeps one
+    dead = [np.unique(rows[ok_rows, None] * m + cols[ok_cols] % m)
+            for rows, cols, ok_rows, ok_cols in zip(*span, *live)]
+    c = 2.0 ** (-53.0 / m)
     lo = np.searchsorted(grid.primary_mid, c * radius, side="right")
     hi = np.searchsorted(grid.primary_mid, radius / c, side="left")
-    for t, cells in enumerate(dead):
-        if cells.size:
-            lo[t] = min(lo[t], cells[0] // grid.n_secondary)
-            hi[t] = max(hi[t], cells[-1] // grid.n_secondary + 1)
-    return np.stack([lo, hi], axis=1)
+    return dead, np.stack([np.minimum(lo, first[0]), np.maximum(hi, last[0] + 1)], axis=1)
 
 
 # Rings per table of ratio powers in _ring_sweep.  At 512x512, of 4, 8, 16,
@@ -360,20 +339,23 @@ def _far_sums(field: DbarField, pts: np.ndarray, rings: np.ndarray) -> np.ndarra
 def pompeiu_area(field: DbarField, targets) -> complex | list[complex]:
     """``(1/pi) * sum f_zbar * weight / (center - w)`` off each target's 3x3 patch.
 
-    One value for a scalar target, a list for a sequence.  The rings near
-    each target (``_near_rings``) go through one ``pompeiu_sum_many`` call
-    across the targets, each over its own run of cells; on a polar grid the
-    rings beyond go through ``_far_sums``, and each target's value is the
-    direct sum plus the far sum.
+    One value for a scalar target, a list for a sequence; a field on a
+    rectangle grid is an ``InputError``.  The rings near each target
+    (``_near_zones``) go through one ``pompeiu_sum_many`` call across the
+    targets, each over its own run of cells, and the rings beyond through
+    ``_far_sums``: each target's value is the direct sum plus the far sum.
     """
-    pts = _targets(targets)
     grid = field.grid
+    if grid.coordinate_kind != "polar":
+        raise InputError(
+            f"the Pompeiu area is summed on annulus grids only, not on {grid.domain!r}"
+        )
+    pts = _targets(targets)
     v = np.asarray(field.values, dtype=np.complex128)
-    dead = [_exclusion_cells(grid, w) for w in pts]
-    rings = _near_rings(grid, pts, dead)
+    dead, rings = _near_zones(grid, pts)
     # the far sums first: their transform is freed before the kernel lays
     # out its block columns, so the two never share the memory peak
-    far = _far_sums(field, pts, rings) if grid.coordinate_kind == "polar" else None
+    far = _far_sums(field, pts, rings)
     re, im = pompeiu_sum_many(
         grid.centers.real,
         grid.centers.imag,
@@ -385,9 +367,8 @@ def pompeiu_area(field: DbarField, targets) -> complex | list[complex]:
         dead,
         rings * grid.n_secondary,
     )
-    if far is not None:
-        re += far.real
-        im += far.imag
+    re += far.real
+    im += far.imag
     values = [complex(a, b) / math.pi for a, b in zip(re.tolist(), im.tolist())]
     return values if np.ndim(targets) else values[0]
 
@@ -410,15 +391,6 @@ class ReconstructionResult:
     direct_cells: int
 
 
-def _near_breaks(field: DbarField, targets: list[complex]) -> list[bool]:
-    """Whether each target lies within two primary cell widths of a break."""
-    grid = field.grid
-    h = float(np.max(np.diff(grid.primary_edges)))
-    breaks = set(grid.mandatory_breaks) | set(grid.breaks_of(field.family))
-    coords = [grid.chart(w)[0] for w in targets]
-    return [any(abs(c - b) <= 2.0 * h for b in breaks) for c in coords]
-
-
 def reconstruct(
     trace: BoundaryTrace, field: DbarField, targets
 ) -> ReconstructionResult | list[ReconstructionResult]:
@@ -426,35 +398,43 @@ def reconstruct(
 
     One result for a scalar target, a list for a sequence; the boundary and
     the area sums are each batched across the targets.  The representation
-    holds inside the annulus only, so a target outside ``[inner, 1]`` is an
-    ``InputError`` that names it, raised before any sum.
+    holds inside the trace's annulus only, so a field on another domain, or
+    a target outside ``[inner, 1]``, is an ``InputError`` that names them,
+    raised before any sum.
     """
     pts = _targets(targets)
+    grid = field.grid
+    if grid.domain != trace.domain:
+        raise InputError(
+            f"the field is sampled on {grid.domain!r}, but the trace bounds {trace.domain!r}"
+        )
     inner = trace.domain.inner_radius
-    outside = (np.abs(pts) < inner) | (np.abs(pts) > 1.0)
+    radius = np.abs(pts)
+    outside = (radius < inner) | (radius > 1.0)
     if np.any(outside):
         w = complex(pts[np.argmax(outside)])
         raise InputError(f"target {w!r} lies outside the annulus |w| in [{inner!r}, 1]")
     boundary = cauchy_boundary(trace, pts).tolist()
     area = pompeiu_area(field, pts)
     exact = field.family.eval_many(pts).tolist()
-    ws = pts.tolist()
-    grid = field.grid
-    dead = [_exclusion_cells(grid, w) for w in pts]
+    dead, rings = _near_zones(grid, pts)
     masked = [d.size for d in dead]
-    spans = np.diff(_near_rings(grid, pts, dead), axis=1)[:, 0] * grid.n_secondary
+    spans = (rings[:, 1] - rings[:, 0]) * grid.n_secondary
+    breaks = np.array(grid.mandatory_breaks + grid.breaks_of(field.family))
+    h = float(np.max(np.diff(grid.primary_edges)))
+    near = np.any(np.abs(radius[:, None] - breaks) <= 2.0 * h, axis=1)
     results = [
         ReconstructionResult(
             target=w,
             value=b - a,
             exact=e,
             residual=abs(b - a - e),
-            near_break=near,
+            near_break=nb,
             masked_cells=m,
             direct_cells=span - m,
         )
-        for w, b, a, e, near, m, span in zip(
-            ws, boundary, area, exact, _near_breaks(field, ws), masked, spans.tolist()
+        for w, b, a, e, nb, m, span in zip(
+            pts.tolist(), boundary, area, exact, near.tolist(), masked, spans.tolist()
         )
     ]
     return results if np.ndim(targets) else results[0]
@@ -495,15 +475,15 @@ def offset_targets(
     lo, hi = float(edges[0]), float(edges[-1])
     pad = margin * (hi - lo)
     inner = edges[(edges >= lo + pad) & (edges <= hi - pad)]
-    sec = np.arange(grid.n_secondary) * grid.secondary_step
-    corners = grid.point(inner[:, None], sec[None, :]).ravel()
-    if corners.size < points:
+    m = grid.n_secondary
+    if inner.size * m < points:
         raise InputError(
-            f"only {corners.size} eligible corner targets, fewer than {points}"
+            f"only {inner.size * m} eligible corner targets, fewer than {points}"
         )
     rng = np.random.default_rng(seed)
-    pick = rng.choice(corners.size, size=points, replace=False)
-    return corners[np.sort(pick)]
+    # corner j * M + k is ring edge inner[j] at angle k * step
+    pick = np.sort(rng.choice(inner.size * m, size=points, replace=False))
+    return grid.point(inner[pick // m], (pick % m) * grid.secondary_step)
 
 
 def psi_dbar_mass(

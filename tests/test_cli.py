@@ -474,6 +474,15 @@ class TestReconstruct:
         assert captured.out == ""
 
 
+def test_importing_the_cli_leaves_fft_and_random_unimported():
+    # start-up is most of a CLI run: numpy.fft (the Pompeiu far rings) and
+    # numpy.random (the seeded targets and audits) are imported on first use
+    code = "import sys, qclab.cli; print([m for m in ('numpy.fft', 'numpy.random') if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 class TestInProcess:
     """Repeated ``main`` calls in one process share one parser."""
 

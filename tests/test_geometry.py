@@ -465,9 +465,11 @@ def test_counts_must_be_integers(name):
     ids=["polar", "cartesian"],
 )
 def test_chart_inverts_point(grid):
-    # the patch ``pompeiu._exclusion_cells`` finds rests on this round trip
+    # the patches ``pompeiu._near_zones`` finds rest on this round trip, one
+    # call for every target; a single point gives its entry of the array
+    primary, secondary = grid.chart(grid.centers)
     for i, w in enumerate(grid.centers):
-        primary, secondary = grid.chart(w)
         line, cell = divmod(i, grid.n_secondary)
-        assert primary == pytest.approx(grid.primary_mid[line], rel=1e-12)
-        assert secondary == pytest.approx((cell + 0.5) * grid.secondary_step, rel=1e-12)
+        assert primary[i] == pytest.approx(grid.primary_mid[line], rel=1e-12)
+        assert secondary[i] == pytest.approx((cell + 0.5) * grid.secondary_step, rel=1e-12)
+        assert grid.chart(w) == (primary[i], secondary[i])

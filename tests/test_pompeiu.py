@@ -46,8 +46,7 @@ from qclab.pompeiu import (
     pompeiu_area,
     psi_dbar_mass,
     reconstruct,
-    _exclusion_cells,
-    _near_rings,
+    _near_zones,
 )
 from qclab._kernels import pompeiu_sum_many
 
@@ -132,7 +131,7 @@ class TestBoundaryTransform:
 
 def _exclusion_mask(grid, w):
     mask = np.zeros(grid.n_cells, dtype=np.uint8)
-    mask[_exclusion_cells(grid, w)] = 1
+    mask[_near_zones(grid, np.array([w]))[0][0]] = 1
     return mask
 
 
@@ -165,11 +164,69 @@ class TestExclusionMask:
         mask = _exclusion_mask(g, near_inner).reshape(16, 16)
         assert mask.sum() == 6  # only rows 0 and 1 exist
 
-    def test_cartesian_no_wrap(self):
-        g = cartesian(1.0, 16, 16)
-        corner_cell = complex(g.centers[0])
-        mask = _exclusion_mask(g, corner_cell).reshape(16, 16)
-        assert mask.sum() == 4  # clamped at both low edges
+
+def _brute_zones(grid, pts):
+    """Each target's patch and near run by their definitions, cell by cell."""
+    n, m = grid.n_primary, grid.n_secondary
+    c = 2.0 ** (-53.0 / m)
+    dead, rings = [], []
+    for w in pts.tolist():
+        radius = abs(w)
+        u = float(np.interp(radius, grid.primary_edges, np.arange(n + 1.0)))
+        s = (math.atan2(w.imag, w.real) % (2.0 * math.pi)) / grid.secondary_step
+        u, s = (float(round(x)) if abs(x - round(x)) <= 1e-9 else x for x in (u, s))
+        rows = [i for i in range(n) if abs(i + 0.5 - u) < 1.5]
+        cols = [j for j in range(m) if abs((j + 0.5 - s + m / 2.0) % m - m / 2.0) < 1.5]
+        dead.append([i * m + j for i in rows for j in cols])
+        lo = int(np.searchsorted(grid.primary_mid, c * radius, side="right"))
+        hi = int(np.searchsorted(grid.primary_mid, radius / c, side="left"))
+        rings.append([min(lo, rows[0]), max(hi, rows[-1] + 1)])
+    return dead, rings
+
+
+class TestNearZones:
+    # (inner radius, rings, angular cells, breaks): M = 1, 2 and 3, where the
+    # patch takes every angular cell or wraps onto itself, and larger grids,
+    # one with a break spliced in (uneven ring widths)
+    GRIDS = {
+        "M1": (0.25, 16, 1, ()),
+        "M2": (0.25, 16, 2, ()),
+        "M3": (0.25, 16, 3, ()),
+        "64x64": (0.25, 64, 64, ()),
+        "37x129-break": (0.25, 37, 129, (0.5,)),
+        "16x4096": (0.25, 16, 4096, ()),
+    }
+
+    @staticmethod
+    def _targets(g):
+        e, n, step = g.primary_edges, g.n_primary, g.secondary_step
+        rng = np.random.default_rng(3)
+        i = np.r_[0, 1, n - 1, n, rng.integers(0, n + 1, 12)]
+        j = np.r_[0, g.n_secondary - 1, rng.integers(0, g.n_secondary, 14)]
+        return np.concatenate([
+            g.point(e[i], j * step),                      # corners
+            g.point(g.primary_mid[i % n], j * step),      # edge midpoints
+            g.point(e[i], (j + 0.5) * step),
+            g.point(g.primary_mid[i % n], (j + 0.5) * step),  # centres
+            e + 0j,                                       # angle 0
+            e * np.exp(-1e-17j),                          # angle 0 from below
+            rng.uniform(0.2, 1.1, 16) * np.exp(2j * math.pi * rng.uniform(size=16)),
+            [0.1 + 0j, 1.5j],                             # clamped to the first, last ring
+        ])
+
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_patch_and_run_follow_their_definitions(self, case):
+        inner, n, m, breaks = self.GRIDS[case]
+        g = polar(inner, n, m, breaks=breaks)
+        pts = self._targets(g)
+        dead, rings = _near_zones(g, pts)
+        want_dead, want_rings = _brute_zones(g, pts)
+        assert [d.tolist() for d in dead] == want_dead
+        assert rings.tolist() == want_rings
+
+    def test_no_targets_give_no_zones(self):
+        dead, rings = _near_zones(polar(0.25, 16, 16), np.zeros(0, dtype=np.complex128))
+        assert dead == [] and rings.shape == (0, 2)
 
 
 class TestReconstruction:
@@ -379,6 +436,29 @@ def test_target_outside_the_annulus_is_refused_before_any_sum(outside, monkeypat
         reconstruct(trace, field, [outside, math.nan])
 
 
+@pytest.mark.parametrize(
+    "grid", [polar(0.5, 64, 64), cartesian(1.0, 64, 64)], ids=["annulus-0.5", "rectangle"]
+)
+def test_field_on_another_domain_is_refused_before_any_sum(grid, monkeypatch):
+    # unrefused, these read residuals 0.268 and 0.671 at 0.7+0.1j, against
+    # 0.0139 with the field on the trace's annulus
+    import qclab.pompeiu as pompeiu
+
+    trace = annulus_trace(ConjugationMap(), DOM, 512)
+    field = dbar_field(ConjugationMap(), grid)
+
+    def no_sum(*args):
+        raise AssertionError("summed before the refusal")
+
+    monkeypatch.setattr(pompeiu, "cauchy_boundary", no_sum)
+    monkeypatch.setattr(pompeiu, "pompeiu_area", no_sum)
+    message = re.escape(
+        f"the field is sampled on {grid.domain!r}, but the trace bounds {DOM!r}"
+    )
+    with pytest.raises(InputError, match=message):
+        reconstruct(trace, field, 0.7 + 0.1j)
+
+
 class TestOffsetTargets:
     def test_deterministic(self):
         g = polar(0.25, 64, 64)
@@ -401,6 +481,25 @@ class TestOffsetTargets:
         pad = 0.2 * 0.75
         for w in offset_targets(g, 16, seed=9, margin=0.2):
             assert 0.25 + pad - 1e-12 <= abs(w) <= 1.0 - pad + 1e-12
+
+    @pytest.mark.parametrize(
+        "grid",
+        [polar(0.25, 64, 64), polar(0.25, 37, 129, breaks=(0.5,)), polar(0.0625, 16, 4096)],
+        ids=["64x64", "37x129-break", "16x4096"],
+    )
+    def test_targets_are_the_picked_corners_of_all_of_them(self, grid):
+        # offset_targets builds only the corners it picks; these are the bits
+        # of picking from every eligible corner, built at once
+        edges = grid.primary_edges
+        pad = 0.1 * (edges[-1] - edges[0])
+        inner = edges[(edges >= edges[0] + pad) & (edges <= edges[-1] - pad)]
+        sec = np.arange(grid.n_secondary) * grid.secondary_step
+        corners = grid.point(inner[:, None], sec[None, :]).ravel()
+        for seed in range(4):
+            for points in (1, 12, 32):
+                pick = np.random.default_rng(seed).choice(corners.size, points, replace=False)
+                want = corners[np.sort(pick)]
+                assert offset_targets(grid, points, seed).tobytes() == want.tobytes()
 
     def test_count_validation(self):
         g = polar(0.25, 8, 8)
@@ -494,6 +593,12 @@ class TestPompeiuArea:
         field = dbar_field(IdentityMap(), g)
         assert pompeiu_area(field, 0.6 + 0.1j) == 0.0
 
+    def test_a_rectangle_grid_is_refused(self):
+        field = dbar_field(ConjugationMap(), cartesian(1.0, 64, 64))
+        message = "annulus grids only, not on RectangleDomain(width=1.0, height=1.0)"
+        with pytest.raises(InputError, match=re.escape(message)):
+            pompeiu_area(field, [0.3 + 0.4j, 0.5 + 0.5j])
+
 
 def _phi_eps(k, eps=1e-3):
     return Composition(PiecewiseRadialStretch(0.5, k, eps), InverseSpiralStretch(0.5, k, 0.0))
@@ -505,7 +610,7 @@ def _direct_area(field, pts):
     v = field.values
     re, im = pompeiu_sum_many(
         g.centers.real, g.centers.imag, g.weights, v.real, v.imag,
-        pts.real, pts.imag, [_exclusion_cells(g, w) for w in pts],
+        pts.real, pts.imag, _near_zones(g, pts)[0],
     )
     return re + 1j * im
 
@@ -541,24 +646,15 @@ class TestFarRings:
         got = np.asarray(pompeiu_area(field, pts)) * math.pi
         want = _direct_area(field, pts)
         a = np.abs(field.values * g.weights)
+        dead, rings = _near_zones(g, pts)
         for t, w in enumerate(pts):
             live = np.ones(g.n_cells, dtype=bool)
-            live[_exclusion_cells(g, w)] = False
+            live[dead[t]] = False
             scale = np.sum(a[live] / np.abs(g.centers[live] - w))
             assert abs(got[t] - want[t]) <= 2.0**-48 * scale
         # the far rings are in use: most pairs are summed by series
-        spans = np.diff(_near_rings(g, pts, [_exclusion_cells(g, w) for w in pts]), axis=1)
+        spans = np.diff(rings, axis=1)
         assert spans.sum() < 0.5 * pts.size * n_radial
-
-    def test_a_cartesian_grid_sums_every_cell_directly(self):
-        g = cartesian(1.0, 64, 64)
-        field = dbar_field(ConjugationMap(), g)
-        pts = np.array([0.3 + 0.4j, 0.5 + 0.5j, 0.71 + 0.12j])
-        got = pompeiu_area(field, pts)
-        want = [complex(s) / math.pi for s in _direct_area(field, pts)]
-        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
-            (z.real.hex(), z.imag.hex()) for z in want
-        ]
 
     def test_each_target_has_its_bits_in_any_batch(self):
         family = _phi_eps(2.0)
