@@ -8,19 +8,18 @@ ladders' log-log fits go through LAPACK, which follows the BLAS; so two
 installs may differ in a result's last bits.
 
 ``ordered_sum`` reduces one vector; ``ordered_sums`` (the canonical sum of
-every row), ``ordered_dot`` (the dot product of one weight row with one or
-more rows) and ``pompeiu_sum_many`` (the area sum at many targets, each over
-its own range of live cells) are the batched kernels, and ``pompeiu_sum`` is
-the single-target area sum.  The Pompeiu area's far rings are summed outside
-these kernels, by series from ``numpy.fft``, whose bits follow numpy's build.
+every row) and ``ordered_dot`` (the dot product of one weight row with one
+or more rows) are the batched kernels, and ``pompeiu_sum`` is the Pompeiu
+area sum at one target over its run of cells in a row, which the area calls
+once per target.  The Pompeiu area's far rings are summed outside these
+kernels, by series from ``numpy.fft``, whose bits follow numpy's build.
 
 Each block of ``BLOCK`` values is summed in sequence while the exact error
 of every step is accumulated; that error is computed as TwoSum, which
 equals Neumaier's correction.  The block totals meet in a fixed pairwise
-tree.  Short inputs are scanned along each block in one call, long or
-streamed inputs across blocks; the crossover is measured, and both scans
-give the same bits.  The implementation lives in ``fallback``; this module
-re-exports it.
+tree.  Short inputs are scanned along each block in one call, long inputs
+across blocks; the crossover is measured, and both scans give the same
+bits.  The implementation lives in ``fallback``; this module re-exports it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .fallback import (
     ordered_sum,
     ordered_sums,
     pompeiu_sum,
-    pompeiu_sum_many,
 )
 
 
@@ -49,5 +47,4 @@ __all__ = [
     "ordered_sum",
     "ordered_sums",
     "pompeiu_sum",
-    "pompeiu_sum_many",
 ]

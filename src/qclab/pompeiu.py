@@ -22,11 +22,12 @@ and in any batch.  The area is summed on annulus grids only.  With ``M``
 angular cells it splits each target's rings at ``c = 2**(-53/M)``.  Its near
 zone, the rings with ``c < rho/|w| < 1/c`` and those of its excluded patch,
 is one run of cells, found for every target in one pass (``_near_zones``)
-and summed term by term in one ``pompeiu_sum_many`` kernel call.  The rings
-beyond are summed as Laurent series from one ``numpy.fft`` of the field
-(``_far_sums``); their bits follow numpy's FFT build as well as its
-arithmetic.  ``reconstruct`` refuses a field and a trace on different
-domains, and a target outside the annulus, where the representation fails.
+and summed term by term by one ``pompeiu_sum`` kernel call per target,
+over that run only.  The rings beyond are summed as Laurent series from one
+``numpy.fft`` of the field (``_far_sums``); their bits follow numpy's FFT
+build as well as its arithmetic.  ``reconstruct`` refuses a field and a
+trace on different domains or of different maps, and a target outside the
+annulus, where the representation fails.
 
 ``psi_dbar_mass`` and ``phi_dbar_mass`` are the ``dbar`` functionals of a
 candidate map measured against its reference stretch: ``Psi`` by the chain
@@ -46,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ordered_sum, ordered_sums, pompeiu_sum_many
+from . import _kernels
+from ._kernels import ordered_sum, ordered_sums
 from .errors import AccuracyError, InputError, UnsupportedVariantError, require_real
 from .functionals import _sampled
 from .geometry import (
@@ -99,8 +101,12 @@ class TraceComponent:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Oriented boundary data of an annulus: outer circle ccw, inner cw."""
+    """Oriented boundary data of an annulus: outer circle ccw, inner cw.
 
+    ``family`` is the map whose values the circles hold.
+    """
+
+    family: MapFamily
     domain: AnnulusDomain
     components: tuple[TraceComponent, ...]
 
@@ -129,7 +135,7 @@ def annulus_trace(
                 dweights=turn * circle * step,
             )
         )
-    return BoundaryTrace(domain=domain, components=tuple(comps))
+    return BoundaryTrace(family=family, domain=domain, components=tuple(comps))
 
 
 def _targets(targets) -> np.ndarray:
@@ -341,9 +347,9 @@ def pompeiu_area(field: DbarField, targets) -> complex | list[complex]:
 
     One value for a scalar target, a list for a sequence; a field on a
     rectangle grid is an ``InputError``.  The rings near each target
-    (``_near_zones``) go through one ``pompeiu_sum_many`` call across the
-    targets, each over its own run of cells, and the rings beyond through
-    ``_far_sums``: each target's value is the direct sum plus the far sum.
+    (``_near_zones``) go through one ``pompeiu_sum`` call over its run of
+    cells, and the rings beyond through ``_far_sums``: each target's value
+    is the direct sum plus the far sum.
     """
     grid = field.grid
     if grid.coordinate_kind != "polar":
@@ -352,24 +358,18 @@ def pompeiu_area(field: DbarField, targets) -> complex | list[complex]:
         )
     pts = _targets(targets)
     v = np.asarray(field.values, dtype=np.complex128)
+    cells = (grid.centers.real, grid.centers.imag, grid.weights, v.real, v.imag)
     dead, rings = _near_zones(grid, pts)
-    # the far sums first: their transform is freed before the kernel lays
-    # out its block columns, so the two never share the memory peak
-    far = _far_sums(field, pts, rings)
-    re, im = pompeiu_sum_many(
-        grid.centers.real,
-        grid.centers.imag,
-        grid.weights,
-        v.real,
-        v.imag,
-        pts.real,
-        pts.imag,
-        dead,
-        rings * grid.n_secondary,
-    )
-    re += far.real
-    im += far.imag
-    values = [complex(a, b) / math.pi for a, b in zip(re.tolist(), im.tolist())]
+    far = _far_sums(field, pts, rings).tolist()
+    runs = (rings * grid.n_secondary).tolist()
+    values = []
+    for w, d, f, (lo, hi) in zip(pts.tolist(), dead, far, runs):
+        # the patch lies in the run, so no index wraps round
+        mask = np.zeros(hi - lo, dtype=np.uint8)
+        mask[d - lo] = 1
+        run = (x[lo:hi] for x in cells)
+        re, im = _kernels.pompeiu_sum(*run, w.real, w.imag, mask, lo, grid.n_cells)
+        values.append(complex(re + f.real, im + f.imag) / math.pi)
     return values if np.ndim(targets) else values[0]
 
 
@@ -398,9 +398,9 @@ def reconstruct(
 
     One result for a scalar target, a list for a sequence; the boundary and
     the area sums are each batched across the targets.  The representation
-    holds inside the trace's annulus only, so a field on another domain, or
-    a target outside ``[inner, 1]``, is an ``InputError`` that names them,
-    raised before any sum.
+    holds for one map inside the trace's annulus only, so a field on another
+    domain or of another map, or a target outside ``[inner, 1]``, is an
+    ``InputError`` that names them, raised before any sum.
     """
     pts = _targets(targets)
     grid = field.grid
@@ -408,6 +408,11 @@ def reconstruct(
         raise InputError(
             f"the field is sampled on {grid.domain!r}, but the trace bounds {trace.domain!r}"
         )
+    if field.family != trace.family:
+        a, b = field.family.label, trace.family.label
+        if a == b:
+            a, b = repr(field.family), repr(trace.family)
+        raise InputError(f"the field is sampled from {a}, but the trace from {b}")
     inner = trace.domain.inner_radius
     radius = np.abs(pts)
     outside = (radius < inner) | (radius > 1.0)

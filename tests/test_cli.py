@@ -351,6 +351,27 @@ class TestGaugedBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+class TestReconstructBytes:
+    """The emitted bytes of ``reconstruct``, pinned as computed before the
+    area's near runs were summed one target at a time.  Two of the grids
+    have a number of angular cells that is not a multiple of the kernel's
+    block, so a run starts mid-block and a misplaced pad moves the bits."""
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (("--field", "conj"), "1d43477eb3068723bc01be647aa3ece9f7374a71f42d85340740db393a0da79d"),
+        (("--field", "phi-eps:1e-3"),
+         "ccd514fca4f7380ca490918c7abe1fbc7080fd0c4d83d0fc0dcdf0dbdcdec6e0"),
+        (("--field", "phi-eps:2e-2", "--k", "3", "--grid", "100x70", "--seed", "5"),
+         "fa71fa4189e4916516de3fba56209bfdef5b0f8c6951fe8924bcd18b5905da55"),
+        (("--field", "conj", "--grid", "16x4096", "--points", "8"),
+         "b7d15bdbe21fd6ec65ca3c988ba53db058b67340f58a8e6f11d07cdd9ac36da6"),
+    ], ids=["conj", "phi-eps", "phi-eps-100x70", "conj-16x4096"])
+    def test_json_output_is_pinned(self, tmp_path, argv, sha256):
+        out = tmp_path / "reconstruct.json"
+        assert main(["reconstruct", *argv, "--format", "json", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 class TestDistortion:
     def test_known_value(self):
         res = run("distortion", "--map", "gstar", "--gauge", "linear",

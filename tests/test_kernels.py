@@ -352,8 +352,7 @@ def _along_totals(a, b=None):
 
 
 def _across_totals(a, b=None):
-    cols = fallback._columns(a, b)
-    return fallback._tree(fallback._across(cols, cols.shape[1:]))
+    return fallback._tree(fallback._across(fallback._columns(a, b)))
 
 
 @pytest.mark.parametrize("shape", [(1,), (64,), (3, 1), (5, 63), (2, 3, 130), (2, ALONG_MAX + 65)])
@@ -407,8 +406,26 @@ def _pompeiu_reference(cr, ci, wt, vr, vi, wr, wi, dead):
     return _reference_sum(re.tolist()), _reference_sum(im.tolist())
 
 
+def _run(args, lo, hi, n):
+    """``pompeiu_sum`` over cells ``lo:hi`` of the row ``args`` of ``n`` cells."""
+    cr, ci, wt, vr, vi, wr, wi, mask = args
+    cr, ci, wt, vr, vi, mask = (x[lo:hi] for x in (cr, ci, wt, vr, vi, mask))
+    return fallback.pompeiu_sum(cr, ci, wt, vr, vi, wr, wi, mask, lo, n)
+
+
+def _outside(n, lo, hi):
+    """A uint8 mask of the cells of a row of ``n`` outside ``lo:hi``."""
+    out = np.ones(n, dtype=np.uint8)
+    out[lo:hi] = 0
+    return out
+
+
+# The names of the next four tests date from the batched kernel they first
+# pinned; they now pin pompeiu_sum over runs of cells, which replaced it.
 @pytest.mark.parametrize("n", [1, 63, 130, 700])
 def test_pompeiu_sum_many_equals_single_target_loop(n):
+    # each target over the whole row, and over a run from a start that is
+    # not BLOCK-aligned (but for n = 1), against the pure-Python reference
     cr, ci, wt, vr, vi, mask = _pompeiu_inputs(n)
     wr = np.array([0.317, cr[n // 2], -0.2, 0.05, 1.7])
     wi = np.array([-0.858, ci[n // 2], 0.4, 0.05, -0.3])
@@ -419,59 +436,80 @@ def test_pompeiu_sum_many_equals_single_target_loop(n):
         np.array([], dtype=np.intp),
         np.arange(0, n, 7),
     ]
-    re, im = _kernels.pompeiu_sum_many(cr, ci, wt, vr, vi, wr, wi, dead)
-    assert re.shape == im.shape == (5,)
-    assert (re[2], im[2]) == (0.0, 0.0)
+    start = n // 3
     for t in range(5):
         one = np.zeros(n, dtype=np.uint8)
         one[dead[t]] = 1
-        want = _kernels.pompeiu_sum(cr, ci, wt, vr, vi, wr[t], wi[t], one)
-        assert (re[t].hex(), im[t].hex()) == (want[0].hex(), want[1].hex())
+        args = (cr, ci, wt, vr, vi, wr[t], wi[t], one)
+        re, im = _kernels.pompeiu_sum(*args)
+        if t == 2:
+            assert (re, im) == (0.0, 0.0)
         ref = _pompeiu_reference(cr, ci, wt, vr, vi, wr[t], wi[t], dead[t])
-        assert (re[t].hex(), im[t].hex()) == (ref[0].hex(), ref[1].hex())
-        assert math.isfinite(re[t]) and math.isfinite(im[t])
+        assert (re.hex(), im.hex()) == (ref[0].hex(), ref[1].hex())
+        assert math.isfinite(re) and math.isfinite(im)
+        got = _run(args, start, n, n)
+        want = _kernels.pompeiu_sum(*args[:7], one | _outside(n, start, n))
+        ref = _pompeiu_reference(
+            cr, ci, wt, vr, vi, wr[t], wi[t], np.union1d(dead[t], np.arange(start))
+        )
+        assert _bits(got) == _bits(want) == _bits(ref)
 
 
 def test_pompeiu_sum_many_rejects_bad_cells():
     one = np.ones(4)
+    mask = np.zeros(4, dtype=np.uint8)
     with pytest.raises(ValueError):
-        fallback.pompeiu_sum_many(one, one, one, one, one, [0.0], [0.0], [[4]])
+        fallback.pompeiu_sum(one, one, one, one, one, 0.0, 0.0, mask[:3])
     with pytest.raises(ValueError):
-        fallback.pompeiu_sum_many(one, one, one, one, one, [0.0, 1.0], [0.0], [[], []])
+        fallback.pompeiu_sum(one, one[:3], one, one, one, 0.0, 0.0, mask)
+    with pytest.raises(ValueError):
+        flat = np.ones((2, 2))
+        fallback.pompeiu_sum(flat, flat, flat, flat, flat, 0.0, 0.0, mask.reshape(2, 2))
 
 
 @pytest.mark.parametrize("n", [130, 700])
 def test_ranged_pompeiu_sum_many_masks_the_cells_outside_each_range(n):
-    # a range is the full call with the cells outside it added to the dead
+    # a run is the whole row with the cells outside it masked
     cr, ci, wt, vr, vi, mask = _pompeiu_inputs(n)
-    patch = np.flatnonzero(mask)
-    ranges = [
+    runs = [
         (5, n - 3),  # not BLOCK-aligned at either end
-        (70, 70),  # empty
+        (70, 70),  # empty, in the middle of a block
+        (fallback.BLOCK, fallback.BLOCK),  # empty, on a block edge
         (n // 2, n // 2 + 1),  # one cell
-        (0, 9),  # disjoint from the next range, in the same step of four
-        (n - 11, n),
-        (fallback.BLOCK, 2 * fallback.BLOCK),  # aligned, in a step of its own
+        (0, 9),
+        (n - 11, n),  # ends the row
+        (fallback.BLOCK, 2 * fallback.BLOCK),  # aligned
     ]
-    t = len(ranges)
-    wr = np.linspace(-0.4, 0.6, t)
-    wi = np.linspace(0.3, -0.8, t)
-    dead = [patch] * t
-    re, im = fallback.pompeiu_sum_many(cr, ci, wt, vr, vi, wr, wi, dead, ranges)
-    outside = [np.setdiff1d(np.arange(n), np.arange(lo, hi)) for lo, hi in ranges]
-    want = fallback.pompeiu_sum_many(
-        cr, ci, wt, vr, vi, wr, wi, [np.union1d(patch, o) for o in outside]
-    )
-    assert _bits(re) == _bits(want[0]) and _bits(im) == _bits(want[1])
-    assert (re[1], im[1]) == (0.0, 0.0)
-    assert re[2] != 0.0 or mask[n // 2]
+    targets = [(w, -0.8 + 0.2 * w) for w in np.linspace(-0.4, 0.6, len(runs))]
+    # a target on the centre of a cell of its run, whose 0/0 term is masked
+    c = n // 2 + 1
+    runs.append((n // 2 - 3, n // 2 + 40))
+    targets.append((cr[c], ci[c]))
+    for t, ((lo, hi), (wr, wi)) in enumerate(zip(runs, targets)):
+        dead = mask.copy()
+        if t == len(runs) - 1:
+            dead[c] = 1
+        args = (cr, ci, wt, vr, vi, wr, wi, dead)
+        got = _run(args, lo, hi, n)
+        want = fallback.pompeiu_sum(*args[:7], dead | _outside(n, lo, hi))
+        outside = np.setdiff1d(np.arange(n), np.arange(lo, hi))
+        ref = _pompeiu_reference(
+            cr, ci, wt, vr, vi, wr, wi, np.union1d(np.flatnonzero(dead), outside)
+        )
+        assert _bits(got) == _bits(want) == _bits(ref)
+        if lo == hi:
+            assert got == (0.0, 0.0)
+        if hi - lo == 1:
+            assert got[0] != 0.0 or mask[lo]
 
 
 def test_pompeiu_sum_many_rejects_bad_ranges():
     one = np.ones(4)
-    call = lambda ranges: fallback.pompeiu_sum_many(  # noqa: E731
-        one, one, one, one, one, [0.0, 1.0], [0.0, 1.0], [[], []], ranges
+    mask = np.zeros(4, dtype=np.uint8)
+    call = lambda start, n: fallback.pompeiu_sum(  # noqa: E731
+        one, one, one, one, one, 0.0, 1.0, mask, start, n
     )
-    for ranges in ([(0, 4)], [(0, 5), (0, 4)], [(-1, 2), (0, 4)], [(3, 2), (0, 4)]):
+    assert call(3, None) == call(3, 7)  # n defaults to the end of the run
+    for start, n in ((-1, None), (-1, 4), (0, 3), (1, 4), (5, 8)):
         with pytest.raises(ValueError):
-            call(ranges)
+            call(start, n)

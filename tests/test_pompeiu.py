@@ -11,6 +11,7 @@ single circle is, for an annulus target w with R < |w| < 1 (outer) or
     pole at 0 is enclosed — the contribution is a^2 / w.
 """
 
+import dataclasses
 import math
 import re
 
@@ -34,7 +35,6 @@ from qclab.maps import (
 )
 from qclab.stability import LadderConfig, audit_alignment, run_ladder
 from qclab.pompeiu import (
-    BoundaryTrace,
     DbarField,
     ReconstructionResult,
     annulus_trace,
@@ -48,10 +48,14 @@ from qclab.pompeiu import (
     reconstruct,
     _near_zones,
 )
-from qclab._kernels import pompeiu_sum_many
+from qclab._kernels import pompeiu_sum
 
 DOM = AnnulusDomain(0.25)
 TARGETS = np.array([0.7 + 0.0j, -0.3 + 0.45j, 0.31 - 0.52j])
+
+
+def _phi_eps(k, eps=1e-3):
+    return Composition(PiecewiseRadialStretch(0.5, k, eps), InverseSpiralStretch(0.5, k, 0.0))
 
 
 class TestBoundaryTransform:
@@ -62,10 +66,8 @@ class TestBoundaryTransform:
 
     def test_constant_values_give_winding_sum(self):
         trace = annulus_trace(IdentityMap(), DOM, 512)
-        import dataclasses
-
-        const = BoundaryTrace(
-            domain=trace.domain,
+        const = dataclasses.replace(
+            trace,
             components=tuple(
                 dataclasses.replace(c, values=np.ones_like(c.values))
                 for c in trace.components
@@ -76,13 +78,13 @@ class TestBoundaryTransform:
 
     def test_outer_only_conjugate_trace_cancels(self):
         trace = annulus_trace(ConjugationMap(), DOM, 1024)
-        outer = BoundaryTrace(domain=trace.domain, components=(trace.components[0],))
+        outer = dataclasses.replace(trace, components=(trace.components[0],))
         out = cauchy_boundary(outer, TARGETS)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_inner_only_conjugate_trace_is_residue_at_zero(self):
         trace = annulus_trace(ConjugationMap(), DOM, 1024)
-        inner = BoundaryTrace(domain=trace.domain, components=(trace.components[1],))
+        inner = dataclasses.replace(trace, components=(trace.components[1],))
         out = cauchy_boundary(inner, TARGETS)
         want = 0.25**2 / TARGETS
         assert np.allclose(out, want, atol=1e-12)
@@ -223,6 +225,18 @@ class TestNearZones:
         want_dead, want_rings = _brute_zones(g, pts)
         assert [d.tolist() for d in dead] == want_dead
         assert rings.tolist() == want_rings
+
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_each_patch_lies_in_its_run(self, case):
+        # pompeiu_area masks a patch cell at its place in the run, d - lo: a
+        # cell outside the run would wrap round, since numpy reads negative
+        # indices from the end.  The targets include the first and last ring
+        # edges, and M = 1, 2 and 3, where the patch wraps onto itself.
+        inner, n, m, breaks = self.GRIDS[case]
+        g = polar(inner, n, m, breaks=breaks)
+        dead, rings = _near_zones(g, self._targets(g))
+        for d, (lo, hi) in zip(dead, (rings * m).tolist()):
+            assert d.size and lo <= d[0] and d[-1] < hi
 
     def test_no_targets_give_no_zones(self):
         dead, rings = _near_zones(polar(0.25, 16, 16), np.zeros(0, dtype=np.complex128))
@@ -459,6 +473,33 @@ def test_field_on_another_domain_is_refused_before_any_sum(grid, monkeypatch):
         reconstruct(trace, field, 0.7 + 0.1j)
 
 
+@pytest.mark.parametrize(
+    "traced, sampled, names",
+    [
+        (ConjugationMap(), IdentityMap(), ("identity", "conjugation")),
+        # one label, two maps: their reprs tell them apart
+        (_phi_eps(2.0), _phi_eps(2.0, 2e-3), (repr(_phi_eps(2.0, 2e-3)), repr(_phi_eps(2.0)))),
+    ],
+    ids=["identity-conj", "phi-eps"],
+)
+def test_field_of_another_map_is_refused_before_any_sum(traced, sampled, names, monkeypatch):
+    # unrefused, the identity field with a conj trace reads residual 0.623 at
+    # 0.7+0.1j, against 0.0139 with the conj field
+    import qclab.pompeiu as pompeiu
+
+    trace = annulus_trace(traced, DOM, 512)
+    field = dbar_field(sampled, polar(0.25, 64, 64, breaks=sampled.break_radii()))
+
+    def no_sum(*args):
+        raise AssertionError("summed before the refusal")
+
+    monkeypatch.setattr(pompeiu, "cauchy_boundary", no_sum)
+    monkeypatch.setattr(pompeiu, "pompeiu_area", no_sum)
+    message = re.escape(f"the field is sampled from {names[0]}, but the trace from {names[1]}")
+    with pytest.raises(InputError, match=message):
+        reconstruct(trace, field, 0.7 + 0.1j)
+
+
 class TestOffsetTargets:
     def test_deterministic(self):
         g = polar(0.25, 64, 64)
@@ -600,19 +641,19 @@ class TestPompeiuArea:
             pompeiu_area(field, [0.3 + 0.4j, 0.5 + 0.5j])
 
 
-def _phi_eps(k, eps=1e-3):
-    return Composition(PiecewiseRadialStretch(0.5, k, eps), InverseSpiralStretch(0.5, k, 0.0))
-
-
 def _direct_area(field, pts):
     """The area at each target with every cell but its patch summed term by term."""
     g = field.grid
     v = field.values
-    re, im = pompeiu_sum_many(
-        g.centers.real, g.centers.imag, g.weights, v.real, v.imag,
-        pts.real, pts.imag, _near_zones(g, pts)[0],
-    )
-    return re + 1j * im
+    out = []
+    for w, dead in zip(pts, _near_zones(g, pts)[0]):
+        mask = np.zeros(g.n_cells, dtype=np.uint8)
+        mask[dead] = 1
+        re, im = pompeiu_sum(
+            g.centers.real, g.centers.imag, g.weights, v.real, v.imag, w.real, w.imag, mask
+        )
+        out.append(complex(re, im))
+    return np.array(out)
 
 
 class TestFarRings:
