@@ -18,16 +18,17 @@ degrade the sum), picks the points, and takes each map's jet once over the
 points of every grid it is given, a fixed number of points at a time.  On a
 polar grid the integrands of rotation-equivariant maps depend only on
 ``|w|``, so it samples them once per ring rather than once per cell (the
-ring path; only the dbar field and the alignment audit, whose samples depend
-on more than ``|w|``, keep cell centres), and ``integrate`` reads the ring
-samples by their count.  ``l1_distance``, ``pompeiu.phi_dbar_mass`` and
-``_mean_distortions`` also take a family with a leading rung axis, as the
-epsilon ladder builds it, and give one value per rung, as ``integrate``
-gives one integral per row.  ``_mean_distortions`` also takes several
-families and several grids.  Every gauged mean distortion
-(``mean_distortion``, ``distortion``'s value and error estimate, the
-ladder's deficits) is a call of it; ``mean_distortion`` and ``deficit``
-return one record each, and refuse a family of several rungs.
+ring path; ``pompeiu.dbar_field`` takes it too and turns each ring by
+``exp(2i*phi)``, and only the alignment audit and the dbar field of a
+non-equivariant map, whose samples depend on more than ``|w|``, keep cell
+centres), and ``integrate`` reads the ring samples by their count.
+``l1_distance``, ``pompeiu.phi_dbar_mass`` and ``_mean_distortions`` also
+take a family with a leading rung axis, as the epsilon ladder builds it, and
+give one value per rung, as ``integrate`` gives one integral per row.
+``_mean_distortions`` also takes several families and several grids.  Every
+gauged mean distortion (``mean_distortion``, ``distortion``'s value and
+error estimate, the ladder's deficits) is a call of it; ``mean_distortion``
+and ``deficit`` return one record each, and refuse a family of several rungs.
 """
 
 from __future__ import annotations
@@ -137,11 +138,15 @@ class MeanDistortionResult:
 
 
 # Points per step of ``_sampled``: whole ``BLOCK``s, so a step's scratch is
-# fixed however many cells a grid has.  ``dbar_field`` on the 512x512
-# ``phi-eps`` field, median of 15 (2-core x86-64 VM, numpy 2.4): 0.087 s at
-# 1,024 points, 0.049 at 4,096, 0.045 at 8,192, 0.048 at 16,384 and 0.069 at
-# 65,536, against 0.114 s in one call; its traced peak is 5.9 MB at 8,192,
-# of which 4.2 MB is the result.
+# fixed however many cells a grid has.  ``dbar_field`` of the
+# non-equivariant ``SpiralStretch(0.5, 2, 0.7)`` after conjugation on a
+# 512x512 grid, median of 15 (2-core x86-64 VM, numpy 2.4): 0.030-0.050 s at
+# 512 points, 0.016-0.024 at 2,048, 0.012-0.014 at 8,192, 0.013-0.014 at
+# 16,384 and 0.018-0.021 at 65,536, against 0.032-0.036 s in one call; its
+# traced peak is 5.4 MB at 8,192, of which 4.2 MB is the result, and 40 MB
+# in one call.  ``audit --lemma alignment --grid 512x512`` reads 0.027-0.036
+# s from 2,048 points up, one call included, and 0.046-0.048 s at 512; its
+# traced peak is 24 MB at every step.
 _CELL_STEP = 128 * BLOCK
 
 

@@ -374,7 +374,7 @@ def integrate(grid: QuadratureGrid, values) -> float | np.ndarray:
         idx = int(bad[0]) % n * stride
         center = grid.center(idx)
         raise NonFiniteSampleError(
-            f"non-finite sample {v.flat[bad[0]]!r} at cell {idx} (center {center!r})",
+            f"non-finite sample {float(v.flat[bad[0]])!r} at cell {idx} (center {center!r})",
             cell_index=idx,
             center=center,
         )

@@ -36,8 +36,11 @@ rule on the source square, ``Phi`` as a composition on the image annulus.
 as the epsilon ladder builds it.  These and ``dbar_field`` sample their maps
 through ``functionals._sampled``, the one evaluator of maps on grids; the
 boundary trace and the exact values at the targets, which lie off the grid,
-are ``eval_many`` calls.  A non-finite target point is an ``InputError`` that
-names it.
+are ``eval_many`` calls.  The ``dbar`` field of a rotation-equivariant map
+is one angular mode, ``f_zbar(rho*exp(i*phi)) = exp(2i*phi)*f_zbar(rho)``,
+so on a polar grid ``dbar_field`` samples it once per ring and turns each
+ring to the cell angles; other fields are sampled at the cell centres.  A
+non-finite target point is an ``InputError`` that names it.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def cauchy_boundary(trace: BoundaryTrace, targets) -> np.ndarray:
             diff = comp.nodes[None, :] - chunk[:, None]
             near = np.min(np.abs(diff), axis=1) < guard
             if np.any(near):
-                w = chunk[np.argmax(near)]
+                w = complex(chunk[np.argmax(near)])
                 raise AccuracyError(
                     f"target {w!r} is within {guard!r} of the boundary nodes "
                     f"on the circle |xi| = {comp.radius!r}; refine the trace "
@@ -199,8 +202,18 @@ def dbar_field(family: MapFamily, grid: QuadratureGrid) -> DbarField:
     """Sample the ``dbar`` derivative of a map on all grid cells.
 
     The grid must honour the map's break set, as ``mean_distortion``'s does.
+    A rotation-equivariant map, ``f(exp(i*t)*w) = exp(i*t)*f(w)``, has
+    ``f_zbar(rho*exp(i*phi)) = exp(2i*phi)*f_zbar(rho)``: on a polar grid it
+    is sampled once per ring, at ``primary_mid + 0j`` (``_sampled``'s ring
+    path), and each ring's value is turned to the cell angles ``(j + 0.5) *
+    secondary_step`` that ``centers`` uses.  Other maps and grids are
+    sampled at the cell centres.
     """
-    ((_, values),) = _sampled((family,), (grid,), lambda jet: jet[2], cells=True)
+    rings = family.rotation_equivariant and grid.coordinate_kind == "polar"
+    ((_, values),) = _sampled((family,), (grid,), lambda jet: jet[2], cells=not rings)
+    if rings:
+        angles = (np.arange(grid.n_secondary) + 0.5) * grid.secondary_step
+        values = (values[..., None] * np.exp(2j * angles)).reshape(*values.shape[:-1], -1)
     return DbarField(family=family, grid=grid, values=values)
 
 
@@ -452,7 +465,7 @@ def kernel_mass(grid: QuadratureGrid, xi: complex) -> float:
     independently of the grid resolution, so its stability across refinements
     is a direct check that the singular kernel is being integrated sanely.
     """
-    (xi,) = _targets(xi)
+    xi = complex(_targets(xi)[0])
     d = np.abs(grid.centers - xi)
     if np.any(d == 0.0):
         raise InputError(f"kernel target {xi!r} coincides with a cell center")
