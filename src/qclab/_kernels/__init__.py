@@ -10,9 +10,10 @@ installs may differ in a result's last bits.
 ``ordered_sum`` reduces one vector; ``ordered_sums`` (the canonical sum of
 every row) and ``ordered_dot`` (the dot product of one weight row with one
 or more rows) are the batched kernels, and ``pompeiu_sum`` is the Pompeiu
-area sum at one target over its run of cells in a row, which the area calls
-once per target.  The Pompeiu area's far rings are summed outside these
-kernels, by series from ``numpy.fft``, whose bits follow numpy's build.
+area sum at one target over the cells it is given, summed as a row of their
+own; the area calls it once per target, on the target's near run.  The
+Pompeiu area's far rings are summed outside these kernels, by series from
+``numpy.fft``, whose bits follow numpy's build.
 
 Each block of ``BLOCK`` values is summed in sequence while the exact error
 of every step is accumulated; that error is computed as TwoSum, which

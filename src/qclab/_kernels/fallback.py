@@ -24,11 +24,8 @@ as ``(BLOCK, ..., nb)`` block columns and each step is one pass over the
 ``j``-th term of every block.  ``_ALONG_MAX`` is the measured crossover
 between them.
 
-``pompeiu_sum`` takes one target's run of cells within a row (its near
-zone, in the Pompeiu area) and computes the terms of that run only.  Every
-block of the row outside the run totals exactly 0.0, which is what its
-all-0.0 terms would give, so a run has the bits of the whole row with the
-cells outside it masked.
+``pompeiu_sum`` computes the terms of the cells it is given, one target's
+near run in the Pompeiu area, and sums them as a row of their own.
 """
 
 from __future__ import annotations
@@ -197,35 +194,23 @@ def pompeiu_sum(
     wr: float,
     wi: float,
     mask: np.ndarray,
-    start: int = 0,
-    n: int | None = None,
 ) -> tuple[float, float]:
     """Accumulate ``sum(v * wt / (center - w))`` over unmasked cells.
 
     ``cr, ci``: cell-center coordinates; ``wt``: quadrature weights;
     ``vr, vi``: field values at centers; ``(wr, wi)``: the target point;
-    ``mask``: uint8, nonzero entries contribute exactly 0.0.  The cell
-    arrays are the run of cells ``start:`` of a row of ``n`` cells (by
-    default the whole row); the cells outside the run contribute exactly
-    0.0 too.
+    ``mask``: uint8, nonzero entries contribute exactly 0.0.
 
-    Returns the real and imaginary parts as two canonical sums.  The complex
-    division is spelled out in real arithmetic, so its rounding is fixed.
-    Only the run's terms are computed: ``start % BLOCK`` leading zeros put
-    them at their places in their blocks, whose totals go at their blocks of
-    the row; every other block totals 0.0.
+    Returns the real and imaginary parts as two canonical sums of the terms
+    of the cells given.  The complex division is spelled out in real
+    arithmetic, so its rounding is fixed.
     """
     cr, ci, wt, vr, vi = (np.asarray(x, dtype=np.float64) for x in (cr, ci, wt, vr, vi))
     mask = np.asarray(mask)
     if cr.ndim != 1 or any(x.shape != cr.shape for x in (ci, wt, vr, vi, mask)):
         raise ValueError("all cell arrays must be one row of the same length")
-    size = cr.size
-    n = start + size if n is None else n
-    if start < 0 or n < start + size:
-        raise ValueError(f"the run {start}:{start + size} does not fit a row of {n} cells")
-    pad = start % BLOCK
-    terms = np.zeros((2, pad + size))
-    re, im = terms[0, pad:], terms[1, pad:]
+    terms = np.empty((2, cr.size))
+    re, im = terms
     nr, ni = vr * wt, vi * wt
     dr, di = cr - wr, ci - wi
     den = dr * dr
@@ -238,10 +223,6 @@ def pompeiu_sum(
         np.multiply(ni, dr, out=im)
         im -= np.multiply(nr, di, out=tmp)
         im /= den
-    np.copyto(terms[:, pad:], 0.0, where=mask != 0)
-    totals = _block_totals(terms)
-    k0 = start // BLOCK
-    row = np.zeros((2, -(-n // BLOCK)))
-    row[:, k0 : k0 + totals.shape[1]] = totals
-    sums = _tree(row)
+    np.copyto(terms, 0.0, where=mask != 0)
+    sums = ordered_sums(terms)
     return float(sums[0]), float(sums[1])

@@ -19,10 +19,11 @@ The rest is derived on first use.  Cell weights are exact areas,
 ``r_mid * dr = (r_hi^2 - r_lo^2)/2``) and ``dx * dy`` on cartesian grids, one
 per primary line.  Cells are ordered primary-axis slow, secondary-axis fast.
 All reductions use the fixed-order kernels in ``qclab._kernels``, so every
-integral is reproducible to the bit.  ``integrate`` is the one grid integral.
-It reads its samples by their length: one per cell, or on a polar grid one
-per ring (at the midpoint radii ``primary_mid``), for integrands that do not
-depend on the angle; ring samples read only the partition.
+integral is reproducible to the bit.  ``integrate`` is the one grid integral,
+one ``ordered_dot`` call.  It reads its samples by their length: one per
+cell, weighted by the cell weights, or on a polar grid one per ring (at the
+midpoint radii ``primary_mid``), weighted by the ring areas, for integrands
+that do not depend on the angle; ring samples read only the partition.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import ordered_dot, ordered_sums
+from ._kernels import ordered_dot
 from .errors import InputError, NonFiniteSampleError, require_real
 
 __all__ = [
@@ -378,11 +379,8 @@ def integrate(grid: QuadratureGrid, values) -> float | np.ndarray:
             cell_index=idx,
             center=center,
         )
-    if stride == 1:
-        sums = ordered_dot(grid.weights, v)
-    else:
-        sums = ordered_sums(grid.line_weights * grid.n_secondary * v)
-    return float(sums) if v.ndim == 1 else sums
+    weights = grid.weights if stride == 1 else grid.line_weights * grid.n_secondary
+    return ordered_dot(weights, v)
 
 
 def integrate_complex(grid: QuadratureGrid, values) -> complex:

@@ -23,11 +23,11 @@ angular cells it splits each target's rings at ``c = 2**(-53/M)``.  Its near
 zone, the rings with ``c < rho/|w| < 1/c`` and those of its excluded patch,
 is one run of cells, found for every target in one pass (``_near_zones``)
 and summed term by term by one ``pompeiu_sum`` kernel call per target,
-over that run only.  The rings beyond are summed as Laurent series from one
-``numpy.fft`` of the field (``_far_sums``); their bits follow numpy's FFT
-build as well as its arithmetic.  ``reconstruct`` refuses a field and a
-trace on different domains or of different maps, and a target outside the
-annulus, where the representation fails.
+which sums the run as a row of its own.  The rings beyond are summed as
+Laurent series from one ``numpy.fft`` of the field (``_far_sums``); their
+bits follow numpy's FFT build as well as its arithmetic.  ``reconstruct``
+refuses a field and a trace on different domains or of different maps, and
+a target outside the annulus, where the representation fails.
 
 ``psi_dbar_mass`` and ``phi_dbar_mass`` are the ``dbar`` functionals of a
 candidate map measured against its reference stretch: ``Psi`` by the chain
@@ -360,9 +360,9 @@ def pompeiu_area(field: DbarField, targets) -> complex | list[complex]:
 
     One value for a scalar target, a list for a sequence; a field on a
     rectangle grid is an ``InputError``.  The rings near each target
-    (``_near_zones``) go through one ``pompeiu_sum`` call over its run of
-    cells, and the rings beyond through ``_far_sums``: each target's value
-    is the direct sum plus the far sum.
+    (``_near_zones``) go through one ``pompeiu_sum`` call on its run of
+    cells and its patch's mask, and the rings beyond through ``_far_sums``:
+    each target's value is the direct sum plus the far sum.
     """
     grid = field.grid
     if grid.coordinate_kind != "polar":
@@ -381,7 +381,7 @@ def pompeiu_area(field: DbarField, targets) -> complex | list[complex]:
         mask = np.zeros(hi - lo, dtype=np.uint8)
         mask[d - lo] = 1
         run = (x[lo:hi] for x in cells)
-        re, im = _kernels.pompeiu_sum(*run, w.real, w.imag, mask, lo, grid.n_cells)
+        re, im = _kernels.pompeiu_sum(*run, w.real, w.imag, mask)
         values.append(complex(re + f.real, im + f.imag) / math.pi)
     return values if np.ndim(targets) else values[0]
 
@@ -487,6 +487,7 @@ def offset_targets(
     reproducible.
     """
     require_real(points, "points must be an integer >= 1", lambda v: v >= 1, integer=True)
+    require_real(seed, "seed must be an integer >= 0", lambda v: v >= 0, integer=True)
     if not (0.0 <= margin < 0.5):
         raise InputError("margin must be in [0, 0.5)")
     edges = grid.primary_edges

@@ -238,6 +238,7 @@ def audit_taylor(
     lowered but never raised above it.
     """
     require_real(samples, "samples must be an integer >= 1", lambda v: v >= 1, integer=True)
+    require_real(seed, "seed must be an integer >= 0", lambda v: v >= 0, integer=True)
     floor = gauge.curvature_floor
     c_used = floor if c is None else c
     if isinstance(c_used, numbers.Real) and c_used > floor + 1e-15:  # +inf included
@@ -277,6 +278,7 @@ def audit_theta(samples: int = 10000, seed: int = 0) -> AuditReport:
     vanishes to rounding.
     """
     require_real(samples, "samples must be an integer >= 1", lambda v: v >= 1, integer=True)
+    require_real(seed, "seed must be an integer >= 0", lambda v: v >= 0, integer=True)
     rng = np.random.default_rng(seed)
     z = 10.0 * (rng.standard_normal(samples) + 1j * rng.standard_normal(samples))
     _, gap1, gap2 = theta_check_many(z)
@@ -333,11 +335,7 @@ def audit_gn_gap(
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Parameters of the square-gauge epsilon ladder.
-
-    The dbar mass is measured on an ``n_radial x max(1, n_angular // 2)``
-    grid of the image annulus: 512x256 at the default grid.
-    """
+    """Parameters of the square-gauge epsilon ladder."""
 
     q: float = 0.5
     k: float = 2.0
@@ -447,7 +445,7 @@ def run_ladder(config: LadderConfig = LadderConfig()) -> FitReport:
         )
     )
     l1 = l1_distance(rungs, reference, grid)
-    mass = phi_dbar_mass(rungs, reference, config.n_radial, max(1, config.n_angular // 2))
+    mass = phi_dbar_mass(rungs, reference, config.n_radial, config.n_angular)
     rows = []
     for eps, full, half, dist, dbar in zip(config.eps_values, d_full, d_half, l1, mass):
         noise = abs(full - half) / 3.0

@@ -61,6 +61,17 @@ class TestExitCodes:
         assert "eps values must be distinct" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("reconstruct", "--field", "conj"),
+        ("audit", "--lemma", "taylor"),
+        ("audit", "--lemma", "theta"),
+    ], ids=["reconstruct", "taylor", "theta"])
+    def test_negative_seed_is_usage_error(self, argv):
+        res = run(*argv, "--seed", "-1")
+        assert res.returncode == 2
+        assert res.stderr == "error: seed must be an integer >= 0\n"
+        assert res.stdout == ""
+
     def test_fit_rows_sharing_one_deficit_are_degenerate(self):
         res = run("fit", "--grid", "64x64", "--eps", "0.001,0.0010000000000000002")
         assert res.returncode == 3
@@ -367,13 +378,13 @@ class TestGaugedBytes:
 class TestReconstructBytes:
     """The emitted bytes of ``reconstruct``, pinned as computed before the
     area's near runs were summed one target at a time; the ``phi-eps`` pins
-    were re-recorded when its field was first sampled once per ring.  Two of
-    the grids have a number of angular cells that is not a multiple of the
-    kernel's block, so a run starts mid-block and a misplaced pad moves the
-    bits."""
+    were re-recorded when its field was first sampled once per ring, and the
+    default ``conj`` pin when each near run was first summed as a row of its
+    own.  Two of the grids have a number of angular cells that is not a
+    multiple of the kernel's block, so a run starts mid-block."""
 
     @pytest.mark.parametrize("argv, sha256", [
-        (("--field", "conj"), "1d43477eb3068723bc01be647aa3ece9f7374a71f42d85340740db393a0da79d"),
+        (("--field", "conj"), "2d843ef75dff8165b783704b7a41b22b475091d426b57b2e6ca48a5f24c4fa89"),
         (("--field", "phi-eps:1e-3"),
          "3dbda839f1436a766ce7989bbea61b96a44055e24fe4ec5d3dc694ca3fe4134a"),
         (("--field", "phi-eps:2e-2", "--k", "3", "--grid", "100x70", "--seed", "5"),

@@ -1,8 +1,8 @@
 """The public surface: every exported name exists, none is listed twice, the
 package root re-exports nothing but the kernel lane, every name the
 benchmark's tracer patches exists, the benchmark's gate passes the program's
-outputs, no private module-level name is left unused, and maps are evaluated
-on grids in one module."""
+outputs, no private module-level name or module-level import is left unused,
+and maps are evaluated on grids in one module."""
 
 import ast
 import importlib
@@ -175,6 +175,41 @@ def test_every_private_module_level_name_is_used():
             )
             if not used:
                 unused.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+    assert unused == []
+
+
+def _exported(tree):
+    """The names in a module's literal ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_module_level_import_is_used():
+    # a module-level import must be read in its module, listed in its
+    # __all__, or, in a package __init__.py, be a public name it re-exports
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        kept = read | _exported(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                reexported = path.name == "__init__.py" and not name.startswith("_")
+                if name not in kept and not reexported:
+                    unused.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
     assert unused == []
 
 

@@ -324,6 +324,18 @@ class TestShapeRule:
         rings = float(ordered_sums(g.line_weights * g.n_secondary * v))
         assert integrate(g, v).hex() == cells.hex() == rings.hex()
 
+    @pytest.mark.parametrize("rows", [(), (5,)], ids=["one-row", "rungs"])
+    @pytest.mark.parametrize("grid", [polar(0.3, 13, 7, breaks=(0.55,)), polar(0.5, 200, 512),
+                                      polar(0.5, 8000, 4)], ids=["13x7", "200x512", "8000x4"])
+    def test_ring_samples_have_the_bits_of_their_ring_areas_summed(self, grid, rows):
+        # one weighted dot product per row, with the ring areas as weights;
+        # five rows of 8,000 rings are past the kernels' along/across crossover
+        v = np.random.default_rng(4).uniform(-1.0, 2.0, size=(*rows, grid.n_primary))
+        want = ordered_sums(grid.line_weights * grid.n_secondary * v)
+        got = integrate(grid, v)
+        assert np.shape(got) == rows
+        assert np.ravel(got).tobytes() == np.ravel(want).tobytes()
+
     @pytest.mark.parametrize("grid", [polar(0.5, 4, 3), cartesian(1.0, 4, 3)],
                              ids=["polar", "cartesian"])
     @pytest.mark.parametrize("n", [0, 5, 11, 13])
@@ -453,6 +465,23 @@ def test_counts_must_be_integers(name):
     call(np.int64(8))  # numpy integers are counts too
     for bad in (8.0, 8.5, True, math.nan):
         with pytest.raises(InputError, match=rf"\b{noun} must be an integer"):
+            call(bad)
+
+
+SEEDED = {
+    "offset_targets": lambda seed: offset_targets(polar(0.5, 8, 8), 4, seed),
+    "audit_taylor": lambda seed: audit_taylor(ConvexGauge.parse("square"), 10, seed),
+    "audit_theta": lambda seed: audit_theta(10, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seeds_must_be_integers_at_least_zero(name):
+    # a negative seed once reached numpy's generator and failed there
+    call = SEEDED[name]
+    call(np.int64(0))
+    for bad in (-1, 0.5):
+        with pytest.raises(InputError, match=r"^seed must be an integer >= 0$"):
             call(bad)
 
 

@@ -20,8 +20,9 @@ from qclab._kernels import fallback
 
 def _rand(n, seed):
     rng = np.random.default_rng(seed)
-    # mix of magnitudes so compensation actually matters
-    x = rng.normal(size=n) * np.exp(rng.uniform(-12, 12, size=n))
+    # mix of magnitudes so compensation actually matters; powers of two, so
+    # the inputs do not depend on the CPU's exp
+    x = rng.normal(size=n) * np.ldexp(1.0, rng.integers(-17, 18, size=n))
     return np.ascontiguousarray(x)
 
 
@@ -92,17 +93,19 @@ def test_pompeiu_sum_matches_naive_numpy():
     assert complex(re, im) == pytest.approx(want, rel=1e-12)
 
 
-# Bits pinned with float.hex from the single-target, per-row kernels that
-# preceded the batched ones; the batched core must reproduce them exactly.
+# Bits pinned with float.hex.  The pompeiu_sum columns date from the
+# single-target, per-row kernels that preceded the batched ones; the
+# ordered_sum and ordered_dot columns were recorded when ``_rand`` moved to
+# power-of-two magnitudes.  Each value is also the pure-Python reference's.
 # Per n: ordered_sum, ordered_dot, pompeiu_sum real part, imaginary part.
 GOLDEN_KERNELS = {
     0: ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    1: ("-0x1.972922991068ap+17", "-0x1.e9a47fd9b6672p+2", "0x1.76d281c834e9dp+3", "0x1.e18cac2de647cp+2"),
-    63: ("0x1.70a04aa86f3ccp+15", "0x1.960d5dc1cc4edp+30", "-0x1.66a70ab954828p+3", "-0x1.46bab4fbc4844p-1"),
-    64: ("-0x1.cbe23194b02c7p+15", "-0x1.b89930862ae15p+27", "0x1.6af3508b4bbd4p+2", "0x1.78b3a93d135f7p+3"),
-    65: ("0x1.24cd1dfdde931p+15", "-0x1.56e502dfeb5c5p+24", "-0x1.a38727f272eb6p+2", "0x1.4cf80a87e2a5bp+2"),
-    513: ("-0x1.0a4044704f735p+18", "-0x1.cc09c8bc5adddp+33", "0x1.48b881a176a0ap+4", "0x1.a6253794d1263p+4"),
-    4096: ("0x1.1a54ad67baac0p+20", "0x1.ff7d928b0c3e0p+33", "-0x1.3b9e78496530ap+7", "-0x1.7a1bac6b19c7cp+2"),
+    1: ("-0x1.bcff06d547a1cp-9", "-0x1.372ce978c03a2p+14", "0x1.76d281c834e9dp+3", "0x1.e18cac2de647cp+2"),
+    63: ("0x1.1fea594f1fc2ap+18", "-0x1.407da53072ef9p+24", "-0x1.66a70ab954828p+3", "-0x1.46bab4fbc4844p-1"),
+    64: ("-0x1.f88b6e96786cap+17", "-0x1.807626722b7f5p+30", "0x1.6af3508b4bbd4p+2", "0x1.78b3a93d135f7p+3"),
+    65: ("0x1.f304364fb273ep+16", "0x1.1a25a34ca9663p+25", "-0x1.a38727f272eb6p+2", "0x1.4cf80a87e2a5bp+2"),
+    513: ("-0x1.b94646b104a4fp+11", "0x1.97588f5df23bep+29", "0x1.48b881a176a0ap+4", "0x1.a6253794d1263p+4"),
+    4096: ("-0x1.40542d7ea2ee8p+22", "0x1.ab8d9e7d4caf6p+35", "-0x1.3b9e78496530ap+7", "-0x1.7a1bac6b19c7cp+2"),
 }
 
 
@@ -121,13 +124,15 @@ def _pompeiu_inputs(n):
 def test_fallback_kernels_match_pinned_bits(n):
     cr, ci, wt, vr, vi, mask = _pompeiu_inputs(n)
     re, im = fallback.pompeiu_sum(cr, ci, wt, vr, vi, 0.317, -0.858, mask)
-    got = (
-        fallback.ordered_sum(_rand(n, n + 7)),
-        fallback.ordered_dot(_rand(n, n + 11), _rand(n, n + 13)),
-        re,
-        im,
+    x, w, v = _rand(n, n + 7), _rand(n, n + 11), _rand(n, n + 13)
+    got = (fallback.ordered_sum(x), fallback.ordered_dot(w, v), re, im)
+    assert tuple(float(g).hex() for g in got) == GOLDEN_KERNELS[n]
+    ref = (
+        _reference_sum(x.tolist()),
+        _reference_sum((w * v).tolist()),
+        *_pompeiu_reference(cr, ci, wt, vr, vi, 0.317, -0.858, np.flatnonzero(mask)),
     )
-    assert tuple(float(x).hex() for x in got) == GOLDEN_KERNELS[n]
+    assert tuple(float(r).hex() for r in ref) == GOLDEN_KERNELS[n]
 
 
 # reconstruct on a 64x64 polar grid of the q = 0.5, k = 2 annulus,
@@ -135,15 +140,16 @@ def test_fallback_kernels_match_pinned_bits(n):
 # The area sums the rings far from each target by series; that moved the
 # conj values by at most 6 ulps from the all-direct sum, and left the
 # phi-eps ones, whose area term is below their last bit there, unmoved.
+# Summing each near run as a row of its own moved four conj values by 1 ulp.
 # test_pompeiu.py::TestFarRings bounds the series against the direct sum.
 GOLDEN_RECONSTRUCT = {
     "conj": [
         ("0x1.13fa2f467f686p-5", "0x1.5e416b9c972ddp-2"),
         ("-0x1.d72755fca2695p-3", "-0x1.6090cdaa15650p-2"),
-        ("0x1.0535ae05765ecp-1", "-0x1.5d11c878e621fp-2"),
-        ("0x1.2d57fce9855c4p-1", "-0x1.f348581fffdcbp-3"),
-        ("-0x1.86a0f6a63180dp-1", "-0x1.36cdb6aa7d6ecp-3"),
-        ("-0x1.a7784960dd494p-1", "-0x1.5ed05d7d6d147p-2"),
+        ("0x1.0535ae05765ecp-1", "-0x1.5d11c878e6220p-2"),
+        ("0x1.2d57fce9855c3p-1", "-0x1.f348581fffdcbp-3"),
+        ("-0x1.86a0f6a63180cp-1", "-0x1.36cdb6aa7d6ecp-3"),
+        ("-0x1.a7784960dd494p-1", "-0x1.5ed05d7d6d146p-2"),
     ],
     "phi-eps:1e-3": [
         ("0x1.96a65a32d3541p-4", "-0x1.4f22ddb4f5007p-2"),
@@ -406,24 +412,8 @@ def _pompeiu_reference(cr, ci, wt, vr, vi, wr, wi, dead):
     return _reference_sum(re.tolist()), _reference_sum(im.tolist())
 
 
-def _run(args, lo, hi, n):
-    """``pompeiu_sum`` over cells ``lo:hi`` of the row ``args`` of ``n`` cells."""
-    cr, ci, wt, vr, vi, wr, wi, mask = args
-    cr, ci, wt, vr, vi, mask = (x[lo:hi] for x in (cr, ci, wt, vr, vi, mask))
-    return fallback.pompeiu_sum(cr, ci, wt, vr, vi, wr, wi, mask, lo, n)
-
-
-def _outside(n, lo, hi):
-    """A uint8 mask of the cells of a row of ``n`` outside ``lo:hi``."""
-    out = np.ones(n, dtype=np.uint8)
-    out[lo:hi] = 0
-    return out
-
-
-# The names of the next four tests date from the batched kernel they first
-# pinned; they now pin pompeiu_sum over runs of cells, which replaced it.
 @pytest.mark.parametrize("n", [1, 63, 130, 700])
-def test_pompeiu_sum_many_equals_single_target_loop(n):
+def test_pompeiu_sum_matches_reference_over_a_row_and_a_run(n):
     # each target over the whole row, and over a run from a start that is
     # not BLOCK-aligned (but for n = 1), against the pure-Python reference
     cr, ci, wt, vr, vi, mask = _pompeiu_inputs(n)
@@ -437,25 +427,23 @@ def test_pompeiu_sum_many_equals_single_target_loop(n):
         np.arange(0, n, 7),
     ]
     start = n // 3
+    cells = (cr, ci, wt, vr, vi)
     for t in range(5):
         one = np.zeros(n, dtype=np.uint8)
         one[dead[t]] = 1
-        args = (cr, ci, wt, vr, vi, wr[t], wi[t], one)
-        re, im = _kernels.pompeiu_sum(*args)
+        re, im = _kernels.pompeiu_sum(*cells, wr[t], wi[t], one)
         if t == 2:
             assert (re, im) == (0.0, 0.0)
-        ref = _pompeiu_reference(cr, ci, wt, vr, vi, wr[t], wi[t], dead[t])
+        ref = _pompeiu_reference(*cells, wr[t], wi[t], dead[t])
         assert (re.hex(), im.hex()) == (ref[0].hex(), ref[1].hex())
         assert math.isfinite(re) and math.isfinite(im)
-        got = _run(args, start, n, n)
-        want = _kernels.pompeiu_sum(*args[:7], one | _outside(n, start, n))
-        ref = _pompeiu_reference(
-            cr, ci, wt, vr, vi, wr[t], wi[t], np.union1d(dead[t], np.arange(start))
-        )
-        assert _bits(got) == _bits(want) == _bits(ref)
+        run = [x[start:] for x in cells]
+        got = _kernels.pompeiu_sum(*run, wr[t], wi[t], one[start:])
+        ref = _pompeiu_reference(*run, wr[t], wi[t], np.flatnonzero(one[start:]))
+        assert _bits(got) == _bits(ref)
 
 
-def test_pompeiu_sum_many_rejects_bad_cells():
+def test_pompeiu_sum_rejects_bad_cells():
     one = np.ones(4)
     mask = np.zeros(4, dtype=np.uint8)
     with pytest.raises(ValueError):
@@ -468,15 +456,15 @@ def test_pompeiu_sum_many_rejects_bad_cells():
 
 
 @pytest.mark.parametrize("n", [130, 700])
-def test_ranged_pompeiu_sum_many_masks_the_cells_outside_each_range(n):
-    # a run is the whole row with the cells outside it masked
+def test_pompeiu_sum_sums_each_run_as_its_own_row(n):
+    # a run's terms are summed as a row of their own, wherever it lies
     cr, ci, wt, vr, vi, mask = _pompeiu_inputs(n)
     runs = [
         (5, n - 3),  # not BLOCK-aligned at either end
         (70, 70),  # empty, in the middle of a block
         (fallback.BLOCK, fallback.BLOCK),  # empty, on a block edge
         (n // 2, n // 2 + 1),  # one cell
-        (0, 9),
+        (0, 9),  # starts the row
         (n - 11, n),  # ends the row
         (fallback.BLOCK, 2 * fallback.BLOCK),  # aligned
     ]
@@ -489,27 +477,12 @@ def test_ranged_pompeiu_sum_many_masks_the_cells_outside_each_range(n):
         dead = mask.copy()
         if t == len(runs) - 1:
             dead[c] = 1
-        args = (cr, ci, wt, vr, vi, wr, wi, dead)
-        got = _run(args, lo, hi, n)
-        want = fallback.pompeiu_sum(*args[:7], dead | _outside(n, lo, hi))
-        outside = np.setdiff1d(np.arange(n), np.arange(lo, hi))
-        ref = _pompeiu_reference(
-            cr, ci, wt, vr, vi, wr, wi, np.union1d(np.flatnonzero(dead), outside)
-        )
-        assert _bits(got) == _bits(want) == _bits(ref)
+        run = [x[lo:hi] for x in (cr, ci, wt, vr, vi)]
+        got = fallback.pompeiu_sum(*run, wr, wi, dead[lo:hi])
+        ref = _pompeiu_reference(*run, wr, wi, np.flatnonzero(dead[lo:hi]))
+        assert _bits(got) == _bits(ref)
+        assert all(math.isfinite(x) for x in got)
         if lo == hi:
             assert got == (0.0, 0.0)
         if hi - lo == 1:
             assert got[0] != 0.0 or mask[lo]
-
-
-def test_pompeiu_sum_many_rejects_bad_ranges():
-    one = np.ones(4)
-    mask = np.zeros(4, dtype=np.uint8)
-    call = lambda start, n: fallback.pompeiu_sum(  # noqa: E731
-        one, one, one, one, one, 0.0, 1.0, mask, start, n
-    )
-    assert call(3, None) == call(3, 7)  # n defaults to the end of the run
-    for start, n in ((-1, None), (-1, 4), (0, 3), (1, 4), (5, 8)):
-        with pytest.raises(ValueError):
-            call(start, n)

@@ -48,9 +48,11 @@ from qclab.pompeiu import (
     pompeiu_area,
     psi_dbar_mass,
     reconstruct,
+    _far_sums,
     _near_zones,
 )
 from qclab._kernels import pompeiu_sum
+from test_kernels import _pompeiu_reference
 
 DOM = AnnulusDomain(0.25)
 TARGETS = np.array([0.7 + 0.0j, -0.3 + 0.45j, 0.31 - 0.52j])
@@ -782,6 +784,27 @@ class TestPompeiuArea:
         message = "annulus grids only, not on RectangleDomain(width=1.0, height=1.0)"
         with pytest.raises(InputError, match=re.escape(message)):
             pompeiu_area(field, [0.3 + 0.4j, 0.5 + 0.5j])
+
+    @pytest.mark.parametrize("shape", [(40, 64), (40, 100)], ids=["aligned", "unaligned"])
+    def test_near_run_is_summed_as_a_row_of_its_own(self, shape):
+        # each target's value is the reference sum of its near run's masked
+        # terms plus its far sum, over pi.  With 100 angular cells most runs
+        # start mid-block; on both grids, placing a run's block totals in the
+        # tree of the whole row would move the bits of most targets
+        g = polar(0.25, *shape)
+        re_, im_ = np.random.default_rng(2).normal(size=(2, g.n_cells))
+        field = DbarField(ConjugationMap(), g, re_ + 1j * im_)
+        pts = offset_targets(g, 12, seed=4)
+        got = pompeiu_area(field, pts)
+        dead, rings = _near_zones(g, pts)
+        far = _far_sums(field, pts, rings)
+        cells = (g.centers.real, g.centers.imag, g.weights, re_, im_)
+        for t, (w, (lo, hi)) in enumerate(zip(pts, rings * g.n_secondary)):
+            run = [x[lo:hi] for x in cells]
+            re, im = _pompeiu_reference(*run, w.real, w.imag, dead[t] - lo)
+            want = complex(re + far[t].real, im + far[t].imag) / math.pi
+            assert (got[t].real.hex(), got[t].imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert np.all(rings[:, 1] - rings[:, 0] < g.n_primary)  # the far rings are in use
 
 
 def _direct_area(field, pts):
